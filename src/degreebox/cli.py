@@ -199,6 +199,8 @@ def run_identity_suite(count: int, seed: int) -> list[dict]:
     the zero-diagonal column sums and the shifted conjugate, and the
     conjugate involution.
     """
+    if count < 1:
+        raise InputError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     failures: list[dict] = []
 

@@ -1,11 +1,11 @@
 """Ground-truth enumeration and the criterion cross-validation harness.
 
-The oracle decides realizability by enumerating every edge subset of the
-complete graph as a bitmask and testing whether its degree vector lies in
-the box.  It never consults the criteria module, which is what makes the
-agreement sweeps meaningful.  Precomputed per-size degree tables keep the
-enumeration fast; rows are grouped by edge count so a sweep can skip
-subsets whose total degree cannot fall inside the box.
+The oracle counts, for every labelled degree vector, the edge subsets of
+the complete graph K_n that produce it, by a dynamic program over the
+edges, and keeps those counts as n-dimensional prefix sums (a summed-area
+table).  A box query is then an exact inclusion-exclusion sum over the
+box's 2^n corners.  It never consults the criteria module, which is what
+makes the agreement sweeps meaningful.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 
 from . import criteria as _criteria
 from . import realize as _realize
-from .errors import TooLarge, UnknownCriterion
+from .errors import InputError, TooLarge, UnknownCriterion
 from .sequences import IntervalSequencePair
 
 MAX_EXHAUSTIVE_N = 7
 MAX_MATRIX_N = 6
-_CHUNK = 1 << 15
 
 ALL_CRITERIA = dict(_criteria.CHECKERS)
 ALL_CRITERIA["ryser_interval"] = _realize.check_ryser_interval
@@ -60,75 +59,58 @@ class OracleResult(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _degree_table(n: int):
-    """Degree vectors of all edge subsets of K_n, rows grouped by edge count.
+def _count_grid(n: int):
+    """Summed-area table of edge-subset degree vectors of K_n, plus corners.
 
-    Returns (table, offsets): table[r] is the degree vector of the r-th
-    subset after sorting by popcount; offsets[p] is the first row with p
-    edges (offsets has length E+2).
+    Before the prefix sums, cell d of the (n,)*n grid holds the number of
+    edge subsets whose degree vector is d: each edge (u, v) either stays
+    out or adds one to both d_u and d_v.  After them, cell x counts the
+    subsets with degree vector <= x componentwise.  The corners are the
+    2^n choices of "lower" or "upper" side per axis with their
+    inclusion-exclusion signs.
     """
-    edges = list(itertools.combinations(range(n), 2))
-    m = len(edges)
-    idx = np.arange(1 << m, dtype=np.uint32)
-    table = np.zeros((1 << m, n), dtype=np.int8)
-    pc = np.zeros(1 << m, dtype=np.int8)
-    for e, (u, v) in enumerate(edges):
-        bit = ((idx >> e) & 1).astype(np.int8)
-        table[:, u] += bit
-        table[:, v] += bit
-        pc += bit
-    order = np.argsort(pc, kind="stable")
-    table = table[order]
-    offsets = np.searchsorted(pc[order], np.arange(m + 2))
-    return table, offsets
-
-
-def _edge_count_window(pair: IntervalSequencePair) -> tuple[int, int]:
-    """Feasible subset sizes: total degree is twice the edge count."""
-    m = pair.n * (pair.n - 1) // 2
-    lo = (sum(pair.a) + 1) // 2
-    hi = min(sum(pair.b) // 2, m)
-    return lo, hi
+    grid = np.zeros((n,) * n, dtype=np.int64)
+    grid[(0,) * n] = 1
+    for u, v in itertools.combinations(range(n), 2):
+        dst = [slice(None)] * n
+        src = [slice(None)] * n
+        dst[u] = dst[v] = slice(1, None)
+        src[u] = src[v] = slice(None, -1)
+        grid[tuple(dst)] = grid[tuple(dst)] + grid[tuple(src)]
+    for axis in range(n):
+        grid = np.cumsum(grid, axis=axis)
+    lower = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    signs = (-1) ** lower.sum(axis=1)
+    strides = n ** np.arange(n - 1, -1, -1)
+    return grid.ravel(), lower, signs, strides
 
 
 def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
-    """Exhaustive decision plus the number of witnessing edge subsets."""
+    """Exhaustive decision plus the number of witnessing edge subsets.
+
+    The count of subsets with a_i <= deg_i <= b_i is an inclusion-exclusion
+    sum over the 2^n corners of the box, one summed-area lookup each;
+    corners below zero on some axis count nothing and are dropped.
+    """
     if pair.n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
-    table, offsets = _degree_table(pair.n)
-    lo, hi = _edge_count_window(pair)
-    if lo > hi:
-        return OracleResult(False, 0)
-    a = np.asarray(pair.a, dtype=np.int8)
-    b = np.asarray(pair.b, dtype=np.int8)
-    count = 0
-    for start in range(offsets[lo], offsets[hi + 1], _CHUNK):
-        rows = table[start : min(start + _CHUNK, offsets[hi + 1])]
-        count += int(np.count_nonzero(np.all((rows >= a) & (rows <= b), axis=1)))
+    cumulative, lower, signs, strides = _count_grid(pair.n)
+    a = np.asarray(pair.a, dtype=np.int64)
+    b = np.asarray(pair.b, dtype=np.int64)
+    corners = np.where(lower, a - 1, b)
+    inside = (corners >= 0).all(axis=1)
+    count = int(signs[inside] @ cumulative[corners[inside] @ strides])
     return OracleResult(count > 0, count)
 
 
 def oracle_decide(pair: IntervalSequencePair) -> bool:
-    """Decision-only oracle with early exit; same verdict as oracle_realizable.
+    """Decision-only view of oracle_realizable."""
+    return oracle_realizable(pair).realizable
 
-    Scans edge-count groups nearest the box's average total degree first,
-    since witnesses cluster there.
-    """
-    if pair.n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
-    table, offsets = _degree_table(pair.n)
-    lo, hi = _edge_count_window(pair)
-    if lo > hi:
-        return False
-    a = np.asarray(pair.a, dtype=np.int8)
-    b = np.asarray(pair.b, dtype=np.int8)
-    mid = (sum(pair.a) + sum(pair.b)) // 4
-    for p in sorted(range(lo, hi + 1), key=lambda p: (abs(p - mid), p)):
-        for start in range(offsets[p], offsets[p + 1], _CHUNK):
-            rows = table[start : min(start + _CHUNK, offsets[p + 1])]
-            if np.any(np.all((rows >= a) & (rows <= b), axis=1)):
-                return True
-    return False
+
+def _require_size(n: int) -> None:
+    if n < 0:
+        raise InputError(f"n must be >= 0, got {n}")
 
 
 def _cells(n: int) -> list[tuple[int, int]]:
@@ -152,6 +134,7 @@ def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
     cells listed largest-first, so within each instance the cells are
     already good-ordered.
     """
+    _require_size(n)
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"exhaustive instance space supports n <= {MAX_EXHAUSTIVE_N}")
     for combo in itertools.combinations_with_replacement(_cells(n), n):
@@ -329,6 +312,9 @@ def cross_validate(
     tallies are reported).  Reports are deterministic given (n, criteria,
     sample, seed).
     """
+    _require_size(n)
+    if sample is not None and sample < 1:
+        raise InputError(f"sample must be >= 1, got {sample}")
     names = _resolve_criteria(criteria)
     if "cdz" not in names:
         names = ("cdz",) + names
@@ -471,6 +457,7 @@ def implication_matrix(
     if pairs is None:
         if n is None:
             raise ValueError("pass either n or pairs")
+        _require_size(n)
         if n > MAX_MATRIX_N:
             raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
         pairs = enumerate_instances(n)

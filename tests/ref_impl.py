@@ -5,6 +5,9 @@ plain comprehensions, deliberately avoiding the package's prefix-sum
 bookkeeping, so a bug in the implementation cannot hide in the tests.
 """
 
+import itertools
+from functools import lru_cache
+
 
 def ref_eps(pair, t):
     support = [j for j in range(pair.n) if j >= t and pair.b[j] >= t + 1]
@@ -89,3 +92,25 @@ def ref_erdos_gallai(d):
         if sum(d[:k]) > k * (k - 1) + sum(min(x, k) for x in d[k:]):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _ref_degree_vectors(n):
+    """Degree vector of every edge subset of K_n, one entry per subset."""
+    edges = list(itertools.combinations(range(n), 2))
+    vectors = []
+    for chosen in itertools.product((0, 1), repeat=len(edges)):
+        deg = [0] * n
+        for (u, v), bit in zip(edges, chosen):
+            deg[u] += bit
+            deg[v] += bit
+        vectors.append(deg)
+    return vectors
+
+
+def ref_witness_count(pair):
+    """Number of edge subsets of K_n whose degree vector lies in the box."""
+    return sum(
+        all(lo <= d <= hi for lo, d, hi in zip(pair.a, deg, pair.b))
+        for deg in _ref_degree_vectors(pair.n)
+    )

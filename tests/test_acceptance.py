@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 The heavy shared artifact is a single exhaustive sweep of every
 good-ordered instance with n <= 5, evaluated against the oracle, every
-criterion, and the witness constructor.
+criterion, and the witness constructor; gate 9 sweeps all of n = 6
+against the oracle on its own.
 """
 
 import itertools
@@ -208,3 +209,11 @@ def test_a8_deterministic_reports():
     assert sampled() == sampled()
     assert implication_matrix(3).to_json() == implication_matrix(3).to_json()
     announce("8 (seeded sweeps and reports serialize byte-identically)")
+
+
+def test_a9_exhaustive_n6_oracle_equivalence():
+    report = cross_validate(6, criteria=["cdz"])
+    assert report.instance_count == 230_230
+    assert report.cdz_oracle_disagreements == 0
+    assert report.violations == []
+    announce("9 (cdz = oracle on all 230,230 instances with n=6)")

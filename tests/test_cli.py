@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import degreebox
 from degreebox.cli import (
     InstanceSpec,
     InstanceSyntaxError,
@@ -103,8 +106,20 @@ class TestExitCodes:
         assert main(["identities", "--count", "500", "--seed", "7"]) == 0
         assert "0 failures" in capsys.readouterr().out
 
-    def test_identities_zero_rounds_vacuous(self):
-        assert main(["identities", "--count", "0"]) == 0
+    @pytest.mark.parametrize("argv", [
+        "crossval -1",
+        "crossval --matrix -1",
+        "crossval 7 --sample 0",
+        "crossval 9 --sample 0",
+        "identities --count -5",
+        "identities --count 0",
+    ])
+    def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestJsonOutput:
@@ -153,10 +168,14 @@ def test_identity_suite_clean_run():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same degreebox as this process, installed or not
+    src = str(Path(degreebox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "degreebox.cli", "check", "2,2,2/2,2,2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "CDZ" in proc.stdout

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degreebox.criteria import check_cdz
-from degreebox.errors import TooLarge, UnknownCriterion
+from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
     cross_validate,
     enumerate_instances,
@@ -21,6 +21,7 @@ from degreebox.sequences import (
     normalize_good_order,
     validate_and_clamp,
 )
+from ref_impl import ref_witness_count
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
 
@@ -48,14 +49,18 @@ class TestOracle:
         with pytest.raises(TooLarge):
             oracle_decide(pair)
 
-    def test_decide_agrees_with_count_exhaustively(self):
+    def test_count_matches_reference_exhaustively(self):
         for n in range(0, 5):
             for pair in enumerate_instances(n):
-                assert oracle_decide(pair) == oracle_realizable(pair).realizable
+                count = ref_witness_count(pair)
+                assert oracle_realizable(pair) == (count > 0, count), pair
+                assert oracle_decide(pair) == (count > 0)
 
-    def test_decide_agrees_with_count_sampled_n6(self):
-        for pair in sample_instances(6, 150, seed=5):
-            assert oracle_decide(pair) == oracle_realizable(pair).realizable
+    @pytest.mark.parametrize("n, size", [(5, 400), (6, 40)])
+    def test_count_matches_reference_sampled(self, n, size):
+        for pair in sample_instances(n, size, seed=5):
+            count = ref_witness_count(pair)
+            assert oracle_realizable(pair) == (count > 0, count), pair
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
@@ -172,6 +177,12 @@ class TestCrossValidate:
     def test_unknown_criterion(self):
         with pytest.raises(UnknownCriterion):
             cross_validate(3, criteria=["nonsense"])
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(InputError):
+            list(enumerate_instances(-1))
+        with pytest.raises(InputError):
+            cross_validate(-1, sample=5)
 
 
 class TestImplicationMatrix:
