@@ -33,7 +33,6 @@ from .errors import (
     NegativeEntry,
     NotGoodOrder,
     NotNonIncreasing,
-    SearchBudgetExceeded,
     TooLarge,
     UnknownCriterion,
 )

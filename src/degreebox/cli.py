@@ -1,7 +1,8 @@
 """Command-line front end: check, realize, crossval, identities.
 
 Exit codes are uniform across subcommands: 0 for an affirmative verdict,
-1 for a negative one, 2 for usage or input errors.
+1 for a negative one, 2 for usage or input errors, 3 for an internal
+error (a bug, never a verdict), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -114,12 +115,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     spec = parse_instance(args.instance)
     norm = _sequences.normalize_good_order(spec.a, spec.b)
     pair = norm.pair
+    # raises TooLarge past the oracle's size instead of skipping the cross-check
+    oracle_result = _oracle.oracle_realizable(pair) if args.oracle else None
     report = _criteria.criteria_report(pair)
     verdicts = dict(report.verdicts)
     verdicts["ryser_interval"] = _realize.check_ryser_interval(pair)
-    oracle_result = None
-    if args.oracle and pair.n <= _oracle.MAX_EXHAUSTIVE_N:
-        oracle_result = _oracle.oracle_realizable(pair)
     if args.json:
         _emit_json({
             "schema": "degreebox.check/1",
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

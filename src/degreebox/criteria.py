@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .sequences import (
     IntervalSequencePair,
+    _cdz_terms,
     berge_sequence,
     conjugate_sequence,
     crossing_indices,
@@ -64,12 +65,8 @@ def _prefix_sums(seq: Sequence[int]) -> list[int]:
 
 
 def _cdz_over_range(pair: IntervalSequencePair, t_max: int) -> CriterionVerdict:
-    a, b, n = pair.a, pair.b, pair.n
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(a)
-    for t in range(t_max + 1):
-        lhs = pa[t]
-        rhs = t * (t - 1) + sum(min(t, b[j]) for j in range(t, n)) - eps[t]
+    """Smallest failing t <= t_max of the CDZ family; no input validation."""
+    for t, (lhs, rhs, _) in zip(range(t_max + 1), _cdz_terms(pair.a, pair.b)):
         if lhs > rhs:
             return _fail(t, lhs, rhs)
     return _HOLDS

@@ -47,7 +47,3 @@ class TooLarge(InputError):
 
 class UnknownCriterion(InputError):
     """A criterion name is not registered."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The witness search hit its node budget before reaching an answer."""

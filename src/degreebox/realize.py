@@ -1,6 +1,7 @@
 """Witness construction: simple graphs meeting bound pairs, bipartite interval graphs.
 
-The simple-graph route searches for an in-box graphic degree vector and
+The simple-graph route fixes an in-box graphic degree vector by decision
+self-reduction through the CDZ kernel, one O(n) scan per probe, and
 realizes it with Havel-Hakimi; the bipartite route reduces per-vertex
 degree intervals to a feasible-flow problem with lower bounds.  Both
 routes are exact and are cross-validated against brute-force enumeration
@@ -9,24 +10,19 @@ at small sizes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .criteria import CriterionVerdict
-from .errors import (
-    LengthMismatch,
-    LowerExceedsUpper,
-    NegativeEntry,
-    SearchBudgetExceeded,
-)
+from .criteria import CriterionVerdict, _cdz_over_range
+from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from .sequences import (
     IntervalSequencePair,
+    _reduced_range,
     _tilde_unchecked,
     require_good_order,
     require_non_increasing,
 )
-
-DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -118,156 +114,67 @@ def _havel_hakimi(targets: list[tuple[int, int]]) -> Optional[set[tuple[int, int
     return edges
 
 
-def graphic_vector_in_box(
-    pair: IntervalSequencePair, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Optional[tuple[int, ...]]:
+def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
     """Find an in-box degree vector whose multiset is graphic, positionwise.
 
-    Explores candidate degree multisets in descending order (so the first
-    hit starts from the upper bounds), assigning each value greedily to
-    the unused box with the largest lower bound.  Pruning:
-
-    * a branch dies when the tightest unused box can no longer be filled
-      by the remaining (smaller) values;
-    * partial multisets are discarded when the graphicality prefix
-      inequality already fails under the most optimistic completion;
-    * a lookahead discards branches whose unused lower bounds force a
-      future prefix to overshoot the inequality no matter how the values
-      are completed (any feasible completion dominates the unused lower
-      bounds pointwise after sorting);
-    * leaves additionally require an even sum.
-
-    The greedy box choice is exchange-safe, so the search is complete:
-    None is returned only when no in-box graphic vector exists.  A node
-    budget guards against pathological blowup and raises
-    SearchBudgetExceeded instead of returning a wrong answer.
+    Decision self-reduction through the CDZ kernel.  Raising one cell's
+    lower bound can only shrink the set of realizations, so whether the
+    box stays realizable is monotone in the raised bound.  For each vertex
+    in turn, binary search finds the largest feasible lower bound v; every
+    realization of that box has degree exactly v there, so the cell is
+    fixed to (v, v) and the box stays realizable.  When every cell is
+    fixed the box is one graphic vector.  Each probe decides the box with
+    one O(n) kernel scan over t <= s, the reduced range that is
+    equivalent to the full one, and the cells are kept in good order by
+    moving only the one changed cell.  None is returned exactly when the
+    pair is not realizable.
     """
     require_good_order(pair)
-    n = pair.n
-    a, b = pair.a, pair.b
-    if n == 0:
-        return ()
+    if not _cdz_over_range(pair, _reduced_range(pair.a)).holds:
+        return None
+    keys = [(-lo, -hi, i) for i, (lo, hi) in enumerate(zip(pair.a, pair.b))]
+    lows, highs = list(pair.a), list(pair.b)
 
-    used = [False] * n
-    assign = [0] * n
-    prefix = [0]
-    # tail_min[k'] accumulates sum(min(m_i, k') for placed i > k'), 1-based k'.
-    tail_min = [0] * (n + 1)
-    # cap_count[x] counts unused boxes with upper bound exactly x.
-    cap_count = [0] * n
-    for hi in b:
-        cap_count[hi] += 1
-    nodes = 0
+    def stays_realizable(p: int, v: int) -> bool:
+        # the box with the lower bound at position p raised to v; a raised
+        # cell can only move towards the front, to position q
+        hi = highs[p]
+        q = bisect_left(keys, (-v, -hi, keys[p][2]), 0, p)
+        a = lows[:q] + [v] + lows[q:p] + lows[p + 1:]
+        b = highs[:q] + [hi] + highs[q:p] + highs[p + 1:]
+        return _cdz_over_range(IntervalSequencePair(a, b), _reduced_range(a)).holds
 
-    def cap_sums() -> list[int]:
-        # S[c] = sum(min(b_i, c) for unused boxes i); the largest tail any
-        # completion capped at c can contribute to an inequality.
-        geq = 0
-        out = [0] * (n + 1)
-        for c in range(n, 0, -1):
-            if c <= n - 1:
-                geq += cap_count[c]
-            out[c] = geq
-        for c in range(1, n + 1):
-            out[c] += out[c - 1]
-        return out
-
-    def place(v: int) -> int:
-        first = -1
-        for i in range(n):
-            if not used[i]:
-                if first < 0:
-                    first = i
-                    if a[i] > v:
-                        return -2  # tightest box unfillable: smaller v also fails
-                if b[i] >= v:
-                    return i
-        return -1
-
-    def prefix_ok(k: int, v: int, sums: list[int]) -> bool:
-        remaining = n - k
-        for kp in range(1, k + 1):
-            cut = min(v, kp)
-            bound = kp * (kp - 1) + tail_min[kp] + min(remaining * cut, sums[cut])
-            if prefix[kp] > bound:
-                return False
-        return True
-
-    def lookahead_ok(k: int, cap: int, sums: list[int]) -> bool:
-        # Sorted descending, any feasible completion dominates the unused
-        # lower bounds pointwise, so the prefix sum at depth k+j is at
-        # least prefix[k] plus the j largest unused lower bounds, while
-        # the tail beyond contributes at most min(cap, box cap, depth)
-        # per slot.  Both sides are monotone in cap, so a failure rules
-        # out every smaller value as well.
-        r = n - k
-        run = prefix[k]
-        j = 0
-        for i in range(n):
-            if used[i]:
-                continue
-            j += 1
-            run += a[i]
-            depth = k + j
-            cut = min(cap, depth)
-            if run > depth * (depth - 1) + min((r - j) * cut, sums[cut]):
-                return False
-        return True
-
-    def dfs(k: int, prev: int) -> bool:
-        nonlocal nodes
-        if k == n:
-            return prefix[n] % 2 == 0
-        sums = cap_sums()
-        for v in range(min(prev, n - 1), -1, -1):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"witness search exceeded {budget} nodes at n = {n}"
-                )
-            if not lookahead_ok(k, v, sums):
-                break
-            spot = place(v)
-            if spot == -2:
-                break
-            if spot < 0:
-                continue
-            used[spot] = True
-            assign[spot] = v
-            cap_count[b[spot]] -= 1
-            prefix.append(prefix[-1] + v)
-            for kp in range(1, k + 1):
-                tail_min[kp] += min(v, kp)
-            tail_min[k + 1] = 0
-            if prefix_ok(k + 1, v, cap_sums()) and dfs(k + 1, v):
-                return True
-            for kp in range(1, k + 1):
-                tail_min[kp] -= min(v, kp)
-            prefix.pop()
-            cap_count[b[spot]] += 1
-            assign[spot] = 0
-            used[spot] = False
-        return False
-
-    if dfs(0, n - 1):
-        return tuple(assign)
-    return None
+    vec = list(pair.a)
+    for i, (lo, hi) in enumerate(zip(pair.a, pair.b)):
+        if lo == hi:
+            continue
+        p = bisect_left(keys, (-lo, -hi, i))
+        top = hi
+        while lo < top:
+            mid = (lo + top + 1) // 2
+            if stays_realizable(p, mid):
+                lo = mid
+            else:
+                top = mid - 1
+        vec[i] = lo
+        del keys[p], lows[p], highs[p]
+        q = bisect_left(keys, (-lo, -lo, i))
+        keys.insert(q, (-lo, -lo, i))
+        lows.insert(q, lo)
+        highs.insert(q, lo)
+    return tuple(vec)
 
 
-def find_graphic_in_box(
-    pair: IntervalSequencePair, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Optional[tuple[int, ...]]:
+def find_graphic_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
     """Non-increasing graphic sequence assignable into the boxes, or None."""
-    vec = graphic_vector_in_box(pair, budget=budget)
+    vec = graphic_vector_in_box(pair)
     if vec is None:
         return None
     return tuple(sorted(vec, reverse=True))
 
 
 def realize_pair(
-    pair: IntervalSequencePair,
-    perm: Optional[Sequence[int]] = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    pair: IntervalSequencePair, perm: Optional[Sequence[int]] = None
 ) -> Optional[SimpleGraph]:
     """Build a simple graph meeting the bounds, relabeled through perm.
 
@@ -275,7 +182,7 @@ def realize_pair(
     by normalize_good_order); identity when omitted.  Returns None exactly
     when the pair is not realizable.
     """
-    vec = graphic_vector_in_box(pair, budget=budget)
+    vec = graphic_vector_in_box(pair)
     if vec is None:
         return None
     if perm is None:

@@ -13,8 +13,9 @@ of leading entries, not element indices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     EntryTooLarge,
@@ -197,27 +198,74 @@ def parity_correction(pair: IntervalSequencePair, t: int) -> int:
     when a[j] = b[j] for every j in S and sum(b[j] for j in S) + t*|S| is
     odd; the empty support gives 0.
     """
-    support = parity_support(pair, t)
-    for j in support:
-        if pair.a[j] != pair.b[j]:
-            return 0
-    total = sum(pair.b[j] for j in support) + t * len(support)
-    return total % 2
+    if not 0 <= t <= pair.n:
+        raise IndexOutOfRange(f"t = {t} not in [0, {pair.n}]")
+    return parity_corrections(pair)[t]
 
 
 def parity_corrections(pair: IntervalSequencePair) -> tuple[int, ...]:
-    """parity_correction(pair, t) for every t in 0..n."""
-    return tuple(parity_correction(pair, t) for t in range(pair.n + 1))
+    """The parity correction eps(t) for every t in 0..n, in one O(n) pass.
+
+    This is the eps column of _cdz_terms, so eps has a single implementation.
+    """
+    return tuple(eps for _, _, eps in _cdz_terms(pair.a, pair.b))
+
+
+def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield (lhs, rhs, eps) of the CDZ inequality for t = 0, 1, ..., n.
+
+    lhs = sum(a[:t]) and rhs = t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
+    With S(t) = {j >= t : b[j] > t}, the tail sum is
+    sum(b[t:]) - sum(b[S]) + t*|S|, and eps(t) needs only |S|, sum(b[S]) and
+    whether S has an unforced cell (a < b).  Histograms of b (all suffix
+    cells, and unforced ones) keep all three up to date as t advances, so
+    the whole scan is O(n) and a caller may stop it early.  Any order of
+    the cells works; entries of b must lie in 0..n-1.
+    """
+    n = len(a)
+    count = [0] * (n + 1)  # count[v], v > t: cells j >= t with b[j] == v
+    loose_count = [0] * (n + 1)  # the same, unforced cells only
+    for lo, hi in zip(a, b):
+        count[hi] += 1
+        loose_count[hi] += lo < hi
+    size, total, loose = n, sum(b), sum(loose_count)
+    tail = total
+    lhs = 0
+    for t in range(n + 1):
+        # raise the threshold to t: cells with b == t leave S
+        size -= count[t]
+        total -= t * count[t]
+        loose -= loose_count[t]
+        eps = (total + t * size) % 2 if loose == 0 else 0
+        yield lhs, t * (t - 1) + tail - total + t * size - eps, eps
+        if t < n:
+            # move cell t from the suffix into the prefix
+            lo, hi = a[t], b[t]
+            lhs += lo
+            tail -= hi
+            if hi > t:
+                size -= 1
+                total -= hi
+                loose -= lo < hi
+                count[hi] -= 1
+                loose_count[hi] -= lo < hi
+
+
+def _reduced_range(a: Sequence[int]) -> int:
+    """s = max{i : a[i-1] >= i-1} for non-increasing a (0 when a is empty).
+
+    a[i] - i strictly decreases, so the qualifying prefix lengths form an
+    initial run and s is found by bisection.
+    """
+    return bisect_left(range(len(a)), True, key=lambda i: a[i] < i)
 
 
 def crossing_indices(pair: IntervalSequencePair) -> IndexProfile:
     """Compute s, g_a and g_b for a good-ordered pair."""
     require_good_order(pair)
-    s = 0
-    for i, lo in enumerate(pair.a, start=1):
-        if lo >= i - 1:
-            s = i
-    return IndexProfile(s=s, g_a=crossing_index(pair.a), g_b=crossing_index(pair.b))
+    return IndexProfile(
+        s=_reduced_range(pair.a), g_a=crossing_index(pair.a), g_b=crossing_index(pair.b)
+    )
 
 
 def max_sum_identities_hold(p: Sequence[int], t: int) -> bool:

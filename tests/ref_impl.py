@@ -114,3 +114,36 @@ def ref_witness_count(pair):
         all(lo <= d <= hi for lo, d, hi in zip(pair.a, deg, pair.b))
         for deg in _ref_degree_vectors(pair.n)
     )
+
+
+def random_box(rng, n):
+    """A seeded box (a, b) on n vertices, in input order, for tests past the oracle.
+
+    Three families, so both verdicts and the parity cases all occur at any
+    n: uniform narrow cells; boxes around the degree vector of a random
+    graph, each cell either forced (a = b) or widened by up to 3 on each
+    side; and the same with one degree moved by one first, which usually
+    breaks realizability when the cells around it are forced.
+    """
+    if rng.random() < 0.25:
+        a = [rng.randrange(n) for _ in range(n)]
+        return a, [min(n - 1, x + rng.randint(0, 2)) for x in a]
+    p = rng.random()
+    deg = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            deg[u] += 1
+            deg[v] += 1
+    if n > 1 and rng.random() < 0.5:
+        i = rng.randrange(n)
+        deg[i] += 1 if deg[i] < n - 1 else -1
+    forced = rng.random()
+    a, b = [], []
+    for d in deg:
+        if rng.random() < forced:
+            a.append(d)
+            b.append(d)
+        else:
+            a.append(max(0, d - rng.randint(0, 3)))
+            b.append(min(n - 1, d + rng.randint(0, 3)))
+    return a, b

@@ -113,6 +113,7 @@ class TestExitCodes:
         "crossval 9 --sample 0",
         "identities --count -5",
         "identities --count 0",
+        "--json check --oracle 1,1,1,1,1,1,1,1/1,1,1,1,1,1,1,1",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2
@@ -120,6 +121,18 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_internal_failure_is_not_a_verdict(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("degreebox.realize.realize_pair", crash)
+        assert main(["realize", "2,2,2/2,2,2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: "), lines
+        assert "RuntimeError" in lines[0] and "boom" in lines[0]
 
 
 class TestJsonOutput:

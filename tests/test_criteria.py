@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,12 @@ from degreebox.criteria import (
 )
 from degreebox.errors import NotGoodOrder, NotNonIncreasing
 from degreebox.oracle import enumerate_instances, random_instances
-from degreebox.sequences import IntervalSequencePair, validate_and_clamp
+from degreebox.sequences import (
+    IntervalSequencePair,
+    normalize_good_order,
+    parity_corrections,
+    validate_and_clamp,
+)
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
 TRIANGLE = validate_and_clamp((2, 2, 2), (2, 2, 2))
@@ -255,3 +261,29 @@ def test_bollobas_and_grunbaum_are_the_same_family():
         assert vb.witness_t == vg.witness_t
         if not vb.holds:
             assert vb.lhs - vb.rhs == vg.lhs - vg.rhs
+
+
+def test_cdz_kernel_matches_reference_scan_past_the_oracle():
+    """Linear-scan verdicts, witnesses and eps against plain scans, n up to 60.
+
+    At these sizes the threshold histograms hold many cells per value,
+    which the exhaustive n <= 4 sweep above cannot reach.
+    """
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(300):
+        a, b = ref_impl.random_box(rng, rng.randint(1, 60))
+        pair = normalize_good_order(a, b).pair
+        assert parity_corrections(pair) == tuple(
+            ref_impl.ref_eps(pair, t) for t in range(pair.n + 1)
+        ), pair
+        for name, checker in (("cdz", check_cdz), ("cdz_reduced", check_cdz_reduced)):
+            verdict = checker(pair)
+            expected = ref_impl.smallest_failure(name, pair)
+            if expected is None:
+                assert verdict.holds, (name, pair)
+            else:
+                t, _, lhs, rhs = expected
+                assert (verdict.witness_t, verdict.lhs, verdict.rhs) == (t, lhs, rhs), (name, pair)
+            verdicts.add(verdict.holds)
+    assert verdicts == {True, False}

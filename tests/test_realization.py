@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ref_impl
+from degreebox.cli import main
 from degreebox.criteria import check_cdz, check_erdos_gallai_fixed
-from degreebox.errors import LengthMismatch, LowerExceedsUpper, SearchBudgetExceeded
+from degreebox.errors import LengthMismatch, LowerExceedsUpper
 from degreebox.oracle import enumerate_instances
 from degreebox.realize import (
     SimpleGraph,
@@ -91,10 +94,30 @@ class TestGraphicVectorSearch:
                     )
                     assert ref_impl.ref_erdos_gallai(tuple(sorted(vec, reverse=True)))
 
-    def test_budget_aborts_instead_of_guessing(self):
-        pair = validate_and_clamp((0, 0, 0, 0, 0), (4, 4, 4, 4, 4))
-        with pytest.raises(SearchBudgetExceeded):
-            graphic_vector_in_box(pair, budget=1)
+    def test_long_cycle_box_realizes_through_cli(self, capsys):
+        """A = B = (2,)*1000 once overflowed the recursion of a per-vertex search."""
+        a = b = (2,) * 1000
+        text = ",".join(map(str, a)) + "/" + ",".join(map(str, b))
+        assert main(["--json", "realize", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        edges = frozenset((u - 1, v - 1) for u, v in payload["edges"])
+        assert verify_witness(SimpleGraph(1000, edges), a, b)
+
+    def test_planted_box_n600_realizes(self):
+        """A box around a random graph's degrees is realizable by construction."""
+        rng = random.Random(600)
+        n = 600
+        deg = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                deg[u] += 1
+                deg[v] += 1
+        a = [max(0, d - rng.randint(0, 3)) for d in deg]
+        b = [min(n - 1, d + rng.randint(0, 3)) for d in deg]
+        norm = normalize_good_order(a, b)
+        g = realize_pair(norm.pair, norm.perm)
+        assert g is not None
+        assert verify_witness(g, a, b)
 
 
 class TestRealizePair:
@@ -260,3 +283,51 @@ class TestRyserInterval:
         assert havel_hakimi_realize((1, 1, 1)) is None
         system = [(x, x) for x in tilde_sequence((1, 1, 1))]
         assert interval_bipartite_realize(system, system) is not None
+
+
+# --- properties past the oracle -------------------------------------------
+
+# A seeded ref_impl.random_box on up to 300 vertices; hypothesis shrinks the
+# size and the seed.
+large_boxes = st.builds(
+    lambda n, seed: ref_impl.random_box(random.Random(seed), n),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _realizable(a, b):
+    return check_cdz(normalize_good_order(a, b).pair).holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_boxes)
+def test_complement_symmetry(box):
+    """G realizes (A; B) iff its complement realizes (n-1-B; n-1-A)."""
+    a, b = box
+    n = len(a)
+    assert _realizable(a, b) == _realizable([n - 1 - x for x in b], [n - 1 - x for x in a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_boxes, st.data())
+def test_widening_keeps_realizable(box, data):
+    a, b = box
+    n = len(a)
+    grow = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    down, up = data.draw(grow), data.draw(grow)
+    wide_a = [max(0, x - d) for x, d in zip(a, down)]
+    wide_b = [min(n - 1, x + u) for x, u in zip(b, up)]
+    if _realizable(a, b):
+        assert _realizable(wide_a, wide_b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(large_boxes)
+def test_every_witness_verifies(box):
+    a, b = box
+    norm = normalize_good_order(a, b)
+    g = realize_pair(norm.pair, norm.perm)
+    assert (g is not None) == check_cdz(norm.pair).holds
+    if g is not None:
+        assert verify_witness(g, a, b)
