@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
+    _check_nonnegative,
     berge_sequence,
     conjugate_sequence,
     crossing_indices,
@@ -242,17 +243,18 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
         sum(d[:k]) <= k(k-1) + sum(min(d[j], k) for j >= k).
     An odd total is reported as witness_t = 0 with lhs 0, rhs -1,
     mirroring how the parity correction sinks the t = 0 inequality of
-    check_cdz, so witness re-verification stays uniform.
+    check_cdz, so witness re-verification stays uniform.  The scan is the
+    kernel's O(n) pass on the point box (d; d), parity correction added
+    back; the kernel needs d capped at n-1, which changes no min(d[j], k).
     """
     require_non_increasing(d)
-    n = len(d)
+    _check_nonnegative(d, "sequence")
     if sum(d) % 2 == 1:
         return _fail(0, 0, -1)
-    pd = _prefix_sums(d)
-    for k in range(1, n + 1):
-        rhs = k * (k - 1) + sum(min(d[j], k) for j in range(k, n))
-        if pd[k] > rhs:
-            return _fail(k, pd[k], rhs)
+    capped = [min(x, len(d) - 1) for x in d]
+    for k, (lhs, rhs, eps) in enumerate(_cdz_terms(d, capped)):
+        if k and lhs > rhs + eps:
+            return _fail(k, lhs, rhs + eps)
     return _HOLDS
 
 

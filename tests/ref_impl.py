@@ -83,15 +83,81 @@ def smallest_failure(name, pair):
     return None
 
 
-def ref_erdos_gallai(d):
-    """Graphicality by the plain inequality scan plus the parity condition."""
+def ref_erdos_gallai_failure(d):
+    """Smallest failing (k, lhs, rhs) of the Erdos-Gallai scan; None if graphic.
+
+    An odd total fails as (0, 0, -1), the form check_erdos_gallai_fixed reports.
+    """
     n = len(d)
     if sum(d) % 2:
-        return False
+        return 0, 0, -1
     for k in range(1, n + 1):
-        if sum(d[:k]) > k * (k - 1) + sum(min(x, k) for x in d[k:]):
-            return False
-    return True
+        lhs, rhs = sum(d[:k]), k * (k - 1) + sum(min(x, k) for x in d[k:])
+        if lhs > rhs:
+            return k, lhs, rhs
+    return None
+
+
+def ref_erdos_gallai(d):
+    """Graphicality by the plain inequality scan plus the parity condition."""
+    return ref_erdos_gallai_failure(d) is None
+
+
+def ref_havel_hakimi(targets):
+    """Havel-Hakimi on (vertex, degree) items, re-sorting every round; edges or None.
+
+    Each round the largest residual (smallest vertex among ties) is joined to
+    the next-largest ones in the same order: the plain spec of the edge set.
+    """
+    work = [[deg, vertex] for vertex, deg in targets]
+    edges = set()
+    for _ in range(len(work)):
+        work.sort(key=lambda item: (-item[0], item[1]))
+        head = work[0]
+        need, u = head[0], head[1]
+        if need == 0:
+            break
+        if need > len(work) - 1:
+            return None
+        for item in work[1 : need + 1]:
+            if item[0] == 0:
+                return None
+            item[0] -= 1
+            v = item[1]
+            edges.add((min(u, v), max(u, v)))
+        head[0] = 0
+    return edges
+
+
+def ref_graphic_vector_in_box(pair, decide):
+    """Per-cell self-reduction, kept as the spec of the in-box vector.
+
+    ``decide(a, b)`` decides a box given in good order.  Each loose cell, in
+    index order, gets the largest lower bound v in [a_i, b_i] under which the
+    box stays realizable, by binary search with one decide call per probe,
+    and is then fixed to (v, v).  None when the pair is not realizable.
+    """
+    cells = list(zip(pair.a, pair.b))
+
+    def realizable():
+        box = sorted(cells, reverse=True)
+        return decide([lo for lo, _ in box], [hi for _, hi in box])
+
+    if not realizable():
+        return None
+    for i, (lo, hi) in enumerate(zip(pair.a, pair.b)):
+        if lo == hi:
+            continue
+        top = hi
+        while lo < top:
+            mid = (lo + top + 1) // 2
+            cells[i] = (mid, hi)
+            if realizable():
+                lo = mid
+            else:
+                top = mid - 1
+        cells[i] = (lo, lo)
+    return tuple(lo for lo, _ in cells)
 
 
 @lru_cache(maxsize=None)

@@ -180,15 +180,31 @@ def test_identity_suite_clean_run():
     assert run_identity_suite(2000, seed=123) == []
 
 
-def test_module_entry_point_runs():
+def _run_module(module, argv):
     # the child imports the same degreebox as this process, installed or not
     src = str(Path(degreebox.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "degreebox.cli", "check", "2,2,2/2,2,2"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = _run_module("degreebox.cli", ["check", "2,2,2/2,2,2"])
     assert proc.returncode == 0
     assert "CDZ" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "2,2,2/2,2,2"], 0),
+    (["--json", "realize", CE_TEXT], 1),
+    (["realize", "1,2/1"], 2),
+])
+def test_package_runs_as_module_like_cli(argv, code):
+    """python -m degreebox gives what python -m degreebox.cli gives."""
+    pkg, cli = _run_module("degreebox", argv), _run_module("degreebox.cli", argv)
+    assert pkg.returncode == cli.returncode == code
+    assert pkg.stdout == cli.stdout

@@ -17,7 +17,7 @@ from degreebox.criteria import (
     check_hasselbarth,
     criteria_report,
 )
-from degreebox.errors import NotGoodOrder, NotNonIncreasing
+from degreebox.errors import NegativeEntry, NotGoodOrder, NotNonIncreasing
 from degreebox.oracle import enumerate_instances, random_instances
 from degreebox.sequences import (
     IntervalSequencePair,
@@ -159,6 +159,14 @@ class TestErdosGallaiFixed:
         with pytest.raises(NotNonIncreasing):
             check_erdos_gallai_fixed((1, 2))
 
+    def test_rejects_negative_entry(self):
+        with pytest.raises(NegativeEntry):
+            check_erdos_gallai_fixed((1, 0, -1))
+
+    def test_oversized_entry_fails_at_one(self):
+        v = check_erdos_gallai_fixed((5, 1, 1, 1))
+        assert (v.witness_t, v.lhs, v.rhs) == (1, 5, 3)
+
 
 class TestCriteriaReport:
     def test_counterexample_verdict_table(self):
@@ -287,3 +295,38 @@ def test_cdz_kernel_matches_reference_scan_past_the_oracle():
                 assert (verdict.witness_t, verdict.lhs, verdict.rhs) == (t, lhs, rhs), (name, pair)
             verdicts.add(verdict.holds)
     assert verdicts == {True, False}
+
+
+def test_erdos_gallai_linear_scan_matches_reference():
+    """Verdicts and smallest witnesses against the plain scan, n up to 300.
+
+    Sequences are G(n, p) degree vectors (graphic), the same with two
+    entries raised by one (even total, often not graphic), and uniform
+    draws in 0..n that include entries no simple graph has.
+    """
+    rng = random.Random(20261018)
+    witnesses = set()
+    for k in range(300):
+        n = rng.randint(0, 300)
+        if k % 3 == 0:
+            d = [rng.randint(0, n) for _ in range(n)]
+        else:
+            d = [0] * n
+            p = rng.random()
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    d[u] += 1
+                    d[v] += 1
+            if k % 3 == 2 and n >= 2:
+                for i in rng.sample(range(n), 2):
+                    d[i] += 1
+        d = tuple(sorted(d, reverse=True))
+        verdict = check_erdos_gallai_fixed(d)
+        expected = ref_impl.ref_erdos_gallai_failure(d)
+        if expected is None:
+            assert verdict.holds, d
+        else:
+            assert (verdict.holds, verdict.witness_t, verdict.lhs, verdict.rhs) == (
+                False, *expected), d
+        witnesses.add(None if verdict.holds else min(verdict.witness_t, 2))
+    assert witnesses == {None, 0, 1, 2}

@@ -12,6 +12,7 @@ from degreebox.cli import main
 from degreebox.criteria import check_cdz, check_erdos_gallai_fixed
 from degreebox.errors import LengthMismatch, LowerExceedsUpper
 from degreebox.oracle import enumerate_instances
+from degreebox import realize
 from degreebox.realize import (
     SimpleGraph,
     check_ryser_interval,
@@ -23,7 +24,12 @@ from degreebox.realize import (
     ryser_interval_system,
     verify_witness,
 )
-from degreebox.sequences import normalize_good_order, tilde_sequence, validate_and_clamp
+from degreebox.sequences import (
+    IntervalSequencePair,
+    normalize_good_order,
+    tilde_sequence,
+    validate_and_clamp,
+)
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
 
@@ -331,3 +337,140 @@ def test_every_witness_verifies(box):
     assert (g is not None) == check_cdz(norm.pair).holds
     if g is not None:
         assert verify_witness(g, a, b)
+
+
+# --- the witness path against its per-cell and re-sorting references -------
+
+
+def _gnp_degrees(rng, n, p):
+    deg = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            deg[u] += 1
+            deg[v] += 1
+    return deg
+
+
+def _widened(rng, deg):
+    n = len(deg)
+    return ([max(0, d - rng.randint(0, 3)) for d in deg],
+            [min(n - 1, d + rng.randint(0, 3)) for d in deg])
+
+
+def _reference_box(rng, k):
+    """Box k of a seeded set: four families in turn, every fifth one at n <= 200.
+
+    Family 0 is ref_impl.random_box (narrow, widened-planted and perturbed
+    boxes); 1 a box up to 3 wide around a random graph's degrees
+    (realizable); 2 a point box, with one degree moved by one in half of
+    them; 3 a planted box with a forced degree-(n-1) vertex beside a
+    forced isolated one (unrealizable).
+    """
+    n = rng.randint(2, 200 if k % 5 == 0 else 60)
+    if k % 4 == 0:
+        return ref_impl.random_box(rng, n)
+    deg = _gnp_degrees(rng, n, rng.random())
+    if k % 4 == 2:
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            deg[i] += 1 if deg[i] < n - 1 else -1
+        return deg, list(deg)
+    a, b = _widened(rng, deg)
+    if k % 4 == 3:
+        i, j = rng.sample(range(n), 2)
+        a[i], b[i], a[j], b[j] = n - 1, n - 1, 0, 0
+    return a, b
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = [0]
+    kernel = realize._cdz_over_range
+
+    def counting(pair, t_max):
+        calls[0] += 1
+        return kernel(pair, t_max)
+
+    monkeypatch.setattr(realize, "_cdz_over_range", counting)
+    return calls
+
+
+def test_vector_and_probe_count_match_per_cell_reference(monkeypatch):
+    """Galloping finds the per-cell search's vector, at most one probe more per loose cell."""
+    calls = _count_kernel_calls(monkeypatch)
+    ref_calls = [0]
+
+    def decide(a, b):
+        ref_calls[0] += 1
+        return check_cdz(IntervalSequencePair(tuple(a), tuple(b))).holds
+
+    rng = random.Random(4004)
+    outcomes = set()
+    for k in range(320):
+        a, b = _reference_box(rng, k)
+        pair = normalize_good_order(a, b).pair
+        calls[0] = ref_calls[0] = 0
+        vec = graphic_vector_in_box(pair)
+        assert vec == ref_impl.ref_graphic_vector_in_box(pair, decide), (a, b)
+        loose = sum(lo < hi for lo, hi in zip(pair.a, pair.b))
+        assert calls[0] <= ref_calls[0] + loose, (a, b)
+        outcomes.add((k % 4, vec is not None))
+    assert outcomes >= {(0, True), (0, False), (1, True), (2, True), (2, False), (3, False)}
+
+
+def test_edges_match_resorting_reference():
+    """Bucketed Havel-Hakimi gives the re-sorting loop's edges, through perm too."""
+    rng = random.Random(4005)
+    for k in range(320):
+        a, b = _reference_box(rng, k)
+        norm = normalize_good_order(a, b)
+        vec = graphic_vector_in_box(norm.pair)
+        g = realize_pair(norm.pair, norm.perm)
+        if vec is None:
+            assert g is None
+        else:
+            p = norm.perm
+            expected = ref_impl.ref_havel_hakimi(enumerate(vec))
+            assert g.edges == {(min(p[u], p[v]), max(p[u], p[v])) for u, v in expected}, (a, b)
+        # the lower bounds as a degree sequence: often not graphic
+        got = realize._havel_hakimi(a, range(len(a)))
+        expected = ref_impl.ref_havel_hakimi(enumerate(a))
+        assert (got is None) == (expected is None), a
+        if got is not None:
+            assert set(got) == expected, a
+
+
+def test_planted_n400_needs_few_kernel_probes(monkeypatch):
+    """One probe per loose cell would be about 840 kernel calls here."""
+    rng = random.Random(400)
+    a, b = _widened(rng, _gnp_degrees(rng, 400, 0.3))
+    pair = normalize_good_order(a, b).pair
+    calls = _count_kernel_calls(monkeypatch)
+    assert graphic_vector_in_box(pair) is not None
+    assert calls[0] <= 40
+
+
+def test_havel_hakimi_agrees_with_networkx():
+    """Graphicality and exact degrees, checked by an independent library."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4006)
+    verdicts = set()
+    for k in range(400):
+        n = rng.randint(0, 60)
+        if k % 3 == 0:
+            d = [rng.randint(0, n) for _ in range(n)]
+        else:
+            d = _gnp_degrees(rng, n, rng.random())
+            if k % 3 == 2 and n >= 2:
+                for i in rng.sample(range(n), 2):
+                    d[i] += 1
+        d = tuple(sorted(d, reverse=True))
+        g = havel_hakimi_realize(d)
+        assert (g is not None) == nx.is_graphical(d), d
+        if g is not None:
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            assert h.number_of_edges() == len(g.edges) and nx.number_of_selfloops(h) == 0
+            assert tuple(deg for _, deg in sorted(h.degree())) == d, d
+        verdicts.add(g is not None)
+    assert verdicts == {True, False}
