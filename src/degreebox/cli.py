@@ -70,11 +70,11 @@ def parse_instance(text: str) -> InstanceSpec:
             raise InstanceSyntaxError(f"instance file is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "a" not in payload or "b" not in payload:
             raise InstanceSyntaxError('instance file must be {"a": [...], "b": [...]}')
-        try:
-            a = tuple(int(x) for x in payload["a"])
-            b = tuple(int(x) for x in payload["b"])
-        except (TypeError, ValueError) as exc:
-            raise InstanceSyntaxError("instance file fields must be integer arrays") from exc
+        fields = payload["a"], payload["b"]
+        # bool is an int subclass, but true/false are not bounds
+        if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in fields):
+            raise InstanceSyntaxError("instance file fields must be integer arrays")
+        a, b = map(tuple, fields)
     else:
         if text.count("/") != 1:
             raise InstanceSyntaxError(

@@ -1,9 +1,14 @@
 """Realizability criteria for bound pairs in good order.
 
-Every checker scans its inequality family in increasing t (prefix
-length) and reports the smallest failing witness, so verdicts are
-reproducible and can be re-verified by direct evaluation.  Checkers
-never re-sort their input; callers normalize first.
+Every checker is a stream of per-t terms (lhs, rhs, _) of its
+inequality family, t = 0, 1, ... (prefix length), read by one scan,
+``_first_failure``, that reports the smallest failing t; the two
+Fulkerson checks quantify over a tail length m as well and share one
+(t, m) scan.  Verdicts are therefore reproducible and can be re-verified
+by direct evaluation.  In every stream sum(a[:t]) and the parity
+correction eps(t) come from the same O(n) pass of the CDZ kernel,
+``sequences._cdz_terms``.  Checkers never re-sort their input; callers
+normalize first.
 
 The checkers split by logical strength:
 
@@ -20,16 +25,17 @@ The checkers split by logical strength:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from operator import sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
     _check_nonnegative,
+    _reduced_range,
     berge_sequence,
     conjugate_sequence,
-    crossing_indices,
-    parity_corrections,
     require_good_order,
     require_non_increasing,
 )
@@ -58,19 +64,21 @@ def _fail(t: int, lhs: int, rhs: int, m: Optional[int] = None) -> CriterionVerdi
     return CriterionVerdict(False, witness_t=t, witness_m=m, lhs=lhs, rhs=rhs)
 
 
-def _prefix_sums(seq: Sequence[int]) -> list[int]:
-    out = [0]
-    for x in seq:
-        out.append(out[-1] + x)
-    return out
+def _first_failure(terms: Iterable[tuple[int, int, int]], stop: int) -> CriterionVerdict:
+    """Smallest t < stop whose term (lhs, rhs, _) has lhs > rhs.
+
+    ``terms`` yields the term for t = 0, 1, ...; the scan stops at the
+    first failure, so a lazy stream is only evaluated up to it.
+    """
+    for t, (lhs, rhs, _) in zip(range(stop), terms):
+        if lhs > rhs:
+            return _fail(t, lhs, rhs)
+    return _HOLDS
 
 
 def _cdz_over_range(pair: IntervalSequencePair, t_max: int) -> CriterionVerdict:
     """Smallest failing t <= t_max of the CDZ family; no input validation."""
-    for t, (lhs, rhs, _) in zip(range(t_max + 1), _cdz_terms(pair.a, pair.b)):
-        if lhs > rhs:
-            return _fail(t, lhs, rhs)
-    return _HOLDS
+    return _first_failure(_cdz_terms(pair.a, pair.b), t_max + 1)
 
 
 def check_cdz(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -91,7 +99,13 @@ def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
     occurs in this range, so the verdict coincides with check_cdz.
     """
     require_good_order(pair)
-    return _cdz_over_range(pair, crossing_indices(pair).s)
+    return _cdz_over_range(pair, _reduced_range(pair.a))
+
+
+def _berge_terms(pair: IntervalSequencePair):
+    """(sum(a[:t]), sum(berge(b)[:t]), eps(t)) for t = 0..n."""
+    prefixes = accumulate(berge_sequence(pair.b), initial=0)
+    return ((lhs, pb, eps) for (lhs, _, eps), pb in zip(_cdz_terms(pair.a, pair.b), prefixes))
 
 
 def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -101,12 +115,7 @@ def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
     converse direction fails; see the cross-validation harness.
     """
     require_good_order(pair)
-    pa = _prefix_sums(pair.a)
-    pbar = _prefix_sums(berge_sequence(pair.b))
-    for t in range(pair.n + 1):
-        if pa[t] > pbar[t]:
-            return _fail(t, pa[t], pbar[t])
-    return _HOLDS
+    return _first_failure(_berge_terms(pair), pair.n + 1)
 
 
 def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -115,19 +124,39 @@ def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) for every t in 0..n.
     """
     require_good_order(pair)
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(pair.a)
-    pbar = _prefix_sums(berge_sequence(pair.b))
-    for t in range(pair.n + 1):
-        rhs = pbar[t] - eps[t]
-        if pa[t] > rhs:
-            return _fail(t, pa[t], rhs)
+    terms = ((lhs, pb - eps, eps) for lhs, pb, eps in _berge_terms(pair))
+    return _first_failure(terms, pair.n + 1)
+
+
+def _fulkerson_scan(
+    pair: IntervalSequencePair, pick: Callable[[int, list[int]], Optional[int]]
+) -> CriterionVerdict:
+    """Smallest t for which ``pick(lhs, row)`` names a witness tail length m.
+
+    row[m] = t(n-m-1) + sum(b[n-m:]) - eps(t) is the right-hand side at
+    tail length m, for m in 0..n-t.
+    """
+    require_good_order(pair)
+    n = pair.n
+    tails = list(accumulate(reversed(pair.b), initial=0))  # tails[m] = sum(b[n-m:])
+    for t, (lhs, _, eps) in enumerate(_cdz_terms(pair.a, pair.b)):
+        row = [t * (n - m - 1) + tails[m] - eps for m in range(n - t + 1)]
+        m = pick(lhs, row)
+        if m is not None:
+            return _fail(t, lhs, row[m], m=m)
     return _HOLDS
 
 
-def _fulkerson_rhs(pair: IntervalSequencePair, suffix_b: list[int], eps_t: int, t: int, m: int) -> int:
-    n = pair.n
-    return t * (n - m - 1) + suffix_b[m] - eps_t
+def _first_failing_tail(lhs: int, row: list[int]) -> Optional[int]:
+    for m, rhs in enumerate(row):
+        if lhs > rhs:
+            return m
+    return None
+
+
+def _best_tail_if_all_fail(lhs: int, row: list[int]) -> Optional[int]:
+    best = max(row)
+    return row.index(best) if lhs > best else None
 
 
 def check_fulkerson(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -137,19 +166,7 @@ def check_fulkerson(pair: IntervalSequencePair) -> CriterionVerdict:
         sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
     Reports the lexicographically smallest failing (t, m).
     """
-    require_good_order(pair)
-    n = pair.n
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(pair.a)
-    suffix_b = [0]
-    for x in reversed(pair.b):
-        suffix_b.append(suffix_b[-1] + x)
-    for t in range(n + 1):
-        for m in range(n - t + 1):
-            rhs = _fulkerson_rhs(pair, suffix_b, eps[t], t, m)
-            if pa[t] > rhs:
-                return _fail(t, pa[t], rhs, m=m)
-    return _HOLDS
+    return _fulkerson_scan(pair, _first_failing_tail)
 
 
 def check_fulkerson_exists(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -158,26 +175,20 @@ def check_fulkerson_exists(pair: IntervalSequencePair) -> CriterionVerdict:
     Kept for side-by-side comparison with check_fulkerson in sweeps; the
     reported witness carries the m with the largest right-hand side.
     """
-    require_good_order(pair)
-    n = pair.n
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(pair.a)
-    suffix_b = [0]
-    for x in reversed(pair.b):
-        suffix_b.append(suffix_b[-1] + x)
-    for t in range(n + 1):
-        best_m, best_rhs = 0, None
-        ok = False
-        for m in range(n - t + 1):
-            rhs = _fulkerson_rhs(pair, suffix_b, eps[t], t, m)
-            if best_rhs is None or rhs > best_rhs:
-                best_m, best_rhs = m, rhs
-            if pa[t] <= rhs:
-                ok = True
-                break
-        if not ok:
-            return _fail(t, pa[t], best_rhs if best_rhs is not None else 0, m=best_m)
-    return _HOLDS
+    return _fulkerson_scan(pair, _best_tail_if_all_fail)
+
+
+def _bollobas_terms(pair: IntervalSequencePair):
+    """Bollobas terms (lhs, rhs, shift) for t = 0..n.
+
+    Adding shift = t(t-1) - sum(min(a[i], t-1) for i < t) to both sides
+    gives the Grunbaum term, since max(t-1, x) = t-1 + x - min(x, t-1).
+    """
+    a, b = pair.a, pair.b
+    tails = accumulate(b, sub, initial=sum(b))  # sum(b[t:])
+    for t, ((lhs, _, eps), tail) in enumerate(zip(_cdz_terms(a, b), tails)):
+        clip = sum(min(x, t - 1) for x in a[:t])
+        yield lhs, tail + clip - eps, t * (t - 1) - clip
 
 
 def check_bollobas(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -187,16 +198,7 @@ def check_bollobas(pair: IntervalSequencePair) -> CriterionVerdict:
         sum(a[:t]) <= sum(b[t:]) + sum(min(a[i], t-1) for i < t) - eps(t).
     """
     require_good_order(pair)
-    a, b, n = pair.a, pair.b, pair.n
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(a)
-    total_b = sum(b)
-    pb = _prefix_sums(b)
-    for t in range(n + 1):
-        rhs = (total_b - pb[t]) + sum(min(a[i], t - 1) for i in range(t)) - eps[t]
-        if pa[t] > rhs:
-            return _fail(t, pa[t], rhs)
-    return _HOLDS
+    return _first_failure(_bollobas_terms(pair), pair.n + 1)
 
 
 def check_grunbaum(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -206,16 +208,8 @@ def check_grunbaum(pair: IntervalSequencePair) -> CriterionVerdict:
         sum(max(t-1, a[i]) for i < t) <= t(t-1) + sum(b[t:]) - eps(t).
     """
     require_good_order(pair)
-    a, b, n = pair.a, pair.b, pair.n
-    eps = parity_corrections(pair)
-    total_b = sum(b)
-    pb = _prefix_sums(b)
-    for t in range(n + 1):
-        lhs = sum(max(t - 1, a[i]) for i in range(t))
-        rhs = t * (t - 1) + (total_b - pb[t]) - eps[t]
-        if lhs > rhs:
-            return _fail(t, lhs, rhs)
-    return _HOLDS
+    terms = ((lhs + shift, rhs + shift, shift) for lhs, rhs, shift in _bollobas_terms(pair))
+    return _first_failure(terms, pair.n + 1)
 
 
 def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -225,15 +219,12 @@ def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
     0..s-1, where conj is the Ferrers conjugate and s = max{i : a[i-1] >= i-1}.
     """
     require_good_order(pair)
-    s = crossing_indices(pair).s
-    eps = parity_corrections(pair)
-    pa = _prefix_sums(pair.a)
-    pconj = _prefix_sums(conjugate_sequence(pair.b))
-    for t in range(s):
-        rhs = pconj[t] - t - eps[t]
-        if pa[t] > rhs:
-            return _fail(t, pa[t], rhs)
-    return _HOLDS
+    prefixes = accumulate(conjugate_sequence(pair.b), initial=0)
+    terms = (
+        (lhs, pc - t - eps, eps)
+        for t, ((lhs, _, eps), pc) in enumerate(zip(_cdz_terms(pair.a, pair.b), prefixes))
+    )
+    return _first_failure(terms, _reduced_range(pair.a))
 
 
 def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
@@ -245,17 +236,16 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     mirroring how the parity correction sinks the t = 0 inequality of
     check_cdz, so witness re-verification stays uniform.  The scan is the
     kernel's O(n) pass on the point box (d; d), parity correction added
-    back; the kernel needs d capped at n-1, which changes no min(d[j], k).
+    back (its k = 0 term is 0 <= 0); the kernel needs d capped at n-1,
+    which changes no min(d[j], k).
     """
     require_non_increasing(d)
     _check_nonnegative(d, "sequence")
     if sum(d) % 2 == 1:
         return _fail(0, 0, -1)
     capped = [min(x, len(d) - 1) for x in d]
-    for k, (lhs, rhs, eps) in enumerate(_cdz_terms(d, capped)):
-        if k and lhs > rhs + eps:
-            return _fail(k, lhs, rhs + eps)
-    return _HOLDS
+    terms = ((lhs, rhs + eps, eps) for lhs, rhs, eps in _cdz_terms(d, capped))
+    return _first_failure(terms, len(d) + 1)
 
 
 CHECKERS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {

@@ -120,6 +120,11 @@ def _cells(n: int) -> list[tuple[int, int]]:
     return cells
 
 
+def _pair_of(cells: Sequence[tuple[int, int]]) -> IntervalSequencePair:
+    """The pair whose i-th cell (a[i], b[i]) is cells[i]."""
+    return IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
+
+
 def instance_space_size(n: int) -> int:
     """Number of good-ordered pairs on n vertices: multisets of bound cells."""
     if n <= 0:
@@ -138,9 +143,7 @@ def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"exhaustive instance space supports n <= {MAX_EXHAUSTIVE_N}")
     for combo in itertools.combinations_with_replacement(_cells(n), n):
-        yield IntervalSequencePair(
-            tuple(c[0] for c in combo), tuple(c[1] for c in combo)
-        )
+        yield _pair_of(combo)
 
 
 def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
@@ -161,20 +164,14 @@ def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
             rank -= tails
             c += 1
         combo.append(cells[c])
-    return IntervalSequencePair(
-        tuple(x[0] for x in combo), tuple(x[1] for x in combo)
-    )
+    return _pair_of(combo)
 
 
 def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
     """Uniform sample without replacement from the good-ordered instance space."""
     total = instance_space_size(n)
     if count >= total:
-        cells = _cells(n)
-        return [
-            IntervalSequencePair(tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-            for combo in itertools.combinations_with_replacement(cells, n)
-        ]
+        return list(enumerate_instances(n))
     rng = random.Random(seed)
     if total <= 1 << 62:
         ranks = sorted(rng.sample(range(total), count))
@@ -203,9 +200,7 @@ def random_instances(
             hi = rng.randint(0, n - 1)
             cells.append((rng.randint(0, hi), hi))
         cells.sort(key=lambda c: (-c[0], -c[1]))
-        yield IntervalSequencePair(
-            tuple(c[0] for c in cells), tuple(c[1] for c in cells)
-        )
+        yield _pair_of(cells)
 
 
 def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:

@@ -48,6 +48,25 @@ class TestParseInstance:
         spec = parse_instance(f"@{path}")
         assert spec.a == (2, 2, 2)
 
+    @pytest.mark.parametrize("payload", [
+        '{"a": [1.9, 1, "1"], "b": [2, true, 2]}',
+        '{"a": "111", "b": "222"}',
+        '{"a": [1, 1, 1], "b": [2, true, 2]}',
+        '{"a": [1.0, 1, 1], "b": [2, 2, 2]}',
+        '{"a": null, "b": [1]}',
+        '{"a": {"0": 1}, "b": [1]}',
+    ])
+    def test_json_file_rejects_non_integer_arrays(self, payload, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(payload)
+        with pytest.raises(InstanceSyntaxError):
+            parse_instance(f"@{path}")
+        assert main(["check", f"@{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
     def test_missing_file(self):
         with pytest.raises(InstanceSyntaxError):
             parse_instance("@/no/such/file.json")

@@ -13,6 +13,7 @@ from degreebox.criteria import (
     check_cdz_reduced,
     check_erdos_gallai_fixed,
     check_fulkerson,
+    check_fulkerson_exists,
     check_grunbaum,
     check_hasselbarth,
     criteria_report,
@@ -247,13 +248,38 @@ def test_cdz_with_degenerate_box_matches_erdos_gallai():
 
 def test_fulkerson_exists_variant_is_strictly_weaker():
     """Per-t existential tail choice passes instances the universal form rejects."""
-    from degreebox.criteria import check_fulkerson_exists
-
     assert not check_fulkerson(CE).holds
     assert check_fulkerson_exists(CE).holds  # m=0 satisfies every t here
     for pair in _all_small_pairs():
         if check_fulkerson(pair).holds:
             assert check_fulkerson_exists(pair).holds, pair
+
+
+def _ref_fulkerson_exists(pair):
+    """First t whose every tail length m fails, with the first m of largest rhs."""
+    for t in range(pair.n + 1):
+        rows = [ref_impl.eval_at("fulkerson", pair, t, m) for m in range(pair.n - t + 1)]
+        if all(lhs > rhs for lhs, rhs in rows):
+            lhs, rhs = max(rows, key=lambda row: row[1])
+            return t, rows.index((lhs, rhs)), lhs, rhs
+    return None
+
+
+def test_fulkerson_exists_matches_plain_scan():
+    """Witness (t, m) and both sides against the definition, n <= 4 and up to 40."""
+    rng = random.Random(20261018)
+    boxes = [normalize_good_order(*ref_impl.random_box(rng, rng.randint(1, 40))).pair
+             for _ in range(100)]
+    failures = 0
+    for pair in itertools.chain(_all_small_pairs(), boxes):
+        v = check_fulkerson_exists(pair)
+        expected = _ref_fulkerson_exists(pair)
+        if expected is None:
+            assert v.holds, pair
+        else:
+            failures += 1
+            assert (v.witness_t, v.witness_m, v.lhs, v.rhs) == expected, pair
+    assert failures
 
 
 def test_bollobas_and_grunbaum_are_the_same_family():
@@ -272,29 +298,32 @@ def test_bollobas_and_grunbaum_are_the_same_family():
 
 
 def test_cdz_kernel_matches_reference_scan_past_the_oracle():
-    """Linear-scan verdicts, witnesses and eps against plain scans, n up to 60.
+    """Every checker's verdict and witness against plain scans past n = 10.
 
-    At these sizes the threshold histograms hold many cells per value,
-    which the exhaustive n <= 4 sweep above cannot reach.
+    At these sizes the kernel's threshold histograms hold many cells per
+    value, which the exhaustive n <= 4 sweep above cannot reach.  The CDZ
+    families and eps run up to n = 60; the others up to n = 40, where
+    the O(n^3) reference Berge and Fulkerson scans stay fast.
     """
     rng = random.Random(20261018)
-    verdicts = set()
+    verdicts = {name: set() for name in CHECKERS}
     for _ in range(300):
         a, b = ref_impl.random_box(rng, rng.randint(1, 60))
         pair = normalize_good_order(a, b).pair
         assert parity_corrections(pair) == tuple(
             ref_impl.ref_eps(pair, t) for t in range(pair.n + 1)
         ), pair
-        for name, checker in (("cdz", check_cdz), ("cdz_reduced", check_cdz_reduced)):
-            verdict = checker(pair)
+        names = CHECKERS if pair.n <= 40 else ("cdz", "cdz_reduced")
+        for name in names:
+            verdict = CHECKERS[name](pair)
             expected = ref_impl.smallest_failure(name, pair)
             if expected is None:
                 assert verdict.holds, (name, pair)
             else:
-                t, _, lhs, rhs = expected
-                assert (verdict.witness_t, verdict.lhs, verdict.rhs) == (t, lhs, rhs), (name, pair)
-            verdicts.add(verdict.holds)
-    assert verdicts == {True, False}
+                got = (verdict.witness_t, verdict.witness_m, verdict.lhs, verdict.rhs)
+                assert got == expected, (name, pair)
+            verdicts[name].add(verdict.holds)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
 
 def test_erdos_gallai_linear_scan_matches_reference():
