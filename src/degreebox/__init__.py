@@ -23,7 +23,6 @@ from .criteria import (
     criteria_report,
 )
 from .errors import (
-    BoundExceedsPartSize,
     EntryTooLarge,
     IndexOutOfRange,
     InputError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -50,11 +51,13 @@ class InstanceSpec:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InstanceSyntaxError(f"cannot parse integer vector from {text!r}") from exc
+    # int() alone would take '1_0', '+2' and non-ASCII digits; '-1' parses and fails validation
+    if re.fullmatch(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", text):
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InstanceSyntaxError(f"cannot parse integer vector from {text!r}")
 
 
 def parse_instance(text: str) -> InstanceSpec:

@@ -5,9 +5,10 @@ inequality family, t = 0, 1, ... (prefix length), read by one scan,
 ``_first_failure``, that reports the smallest failing t; the two
 Fulkerson checks quantify over a tail length m as well and share one
 (t, m) scan.  Verdicts are therefore reproducible and can be re-verified
-by direct evaluation.  In every stream sum(a[:t]) and the parity
-correction eps(t) come from the same O(n) pass of the CDZ kernel,
-``sequences._cdz_terms``.  Checkers never re-sort their input; callers
+by direct evaluation.  Every stream that needs the parity correction
+eps(t) takes it, and sum(a[:t]) with it, from the same O(n) pass of the
+CDZ kernel, ``sequences._cdz_terms``; Berge-necessary needs no eps and
+reads plain prefix sums.  Checkers never re-sort their input; callers
 normalize first.
 
 The checkers split by logical strength:
@@ -25,7 +26,7 @@ The checkers split by logical strength:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -102,12 +103,6 @@ def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
     return _cdz_over_range(pair, _reduced_range(pair.a))
 
 
-def _berge_terms(pair: IntervalSequencePair):
-    """(sum(a[:t]), sum(berge(b)[:t]), eps(t)) for t = 0..n."""
-    prefixes = accumulate(berge_sequence(pair.b), initial=0)
-    return ((lhs, pb, eps) for (lhs, _, eps), pb in zip(_cdz_terms(pair.a, pair.b), prefixes))
-
-
 def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
     """Prefix domination by the Berge sequence of b: necessary only.
 
@@ -115,7 +110,9 @@ def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
     converse direction fails; see the cross-validation harness.
     """
     require_good_order(pair)
-    return _first_failure(_berge_terms(pair), pair.n + 1)
+    prefixes = accumulate(berge_sequence(pair.b), initial=0)
+    terms = zip(accumulate(pair.a, initial=0), prefixes, repeat(0))
+    return _first_failure(terms, pair.n + 1)
 
 
 def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -124,7 +121,9 @@ def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) for every t in 0..n.
     """
     require_good_order(pair)
-    terms = ((lhs, pb - eps, eps) for lhs, pb, eps in _berge_terms(pair))
+    prefixes = accumulate(berge_sequence(pair.b), initial=0)
+    kernel = _cdz_terms(pair.a, pair.b)
+    terms = ((lhs, pb - eps, eps) for (lhs, _, eps), pb in zip(kernel, prefixes))
     return _first_failure(terms, pair.n + 1)
 
 

@@ -37,10 +37,6 @@ class IndexOutOfRange(InputError):
     """A prefix length or index argument is outside its valid range."""
 
 
-class BoundExceedsPartSize(InputError):
-    """A bipartite degree bound exceeds the opposite part size."""
-
-
 class TooLarge(InputError):
     """Instance size exceeds what exhaustive enumeration supports."""
 

@@ -213,3 +213,108 @@ def random_box(rng, n):
             a.append(max(0, d - rng.randint(0, 3)))
             b.append(min(n - 1, d + rng.randint(0, 3)))
     return a, b
+
+
+class _Dinic:
+    """Plain max-flow, for small feasibility networks."""
+
+    def __init__(self, n):
+        self.n = n
+        self.to = []
+        self.cap = []
+        self.adj = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, cap):
+        idx = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[u].append(idx)
+        self.to.append(u)
+        self.cap.append(0)
+        self.adj[v].append(idx + 1)
+        return idx
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for idx in self.adj[u]:
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def push(u, limit):
+                if u == t:
+                    return limit
+                while it[u] < len(self.adj[u]):
+                    idx = self.adj[u][it[u]]
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
+                        got = push(v, min(limit, self.cap[idx]))
+                        if got > 0:
+                            self.cap[idx] -= got
+                            self.cap[idx ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                got = push(s, 1 << 60)
+                if got == 0:
+                    break
+                flow += got
+
+
+def _feasible_flow(n_nodes, arcs, source, sink):
+    """Flow meeting [lower, upper] on every arc (u, v, lower, upper), or None.
+
+    Standard reduction: close the network with a sink->source arc, strip
+    lower bounds into node imbalances, and saturate them from a super
+    source/sink pair.
+    """
+    big = 1 + sum(hi for _, _, _, hi in arcs)
+    all_arcs = arcs + [(sink, source, 0, big)]
+    excess = [0] * n_nodes
+    net = _Dinic(n_nodes + 2)
+    arc_idx = []
+    for u, v, lo, hi in all_arcs:
+        arc_idx.append(net.add_edge(u, v, hi - lo))
+        excess[v] += lo
+        excess[u] -= lo
+    super_s, super_t = n_nodes, n_nodes + 1
+    need = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            net.add_edge(super_s, v, e)
+            need += e
+        elif e < 0:
+            net.add_edge(v, super_t, -e)
+    if net.max_flow(super_s, super_t) < need:
+        return None
+    flows = [hi - net.cap[idx] for (_, _, _, hi), idx in zip(all_arcs, arc_idx)]
+    return flows[: len(arcs)]
+
+
+def ref_interval_bipartite_flow(left, right):
+    """Edge set (i, j) of a bipartite graph with every degree in its interval, or None.
+
+    Max-flow with lower bounds: source->left and right->sink arcs carry the
+    degree intervals, left-right arcs have capacity one.
+    """
+    ln, rn = len(left), len(right)
+    source, sink = 0, 1 + ln + rn
+    arcs = [(source, 1 + i, lo, hi) for i, (lo, hi) in enumerate(left)]
+    cells = [(i, j) for i in range(ln) for j in range(rn)]
+    arcs += [(1 + i, 1 + ln + j, 0, 1) for i, j in cells]
+    arcs += [(1 + ln + j, sink, lo, hi) for j, (lo, hi) in enumerate(right)]
+    flows = _feasible_flow(sink + 1, arcs, source, sink)
+    if flows is None:
+        return None
+    return frozenset(cell for cell, f in zip(cells, flows[ln:]) if f)

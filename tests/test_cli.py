@@ -67,6 +67,29 @@ class TestParseInstance:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
+    # int() takes '1_0' as 10, '+1' as 1 and the Arabic-Indic digit one as 1
+    @pytest.mark.parametrize("text", ["0,0/1_0,1", "+1,1/1,1", "\u0661,1/1,1", "1_0,+2/1_0,2"])
+    def test_only_ascii_decimal_entries(self, text, capsys):
+        with pytest.raises(InstanceSyntaxError):
+            parse_instance(text)
+        assert main(["check", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_entry_past_int_digit_limit_is_a_syntax_error(self, capsys):
+        text = "1" * 5000 + ",1/1,1"
+        with pytest.raises(InstanceSyntaxError):
+            parse_instance(text)
+        assert main(["check", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_entry_reaches_validation(self, capsys):
+        assert parse_instance(" -1 ,1/1,1").a == (-1, 1)
+        assert main(["check", "1,-1/1,1"]) == 2
+        assert "negative" in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(InstanceSyntaxError):
             parse_instance("@/no/such/file.json")

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import ref_impl
 from degreebox.cli import main
-from degreebox.criteria import check_cdz, check_erdos_gallai_fixed
+from degreebox.criteria import CriterionVerdict, check_cdz, check_erdos_gallai_fixed
 from degreebox.errors import LengthMismatch, LowerExceedsUpper
-from degreebox.oracle import enumerate_instances
+from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
     SimpleGraph,
@@ -254,6 +254,47 @@ class TestIntervalBipartite:
                 assert all(lo <= d <= hi for d, (lo, hi) in zip(ld, left))
                 assert all(lo <= d <= hi for d, (lo, hi) in zip(rd, right))
 
+    def test_against_reference_flow_past_brute_force(self):
+        """Sides up to 12, beyond the brute force's 4, against max-flow."""
+        rng = random.Random(20261018)
+        feasible = 0
+        for _ in range(1500):
+            left, right = _planted_bipartite_system(rng, rng.randint(0, 12), rng.randint(0, 12))
+            got = interval_bipartite_realize(left, right)
+            expect = ref_impl.ref_interval_bipartite_flow(left, right)
+            assert (got is None) == (expect is None), (left, right)
+            if got is not None:
+                feasible += 1
+                assert all(0 <= i < len(left) and 0 <= j < len(right) for i, j in got.edges)
+                assert all(lo <= d <= hi for d, (lo, hi) in zip(got.left_degrees(), left))
+                assert all(lo <= d <= hi for d, (lo, hi) in zip(got.right_degrees(), right))
+        assert 700 < feasible < 1300, feasible
+
+
+def _planted_bipartite_system(rng, ln, rn):
+    """Intervals around the degrees of a random bipartite graph.
+
+    Each cell is forced or widened by up to 2 on each side (an upper bound
+    may pass the part size); half the time one cell is then forced to one
+    above its upper bound, which makes the system infeasible when no cell
+    around it has room to absorb the extra edge.
+    """
+    p, forced = rng.random(), rng.random() ** 0.5
+    edges = [(i, j) for i in range(ln) for j in range(rn) if rng.random() < p]
+    sides = []
+    for size, end in ((ln, 0), (rn, 1)):
+        deg = [0] * size
+        for e in edges:
+            deg[e[end]] += 1
+        sides.append([(d, d) if rng.random() < forced
+                      else (max(0, d - rng.randint(0, 2)), d + rng.randint(0, 2)) for d in deg])
+    left, right = sides
+    if rng.random() < 0.5 and left + right:
+        side = rng.choice([s for s in sides if s])
+        i = rng.randrange(len(side))
+        side[i] = (side[i][1] + 1,) * 2
+    return left, right
+
 
 class TestRyserInterval:
     def test_counterexample_holds_despite_unrealizability(self):
@@ -289,6 +330,21 @@ class TestRyserInterval:
         assert havel_hakimi_realize((1, 1, 1)) is None
         system = [(x, x) for x in tilde_sequence((1, 1, 1))]
         assert interval_bipartite_realize(system, system) is not None
+
+    def test_matches_reference_flow(self):
+        """Every instance with n <= 4, samples at n = 5 and 6, random boxes to n = 60."""
+        pairs = [pair for n in range(5) for pair in enumerate_instances(n)]
+        pairs += sample_instances(5, 1000, seed=11) + sample_instances(6, 1000, seed=12)
+        rng = random.Random(20261018)
+        pairs += [normalize_good_order(*ref_impl.random_box(rng, rng.randint(1, 60))).pair
+                  for _ in range(100)]
+        verdicts = set()
+        for pair in pairs:
+            system = ryser_interval_system(pair)
+            expect = ref_impl.ref_interval_bipartite_flow(system, system) is not None
+            assert check_ryser_interval(pair) == CriterionVerdict(expect), pair
+            verdicts.add(expect)
+        assert verdicts == {True, False}
 
 
 # --- properties past the oracle -------------------------------------------
@@ -326,6 +382,15 @@ def test_widening_keeps_realizable(box, data):
     wide_b = [min(n - 1, x + u) for x, u in zip(b, up)]
     if _realizable(a, b):
         assert _realizable(wide_a, wide_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_boxes)
+def test_ryser_interval_is_necessary(box):
+    """Sizes the max-flow reference could not reach in tier-1 time."""
+    pair = normalize_good_order(*box).pair
+    if check_cdz(pair).holds:
+        assert check_ryser_interval(pair).holds
 
 
 @settings(max_examples=30, deadline=None)
