@@ -300,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes an instance such as "-1,1/1,1" for an option; a leading space does not
+    argv = [" " + arg if re.match(r"-[0-9].*/", arg) else arg
+            for arg in (sys.argv[1:] if argv is None else argv)]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

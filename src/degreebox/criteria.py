@@ -5,11 +5,11 @@ inequality family, t = 0, 1, ... (prefix length), read by one scan,
 ``_first_failure``, that reports the smallest failing t; the two
 Fulkerson checks quantify over a tail length m as well and share one
 (t, m) scan.  Verdicts are therefore reproducible and can be re-verified
-by direct evaluation.  Every stream that needs the parity correction
-eps(t) takes it, and sum(a[:t]) with it, from the same O(n) pass of the
-CDZ kernel, ``sequences._cdz_terms``; Berge-necessary needs no eps and
-reads plain prefix sums.  Checkers never re-sort their input; callers
-normalize first.
+by direct evaluation.  Every stream reads one O(n) pass of the CDZ
+kernel, ``sequences._cdz_terms``, whose right-hand side is rhs(t) below;
+Berge, Bollobas and Grunbaum subtract the head deficit D_x(t) of one O(n)
+``sequences._head_deficits`` pass.  Checkers never re-sort their input;
+callers normalize first.
 
 The checkers split by logical strength:
 
@@ -26,7 +26,7 @@ The checkers split by logical strength:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,9 +34,8 @@ from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
     _check_nonnegative,
+    _head_deficits,
     _reduced_range,
-    berge_sequence,
-    conjugate_sequence,
     require_good_order,
     require_non_increasing,
 )
@@ -106,24 +105,23 @@ def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
 def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
     """Prefix domination by the Berge sequence of b: necessary only.
 
-    Holds iff sum(a[:t]) <= sum(berge(b)[:t]) for every t in 0..n.  The
-    converse direction fails; see the cross-validation harness.
+    Holds iff sum(a[:t]) <= sum(berge(b)[:t]) = rhs(t) + eps(t) - D_b(t) for
+    every t in 0..n.  The converse direction fails; see the crossval harness.
     """
     require_good_order(pair)
-    prefixes = accumulate(berge_sequence(pair.b), initial=0)
-    terms = zip(accumulate(pair.a, initial=0), prefixes, repeat(0))
+    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.b))
+    terms = ((lhs, rhs + eps - deficit, eps) for (lhs, rhs, eps), deficit in kernel)
     return _first_failure(terms, pair.n + 1)
 
 
 def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
     """Berge prefix domination sharpened by the parity correction: sufficient only.
 
-    Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) for every t in 0..n.
+    Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) = rhs(t) - D_b(t), t in 0..n.
     """
     require_good_order(pair)
-    prefixes = accumulate(berge_sequence(pair.b), initial=0)
-    kernel = _cdz_terms(pair.a, pair.b)
-    terms = ((lhs, pb - eps, eps) for (lhs, _, eps), pb in zip(kernel, prefixes))
+    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.b))
+    terms = ((lhs, rhs - deficit, eps) for (lhs, rhs, eps), deficit in kernel)
     return _first_failure(terms, pair.n + 1)
 
 
@@ -180,14 +178,13 @@ def check_fulkerson_exists(pair: IntervalSequencePair) -> CriterionVerdict:
 def _bollobas_terms(pair: IntervalSequencePair):
     """Bollobas terms (lhs, rhs, shift) for t = 0..n.
 
-    Adding shift = t(t-1) - sum(min(a[i], t-1) for i < t) to both sides
-    gives the Grunbaum term, since max(t-1, x) = t-1 + x - min(x, t-1).
+    sum(min(a[i], t-1) for i < t) = t(t-1) - D_a(t); adding shift = D_a(t)
+    to both sides gives the Grunbaum term, as max(t-1, x) = t-1 + x - min(x, t-1).
     """
-    a, b = pair.a, pair.b
-    tails = accumulate(b, sub, initial=sum(b))  # sum(b[t:])
-    for t, ((lhs, _, eps), tail) in enumerate(zip(_cdz_terms(a, b), tails)):
-        clip = sum(min(x, t - 1) for x in a[:t])
-        yield lhs, tail + clip - eps, t * (t - 1) - clip
+    tails = accumulate(pair.b, sub, initial=sum(pair.b))  # sum(b[t:])
+    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.a), tails)
+    for t, ((lhs, _, eps), deficit, tail) in enumerate(kernel):
+        yield lhs, t * (t - 1) + tail - deficit - eps, deficit
 
 
 def check_bollobas(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -216,14 +213,12 @@ def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
 
     Holds iff sum(a[:t]) <= sum(conj(b)[:t]) - t - eps(t) for every t in
     0..s-1, where conj is the Ferrers conjugate and s = max{i : a[i-1] >= i-1}.
+    That rhs is rhs(t) - D_b(t) - #{k < t : b[k] < t}, and for t < s every
+    b[k] with k < t is at least a[s-1] >= s-1 >= t, so both corrections
+    vanish: this is the CDZ family over t <= s-1, one short of cdz_reduced.
     """
     require_good_order(pair)
-    prefixes = accumulate(conjugate_sequence(pair.b), initial=0)
-    terms = (
-        (lhs, pc - t - eps, eps)
-        for t, ((lhs, _, eps), pc) in enumerate(zip(_cdz_terms(pair.a, pair.b), prefixes))
-    )
-    return _first_failure(terms, _reduced_range(pair.a))
+    return _cdz_over_range(pair, _reduced_range(pair.a) - 1)
 
 
 def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:

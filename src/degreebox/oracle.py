@@ -260,9 +260,6 @@ class SweepReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
-    def gated_violation_count(self) -> int:
-        return len(self.violations)
-
     def to_text(self) -> str:
         lines = [
             f"sweep n={self.n} mode={self.mode}"
@@ -335,8 +332,6 @@ def cross_validate(
     }
     report.holds_counts = dict.fromkeys(names, 0)
     track_reduced = "cdz_reduced" in names
-    if report.oracle_used:
-        report.cdz_oracle_disagreements = 0
     if track_reduced:
         report.cdz_reduced_disagreements = 0
 
@@ -349,17 +344,14 @@ def cross_validate(
             report.violations.append(
                 _violation(index, pair, "cdz_reduced", "reduced-vs-full", verdicts["cdz_reduced"])
             )
+        for name in names:
+            report.holds_counts[name] += verdicts[name].holds
         if not report.oracle_used:
-            for name in names:
-                if verdicts[name].holds:
-                    report.holds_counts[name] += 1
             continue
         realizable = oracle_decide(pair)
         report.oracle_yes += int(realizable)
         for name in names:
             verdict = verdicts[name]
-            if verdict.holds:
-                report.holds_counts[name] += 1
             key = (
                 "oracle_yes_holds" if realizable and verdict.holds
                 else "oracle_yes_fails" if realizable
@@ -372,10 +364,10 @@ def cross_validate(
                 report.violations.append(_violation(index, pair, name, "necessity", verdict))
             elif not realizable and verdict.holds and "sufficiency" in gated:
                 report.violations.append(_violation(index, pair, name, "sufficiency", verdict))
-        if report.cdz_oracle_disagreements is not None:
-            if verdicts["cdz"].holds != realizable:
-                report.cdz_oracle_disagreements += 1
     report.elapsed = time.perf_counter() - start
+    if report.oracle_used:
+        cdz = report.cells["cdz"]
+        report.cdz_oracle_disagreements = cdz["oracle_yes_fails"] + cdz["oracle_no_holds"]
     return report
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -133,24 +134,16 @@ def berge_sequence(d: Sequence[int]) -> DegreeSequence:
 
     Row k carries d[k] ones in the leading columns, skipping the diagonal
     cell (k, k).  Requires every entry <= n-1; preserves the total sum.
+    Column j is P(j+1) - P(j) for P(t) = rhs(t) + eps(t) - D_d(t) on (d; d).
     """
     n = len(d)
     _check_nonnegative(d, "sequence")
     for k, x in enumerate(d):
         if x > n - 1:
             raise EntryTooLarge(f"entry d[{k}] = {x} exceeds n-1 = {n - 1}")
-    out = []
-    for j in range(n):
-        count = 0
-        for k, x in enumerate(d):
-            if k > j:
-                if x >= j + 1:
-                    count += 1
-            elif k < j:
-                if x >= j:
-                    count += 1
-        out.append(count)
-    return tuple(out)
+    prefixes = [rhs + eps - deficit
+                for (_, rhs, eps), deficit in zip(_cdz_terms(d, d), _head_deficits(d))]
+    return tuple(map(sub, prefixes[1:], prefixes))
 
 
 def conjugate_sequence(d: Sequence[int]) -> DegreeSequence:
@@ -249,6 +242,23 @@ def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, i
                 loose -= lo < hi
                 count[hi] -= 1
                 loose_count[hi] -= lo < hi
+
+
+def _head_deficits(x: Sequence[int]) -> Iterator[int]:
+    """Yield the head deficit D_x(t) = sum(max(0, t-1-x[k]) for k < t), t = 0..n.
+
+    Going to t+1, D grows by #{k < t : x[k] < t} + max(0, t - x[t]), and a
+    histogram of the head entries not yet below t keeps that count: O(n).
+    Any order of the entries works; each must lie in 0..n.
+    """
+    high = [0] * (len(x) + 1)  # high[v], v >= t: entries k < t with x[k] == v
+    deficit = low = 0
+    for t, v in enumerate(x):
+        yield deficit
+        deficit += low + max(0, t - v)
+        low += high[t] + (v <= t)
+        high[v] += 1  # read again only if v > t
+    yield deficit
 
 
 def _reduced_range(a: Sequence[int]) -> int:

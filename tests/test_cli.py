@@ -156,6 +156,10 @@ class TestExitCodes:
         "identities --count -5",
         "identities --count 0",
         "--json check --oracle 1,1,1,1,1,1,1,1/1,1,1,1,1,1,1,1",
+        # an instance opening with a negative entry is not an option
+        "check -1,1/1,1",
+        "realize -1,1/1,1",
+        "--json check --oracle -2,1/1,1",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2

@@ -326,6 +326,45 @@ def test_cdz_kernel_matches_reference_scan_past_the_oracle():
     assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
 
+def test_head_deficit_families_match_plain_scan_to_n_300():
+    """Berge, Hasselbarth, Bollobas and Grunbaum against plain scans, n <= 300.
+
+    ref_impl.eval_at rebuilds the Berge matrix for every t; here berge(b),
+    conj(b) and eps are built once per pair and every rhs is summed from
+    its definition, so the reference stays O(n^2) and reaches the sizes
+    where the head histogram of ``_head_deficits`` holds many entries per
+    value.  Every third pair is the point box (b; b), where every cell is
+    forced and eps(t) decides more often.  Witness t, lhs and rhs must
+    all match.
+    """
+    rng = random.Random(20261019)
+    names = ("berge_necessary", "berge_sufficient", "bollobas", "grunbaum", "hasselbarth")
+    verdicts = {name: set() for name in names}
+    for k, n in enumerate([300] + [rng.randint(1, 300) for _ in range(79)]):
+        a, b = ref_impl.random_box(rng, n)
+        pair = normalize_good_order(b if k % 3 == 1 else a, b).pair
+        a, b = pair.a, pair.b
+        berge, conj = ref_impl.ref_berge(b), ref_impl.ref_conj(b)
+        rows = {name: [] for name in names}
+        for t in range(n + 1):
+            lhs, eps, tail = sum(a[:t]), ref_impl.ref_eps(pair, t), sum(b[t:])
+            clip = sum(min(x, t - 1) for x in a[:t])
+            rows["berge_necessary"].append((lhs, sum(berge[:t])))
+            rows["berge_sufficient"].append((lhs, sum(berge[:t]) - eps))
+            rows["bollobas"].append((lhs, tail + clip - eps))
+            rows["grunbaum"].append(
+                (sum(max(t - 1, x) for x in a[:t]), t * (t - 1) + tail - eps))
+            rows["hasselbarth"].append((lhs, sum(conj[:t]) - t - eps))
+        del rows["hasselbarth"][ref_impl.ref_s(pair):]
+        for name, row in rows.items():
+            expected = next(((t, l, r) for t, (l, r) in enumerate(row) if l > r), None)
+            verdict = CHECKERS[name](pair)
+            got = None if verdict.holds else (verdict.witness_t, verdict.lhs, verdict.rhs)
+            assert got == expected, (name, pair)
+            verdicts[name].add(verdict.holds)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
 def test_erdos_gallai_linear_scan_matches_reference():
     """Verdicts and smallest witnesses against the plain scan, n up to 300.
 

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
+
+import ref_impl
 
 from degreebox.errors import (
     EntryTooLarge,
@@ -115,6 +119,20 @@ class TestBergeSequence:
     def test_entry_too_large(self):
         with pytest.raises(EntryTooLarge):
             berge_sequence((3, 0, 0))
+
+
+def test_berge_sequence_matches_constructed_matrix():
+    """Unsorted seeded sequences, n in 0..60, against the literal 0-1 matrix.
+
+    Entry caps vary per sequence, so both sparse rows (d[k] < k, no
+    diagonal skip) and dense ones (d[k] > k) occur at every size.
+    """
+    rng = random.Random(20261019)
+    for _ in range(600):
+        n = rng.randint(0, 60)
+        top = rng.randrange(n) if n else 0
+        d = [rng.randint(0, top) for _ in range(n)]
+        assert berge_sequence(d) == ref_impl.ref_berge(d), d
 
 
 class TestConjugateSequence:
