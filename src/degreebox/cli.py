@@ -161,13 +161,15 @@ def cmd_realize(args: argparse.Namespace) -> int:
     if graph is not None and not _realize.verify_witness(graph, spec.a, spec.b):
         raise AssertionError("constructed witness violates the input bounds")
     if args.json:
-        _emit_json({
+        report = json.dumps({
             "schema": "degreebox.realize/1",
             "realizable": graph is not None,
             "n": len(spec.a),
-            "edges": None if graph is None
-            else [[u + 1, v + 1] for u, v in sorted(graph.edges)],
-        })
+            "edges": None,
+        }, sort_keys=True, separators=(",", ":"))
+        if graph is not None:  # "edges" sorts first, so the first match is its value
+            report = report.replace('"edges":null', '"edges":' + graph.to_json_edges(), 1)
+        print(report)
     elif graph is None:
         if not args.quiet:
             print("not realizable")

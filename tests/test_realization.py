@@ -171,6 +171,28 @@ class TestVerifyWitness:
         with pytest.raises(LengthMismatch):
             verify_witness(g, (0, 0), (0,))
 
+    # each rejected graph has every degree inside the box, so only its shape fails
+    def test_rejects_reversed_pair(self):
+        assert not verify_witness(SimpleGraph(2, frozenset({(1, 0)})), (0, 0), (1, 1))
+
+    def test_rejects_loop(self):
+        assert not verify_witness(SimpleGraph(2, frozenset({(1, 1)})), (0, 0), (2, 2))
+
+    def test_rejects_vertex_past_n(self):
+        assert not verify_witness(SimpleGraph(2, frozenset({(1, 2)})), (0, 0), (1, 1))
+
+    def test_rejects_negative_vertex(self):
+        assert not verify_witness(SimpleGraph(2, frozenset({(-1, 0)})), (0, 0), (1, 1))
+
+    def test_rejects_repeated_edge(self):
+        assert verify_witness(SimpleGraph.from_columns(3, [0, 0], [1, 2]), (1, 0, 0), (2, 1, 1))
+        g = SimpleGraph.from_columns(3, [0, 0], [1, 1])
+        assert not verify_witness(g, (1, 0, 0), (2, 2, 1))
+        assert not verify_witness(SimpleGraph(3, [(0, 1), (0, 1)]), (1, 0, 0), (2, 2, 1))
+
+    def test_rejects_rows_out_of_order(self):
+        assert not verify_witness(SimpleGraph.from_columns(3, [0, 0], [2, 1]), (1, 0, 0), (2, 1, 1))
+
 
 class TestSerialization:
     def test_edge_list_is_one_based_and_sorted(self):
@@ -500,8 +522,9 @@ def test_edges_match_resorting_reference():
         got = realize._havel_hakimi(a, range(len(a)))
         expected = ref_impl.ref_havel_hakimi(enumerate(a))
         assert (got is None) == (expected is None), a
-        if got is not None:
-            assert set(got) == expected, a
+        if got is not None:  # the same edge set, as rows u < v in (u, v) order
+            u, v = got
+            assert list(zip(u.tolist(), v.tolist())) == sorted(expected), a
 
 
 def test_planted_n400_needs_few_kernel_probes(monkeypatch):
