@@ -20,6 +20,7 @@ from .criteria import (
     check_fulkerson_exists,
     check_grunbaum,
     check_hasselbarth,
+    check_ryser_interval,
     criteria_report,
 )
 from .errors import (
@@ -47,7 +48,6 @@ from .oracle import (
 from .realize import (
     BipartiteGraph,
     SimpleGraph,
-    check_ryser_interval,
     find_graphic_in_box,
     graphic_vector_in_box,
     havel_hakimi_realize,

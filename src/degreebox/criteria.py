@@ -1,26 +1,20 @@
-"""Realizability criteria for bound pairs in good order.
+"""Realizability criteria for bound pairs in good order, declared in one table.
 
 Every checker is a stream of per-t terms (lhs, rhs, _) of its
 inequality family, t = 0, 1, ... (prefix length), read by one scan,
 ``_first_failure``, that reports the smallest failing t; the two
 Fulkerson checks quantify over a tail length m as well and share one
 (t, m) scan.  Verdicts are therefore reproducible and can be re-verified
-by direct evaluation.  Every stream reads one O(n) pass of the CDZ
-kernel, ``sequences._cdz_terms``, whose right-hand side is rhs(t) below;
-Berge, Bollobas and Grunbaum subtract the head deficit D_x(t) of one O(n)
-``sequences._head_deficits`` pass.  Checkers never re-sort their input;
-callers normalize first.
+by direct evaluation.  Every stream but Ryser's reads one O(n) pass of
+the CDZ kernel, ``sequences._cdz_terms``, whose right-hand side is rhs(t)
+below; Berge, Bollobas and Grunbaum subtract the head deficit D_x(t) of
+one O(n) ``sequences._head_deficits`` pass.  The Ryser interval stream
+reads a Gale-Ryser pass over the tilde system instead, the pass the
+bipartite witness route probes as well.  Checkers never re-sort their
+input; callers normalize first.
 
-The checkers split by logical strength:
-
-* ``check_cdz`` / ``check_cdz_reduced`` decide realizability exactly.
-* ``check_berge_necessary`` is necessary only, ``check_berge_sufficient``
-  sufficient only.
-* ``check_fulkerson``, ``check_bollobas``, ``check_grunbaum`` and
-  ``check_hasselbarth`` are classical-style interval generalizations;
-  their necessity direction is sound, while their sufficiency direction
-  is empirically false on some inputs (see the sweep harness), so none
-  of them is treated as a decision procedure here.
+``CRITERIA`` declares each criterion once; the registries the report,
+the sweeps and the CLI read are derived from it.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .sequences import (
     IntervalSequencePair,
@@ -36,6 +30,7 @@ from .sequences import (
     _check_nonnegative,
     _head_deficits,
     _reduced_range,
+    _tilde_unchecked,
     require_good_order,
     require_non_increasing,
 )
@@ -242,18 +237,95 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     return _first_failure(terms, len(d) + 1)
 
 
-CHECKERS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
-    "cdz": check_cdz,
-    "cdz_reduced": check_cdz_reduced,
-    "berge_necessary": check_berge_necessary,
-    "berge_sufficient": check_berge_sufficient,
-    "fulkerson": check_fulkerson,
-    "bollobas": check_bollobas,
-    "grunbaum": check_grunbaum,
-    "hasselbarth": check_hasselbarth,
+def _gale_ryser_terms(
+    demand: Sequence[tuple[int, int]], supply: Sequence[tuple[int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (sum of the top k demands, sum(min(k, s) for s in supply), 0), k = 0..len(demand).
+
+    Demands are the lower bounds of the ``demand`` cells, supplies the upper
+    bounds of the ``supply`` cells; some 0-1 matrix has row sums the demands
+    and column sums at most the supplies iff lhs <= rhs for every k (Gale
+    1957, Ryser 1957).  A histogram of the supplies gives rhs(k + 1) =
+    rhs(k) + #{s > k}, so after one sort of the demands the scan is O(n).
+    """
+    top = len(demand)
+    count = [0] * (top + 1)
+    for _, s in supply:
+        count[min(s, top)] += 1
+    above = len(supply)  # #{s > k - 1}
+    lhs = rhs = 0
+    for k, d in enumerate(sorted((lo for lo, _ in demand), reverse=True)):
+        yield lhs, rhs, 0
+        above -= count[k]
+        lhs += d
+        rhs += above
+    yield lhs, rhs, 0
+
+
+def ryser_interval_system(
+    pair: IntervalSequencePair,
+) -> list[tuple[int, int]]:
+    """Per-vertex intervals [tilde(a)_i, tilde(b)_i], each side of the test below."""
+    require_good_order(pair)
+    ta = _tilde_unchecked(pair.a)
+    tb = _tilde_unchecked(pair.b)
+    return list(zip(ta, tb))
+
+
+def check_ryser_interval(pair: IntervalSequencePair) -> CriterionVerdict:
+    """Necessary condition: the tilde interval system is bipartite realizable.
+
+    Applies the tilde lift to a and b separately (each with its own
+    crossing index) and decides feasibility of the symmetric bipartite
+    interval system.  Its two Gale-Ryser families coincide, so one O(n log n)
+    scan of the lifted lower bounds against the lifted upper bounds decides
+    it.  Realizable pairs always pass; the converse fails.  No witness
+    indices apply, so a failing verdict carries none.
+    """
+    system = ryser_interval_system(pair)
+    return CriterionVerdict(_first_failure(_gale_ryser_terms(system, system), pair.n + 1).holds)
+
+
+REPORT, SWEEP, NAMED = "report", "sweep", "named"
+EXACT, NECESSARY, SUFFICIENT = ("necessity", "sufficiency"), ("necessity",), ("sufficiency",)
+
+
+class Criterion(NamedTuple):
+    """One criterion: its checker, display name, gated arrows and scope.
+
+    ``gated`` names the arrows a sweep gates to zero against the oracle:
+    "necessity" flags an oracle-realizable instance the criterion fails,
+    "sufficiency" a criterion-holding instance the oracle rejects.
+    An exact criterion gates both, a necessary or sufficient one only its
+    own.  ``scope`` is REPORT (run by criteria_report and every default
+    sweep), SWEEP (the default sweep only) or NAMED (only a sweep naming it).
+    """
+
+    check: Callable[[IntervalSequencePair], CriterionVerdict]
+    display: str
+    gated: tuple[str, ...]
+    scope: str
+
+
+# Only the necessity of the classical-style interval generalizations is
+# gated: their sufficiency is empirically false on some inputs (see the
+# sweep harness), so none of them is a decision procedure here.
+CRITERIA: dict[str, Criterion] = {
+    "cdz": Criterion(check_cdz, "CDZ", EXACT, REPORT),
+    "cdz_reduced": Criterion(check_cdz_reduced, "CDZ-reduced", EXACT, REPORT),
+    "berge_necessary": Criterion(check_berge_necessary, "Berge-necessary", NECESSARY, REPORT),
+    "berge_sufficient": Criterion(check_berge_sufficient, "Berge-sufficient", SUFFICIENT, REPORT),
+    "fulkerson": Criterion(check_fulkerson, "Fulkerson", NECESSARY, REPORT),
+    "bollobas": Criterion(check_bollobas, "Bollobas", NECESSARY, REPORT),
+    "grunbaum": Criterion(check_grunbaum, "Grunbaum", NECESSARY, REPORT),
+    "hasselbarth": Criterion(check_hasselbarth, "Hasselbarth", NECESSARY, REPORT),
+    "ryser_interval": Criterion(check_ryser_interval, "Ryser-interval", NECESSARY, SWEEP),
+    "fulkerson_exists": Criterion(check_fulkerson_exists, "Fulkerson-exists", NECESSARY, NAMED),
 }
 
-REPORT_ORDER = tuple(CHECKERS)
+CHECKERS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
+    name: row.check for name, row in CRITERIA.items() if row.scope == REPORT
+}
 
 
 @dataclass(frozen=True)
@@ -270,6 +342,6 @@ def criteria_report(pair: IntervalSequencePair) -> CriteriaReport:
     The flag must never be False; it exists so a regression cannot pass
     silently through aggregated reports.
     """
-    verdicts = {name: CHECKERS[name](pair) for name in REPORT_ORDER}
+    verdicts = {name: check(pair) for name, check in CHECKERS.items()}
     consistent = verdicts["cdz"] == verdicts["cdz_reduced"]
     return CriteriaReport(verdicts=verdicts, cdz_consistent=consistent)

@@ -22,35 +22,16 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import criteria as _criteria
-from . import realize as _realize
 from .errors import InputError, TooLarge, UnknownCriterion
 from .sequences import IntervalSequencePair
 
 MAX_EXHAUSTIVE_N = 7
 MAX_MATRIX_N = 6
 
-ALL_CRITERIA = dict(_criteria.CHECKERS)
-ALL_CRITERIA["ryser_interval"] = _realize.check_ryser_interval
-ALL_CRITERIA["fulkerson_exists"] = _criteria.check_fulkerson_exists
-
-# Default sweep set: the aggregated report plus the bipartite interval test.
-DEFAULT_SWEEP_CRITERIA = tuple(_criteria.REPORT_ORDER) + ("ryser_interval",)
-
-# Arrows with an expected-zero violation count.  "necessity" flags
-# oracle-realizable instances failing the criterion; "sufficiency" flags
-# criterion-holding instances the oracle rejects.
-GATED_DIRECTIONS = {
-    "cdz": ("necessity", "sufficiency"),
-    "cdz_reduced": ("necessity", "sufficiency"),
-    "berge_necessary": ("necessity",),
-    "berge_sufficient": ("sufficiency",),
-    "fulkerson": ("necessity",),
-    "fulkerson_exists": ("necessity",),
-    "bollobas": ("necessity",),
-    "grunbaum": ("necessity",),
-    "hasselbarth": ("necessity",),
-    "ryser_interval": ("necessity",),
-}
+ALL_CRITERIA = {name: row.check for name, row in _criteria.CRITERIA.items()}
+DEFAULT_SWEEP_CRITERIA = tuple(
+    name for name, row in _criteria.CRITERIA.items() if row.scope != _criteria.NAMED
+)
 
 
 class OracleResult(NamedTuple):
@@ -359,11 +340,9 @@ def cross_validate(
                 else "oracle_no_fails"
             )
             report.cells[name][key] += 1
-            gated = GATED_DIRECTIONS.get(name, ())
-            if realizable and not verdict.holds and "necessity" in gated:
-                report.violations.append(_violation(index, pair, name, "necessity", verdict))
-            elif not realizable and verdict.holds and "sufficiency" in gated:
-                report.violations.append(_violation(index, pair, name, "sufficiency", verdict))
+            arrow = "necessity" if realizable else "sufficiency"  # the arrow a disagreement breaks
+            if verdict.holds != realizable and arrow in _criteria.CRITERIA[name].gated:
+                report.violations.append(_violation(index, pair, name, arrow, verdict))
     report.elapsed = time.perf_counter() - start
     if report.oracle_used:
         cdz = report.cells["cdz"]

@@ -16,17 +16,16 @@ cross-validated against brute-force enumeration at small sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import CriterionVerdict, _cdz_over_range, _first_failure
+from .criteria import _cdz_over_range, _first_failure, _gale_ryser_terms
 from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from .sequences import (
     IntervalSequencePair,
     _check_nonnegative,
     _reduced_range,
-    _tilde_unchecked,
     require_good_order,
     require_non_increasing,
 )
@@ -144,7 +143,8 @@ def _havel_hakimi(
     Each round joins the largest residual to the next-largest ones, ties to
     smallest v.  Buckets per residual, sorted by v, hand these out from the
     top, and a taken prefix, decremented, is merged into the bucket below,
-    so nothing is re-sorted: O(n + m) steps plus C-level sorted-list merges.
+    so nothing is re-sorted.  Each merge copies the untaken rest of its
+    bucket, though, so the walk is O(m + n * B) for B the largest bucket.
     The walk records each head with its residual and one flat list of
     neighbours; relabelling, orienting to u < v and ordering the rows by
     (u, v), as one sort of the keys u*n + v, are then array passes, so no
@@ -193,48 +193,64 @@ def _largest(good: int, bad: int, feasible: Callable[[int], bool], gallop: bool 
     return good
 
 
-def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
-    """Find an in-box degree vector whose multiset is graphic, positionwise.
+def _self_reduce(
+    cells: Iterable[tuple[int, int]], feasible: Callable[[list[tuple[int, int]]], bool]
+) -> Optional[tuple[int, ...]]:
+    """A value inside each cell (lo, hi) such that the point box stays feasible, or None.
 
-    Decision self-reduction through the CDZ kernel: raising lower bounds
-    only shrinks the set of realizations, so each loose cell (a_i < b_i),
-    in index order, can be fixed to the largest v keeping the box
-    realizable.  Most cells end at b_i, so the walk gallops to the longest
-    run of next loose cells that can sit at (b_i, b_i) at once, exactly the
-    run a cell-by-cell search would put there, then binary-searches the
-    cell after it over [a_i, b_i) as that search would.  That is O(log n)
-    probes per run and per cell below b_i: 11 to 20 on planted n = 400
-    boxes, where one search per cell took 820 to 870.  A probe sorts the
-    box into good order and runs one O(n) kernel scan over t <= s.  None
-    is returned exactly when the pair is not realizable.
+    ``feasible`` takes a fresh list of cells and is monotone: raising a
+    lower bound never makes an infeasible box feasible.  So each loose
+    cell (lo < hi), in index order, can be fixed to (v, v) for the largest
+    v keeping the box feasible.  Most cells end at hi, so the walk gallops
+    to the longest run of next loose cells that can sit at (hi, hi) at
+    once, exactly the run a cell-by-cell search would put there, then
+    binary-searches the cell after it over [lo, hi) as that search would:
+    O(log n) probes per run and per cell below hi.  None is returned
+    exactly when the cells as given are infeasible.
     """
-    require_good_order(pair)
-    cells = list(zip(pair.a, pair.b))
+    cells = list(cells)
 
-    def stays_realizable(changes) -> bool:
+    def stays_feasible(changes) -> bool:
         box = cells.copy()
         for i, cell in changes:
             box[i] = cell
-        box.sort(reverse=True)
-        a = [lo for lo, _ in box]
-        b = [hi for _, hi in box]
-        return _cdz_over_range(IntervalSequencePair(a, b), _reduced_range(a)).holds
+        return feasible(box)
 
-    if not stays_realizable(()):
+    if not stays_feasible(()):
         return None
     loose = [i for i, (lo, hi) in enumerate(cells) if lo < hi]
     while loose:
         raised = [(i, (cells[i][1],) * 2) for i in loose]
-        r = _largest(0, len(loose) + 1, lambda k: stays_realizable(raised[:k]), gallop=True)
+        r = _largest(0, len(loose) + 1, lambda k: stays_feasible(raised[:k]), gallop=True)
         for i, cell in raised[:r]:
             cells[i] = cell
         if r < len(loose):
             i = loose[r]
             lo, hi = cells[i]
-            v = _largest(lo, hi + 1, lambda v: v < hi and stays_realizable([(i, (v, hi))]))
+            v = _largest(lo, hi + 1, lambda v: v < hi and stays_feasible([(i, (v, hi))]))
             cells[i] = (v, v)
         del loose[:r + 1]
     return tuple(lo for lo, _ in cells)
+
+
+def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
+    """Find an in-box degree vector whose multiset is graphic, positionwise.
+
+    Galloping decision self-reduction (``_self_reduce``) through the CDZ
+    kernel, which raising lower bounds keeps monotone: 11 to 20 probes on
+    planted n = 400 boxes.  A probe sorts the box into good order and runs
+    one O(n) kernel scan over t <= s.  None is returned exactly when the
+    pair is not realizable.
+    """
+    require_good_order(pair)
+
+    def realizable(box) -> bool:
+        box.sort(reverse=True)
+        a = [lo for lo, _ in box]
+        b = [hi for _, hi in box]
+        return _cdz_over_range(IntervalSequencePair(a, b), _reduced_range(a)).holds
+
+    return _self_reduce(zip(pair.a, pair.b), realizable)
 
 
 def find_graphic_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
@@ -287,31 +303,6 @@ def verify_witness(g: SimpleGraph, a: Sequence[int], b: Sequence[int]) -> bool:
     return all(lo <= d <= hi for lo, d, hi in zip(a, g.degrees(), b))
 
 
-def _gale_ryser_terms(
-    demand: Sequence[tuple[int, int]], supply: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (sum of the top k demands, sum(min(k, s) for s in supply), 0), k = 0..len(demand).
-
-    Demands are the lower bounds of the ``demand`` cells, supplies the upper
-    bounds of the ``supply`` cells; some 0-1 matrix has row sums the demands
-    and column sums at most the supplies iff lhs <= rhs for every k (Gale
-    1957, Ryser 1957).  A histogram of the supplies gives rhs(k + 1) =
-    rhs(k) + #{s > k}, so after one sort of the demands the scan is O(n).
-    """
-    top = len(demand)
-    count = [0] * (top + 1)
-    for _, s in supply:
-        count[min(s, top)] += 1
-    above = len(supply)  # #{s > k - 1}
-    lhs = rhs = 0
-    for k, d in enumerate(sorted((lo for lo, _ in demand), reverse=True)):
-        yield lhs, rhs, 0
-        above -= count[k]
-        lhs += d
-        rhs += above
-    yield lhs, rhs, 0
-
-
 def _interval_feasible(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]) -> bool:
     """Some bipartite graph has every degree inside its interval.
 
@@ -329,7 +320,8 @@ def interval_bipartite_realize(
     """Bipartite graph with each vertex degree inside its interval, or None.
 
     Every cell, left side then right side, in index order, is fixed to
-    (v, v) for the largest v in it that keeps the system feasible; the
+    (v, v) for the largest v in it that keeps the system feasible, by
+    ``_self_reduce`` with ``_interval_feasible`` as its probe; the
     constructive Gale-Ryser greedy then realizes these exact degrees, each
     left vertex in index order joining the right vertices of largest
     residual, ties to the smallest index.  Bounds beyond the opposite part
@@ -341,47 +333,16 @@ def interval_bipartite_realize(
                 raise NegativeEntry(f"{side}[{i}] lower bound {lo} is negative")
             if lo > hi:
                 raise LowerExceedsUpper(f"{side}[{i}] bounds [{lo}, {hi}] are inverted")
-    lcells, rcells = list(left), list(right)
-    if not _interval_feasible(lcells, rcells):
+    ln = len(left)
+    cells = [(lo, min(hi, len(right))) for lo, hi in left] + [(lo, min(hi, ln)) for lo, hi in right]
+    degrees = _self_reduce(cells, lambda box: _interval_feasible(box[:ln], box[ln:]))
+    if degrees is None:
         return None
-    for cells, other in ((lcells, rcells), (rcells, lcells)):
-        for i, (lo, hi) in enumerate(cells):
-
-            def stays_feasible(v: int) -> bool:
-                cells[i] = (v, hi)  # overwritten with (v, v) once v is found
-                return _interval_feasible(lcells, rcells)
-
-            v = _largest(lo, min(hi, len(other)) + 1, stays_feasible)
-            cells[i] = (v, v)
-    residual = [d for d, _ in rcells]
+    residual = list(degrees[ln:])
     edges = set()
-    for i, (d, _) in enumerate(lcells):
+    for i, d in enumerate(degrees[:ln]):
         # a stable sort keeps ties in index order, reversed or not
         for j in sorted(range(len(residual)), key=residual.__getitem__, reverse=True)[:d]:
             residual[j] -= 1
             edges.add((i, j))
     return BipartiteGraph(len(left), len(right), frozenset(edges))
-
-
-def ryser_interval_system(
-    pair: IntervalSequencePair,
-) -> list[tuple[int, int]]:
-    """Per-vertex intervals [tilde(a)_i, tilde(b)_i], each side of the test below."""
-    require_good_order(pair)
-    ta = _tilde_unchecked(pair.a)
-    tb = _tilde_unchecked(pair.b)
-    return list(zip(ta, tb))
-
-
-def check_ryser_interval(pair: IntervalSequencePair) -> CriterionVerdict:
-    """Necessary condition: the tilde interval system is bipartite realizable.
-
-    Applies the tilde lift to a and b separately (each with its own
-    crossing index) and decides feasibility of the symmetric bipartite
-    interval system.  Its two Gale-Ryser families coincide, so one O(n log n)
-    scan of the lifted lower bounds against the lifted upper bounds decides
-    it.  Realizable pairs always pass; the converse fails.  No witness
-    indices apply, so a failing verdict carries none.
-    """
-    system = ryser_interval_system(pair)
-    return CriterionVerdict(_first_failure(_gale_ryser_terms(system, system), pair.n + 1).holds)

@@ -15,7 +15,7 @@ from typing import Optional
 import pytest
 
 from degreebox.cli import main, run_identity_suite
-from degreebox.criteria import check_cdz, check_erdos_gallai_fixed
+from degreebox.criteria import check_cdz, check_erdos_gallai_fixed, ryser_interval_system
 from degreebox.oracle import (
     DEFAULT_SWEEP_CRITERIA,
     ALL_CRITERIA,
@@ -31,7 +31,6 @@ from degreebox.realize import (
     havel_hakimi_realize,
     interval_bipartite_realize,
     realize_pair,
-    ryser_interval_system,
     verify_witness,
 )
 from degreebox.sequences import validate_and_clamp

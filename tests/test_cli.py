@@ -14,6 +14,8 @@ from degreebox.cli import (
     parse_instance,
     run_identity_suite,
 )
+from degreebox import oracle
+from degreebox.criteria import CriterionVerdict
 from degreebox.errors import LengthMismatch
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
@@ -143,6 +145,27 @@ class TestExitCodes:
 
     def test_crossval_large_with_sample(self):
         assert main(["--quiet", "crossval", "9", "--sample", "30"]) == 0
+
+    def test_crossval_past_rejection_sampling_threshold(self, capsys):
+        # 2.75e28 instances at n = 20, so the sample is drawn by rejection
+        assert main(["--json", "crossval", "20", "--sample", "3", "--seed", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle_used"] is False and report["instance_count"] == 3
+
+    @pytest.mark.parametrize("patches", [
+        {"cdz_reduced": True},
+        {"hasselbarth": False},
+        {"cdz_reduced": True, "hasselbarth": False},
+    ])
+    def test_crossval_fails_on_every_gated_violation(self, patches, monkeypatch, capsys):
+        """Exit 1 when any gated arrow breaks, not only when cdz disagrees with the oracle."""
+        for name, holds in patches.items():
+            monkeypatch.setitem(oracle.ALL_CRITERIA, name, lambda pair, v=CriterionVerdict(holds): v)
+        assert main(["--json", "crossval", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["cdz_oracle_disagreements"] == 0
+        assert {v["criterion"] for v in report["violations"]} == set(patches)
+        assert main(["--json", "crossval", "--matrix", "3"]) == 0
 
     def test_identities(self, capsys):
         assert main(["identities", "--count", "500", "--seed", "7"]) == 0

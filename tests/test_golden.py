@@ -7,7 +7,9 @@ list of boxes past the oracle's sizes pins those as well.  The three
 ``realize`` formats pin the witness graph itself, edge for edge, on a
 seeded list of boxes from n = 0 to about 300.  A change that alters no
 verdict, witness or report format keeps every digest; one that does must
-say so and re-pin it.
+say so and re-pin it.  The bipartite witnesses of
+``interval_bipartite_realize`` are pinned the same way, over seeded tilde
+systems and planted bipartite systems.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ import pytest
 
 import ref_impl
 from degreebox.cli import main
+from degreebox.realize import interval_bipartite_realize
+from degreebox.sequences import _tilde_unchecked, normalize_good_order
 
 
 def _check_argvs():
@@ -128,3 +132,44 @@ def _stdout_digest(argvs, capsys):
         assert main(argv) in (0, 1), argv
         out.update(capsys.readouterr().out.encode())
     return out.hexdigest()
+
+
+def _bipartite_systems():
+    """Seeded (left, right) systems: tilde systems, then planted ones.
+
+    The first 60 are the tilde systems of ref_impl.random_box boxes, every
+    seventh on up to 300 vertices and the rest on up to 60.  The next 40 are
+    intervals around the degrees of a random bipartite graph, each widened
+    by up to 2 on each side (an upper bound may pass the other side's size),
+    and every other one with one cell forced one above its upper bound.
+    """
+    rng = random.Random(20261020)
+    for k in range(60):
+        a, b = ref_impl.random_box(rng, rng.randint(1, 300 if k % 7 == 0 else 60))
+        pair = normalize_good_order(a, b).pair
+        system = list(zip(_tilde_unchecked(pair.a), _tilde_unchecked(pair.b)))
+        yield system, system
+    for k in range(40):
+        ln, rn, p = rng.randint(0, 40), rng.randint(0, 40), rng.random()
+        edges = [(i, j) for i in range(ln) for j in range(rn) if rng.random() < p]
+        sides = []
+        for size, end in ((ln, 0), (rn, 1)):
+            deg = [0] * size
+            for e in edges:
+                deg[e[end]] += 1
+            sides.append([(max(0, d - rng.randint(0, 2)), d + rng.randint(0, 2)) for d in deg])
+        if k % 2 and sides[0]:
+            i = rng.randrange(ln)
+            sides[0][i] = (sides[0][i][1] + 1,) * 2
+        yield tuple(sides)
+
+
+def test_bipartite_witnesses_match_golden_digest():
+    out = hashlib.sha256()
+    feasible = 0
+    for left, right in _bipartite_systems():
+        g = interval_bipartite_realize(left, right)
+        feasible += g is not None
+        out.update(repr(None if g is None else sorted(g.edges)).encode() + b"\n")
+    assert 40 < feasible < 100, feasible
+    assert out.hexdigest() == "faa8ff4d23a6216c3b2a37e183724711c68729a6c713d213e4f8de7379abb818"

@@ -122,6 +122,14 @@ class TestInstanceSpace:
         other = sample_instances(6, 100, seed=43)
         assert other != first
 
+    def test_sampling_past_2_to_62_instances(self):
+        """Spaces too large for range() are sampled by rejection, still seeded."""
+        assert instance_space_size(20) > 1 << 62
+        first = sample_instances(20, 30, seed=5)
+        assert first == sample_instances(20, 30, seed=5)
+        assert len({(p.a, p.b) for p in first}) == 30
+        assert all(is_good_order(p) and p.n == 20 for p in first)
+
     def test_sampling_more_than_space_returns_everything(self):
         assert len(sample_instances(2, 10_000, seed=0)) == 6
 

@@ -9,19 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 import ref_impl
 from degreebox.cli import main
-from degreebox.criteria import CriterionVerdict, check_cdz, check_erdos_gallai_fixed
-from degreebox.errors import LengthMismatch, LowerExceedsUpper
+from degreebox.criteria import (
+    CriterionVerdict,
+    check_cdz,
+    check_erdos_gallai_fixed,
+    check_ryser_interval,
+    ryser_interval_system,
+)
+from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
     SimpleGraph,
-    check_ryser_interval,
     find_graphic_in_box,
     graphic_vector_in_box,
     havel_hakimi_realize,
     interval_bipartite_realize,
     realize_pair,
-    ryser_interval_system,
     verify_witness,
 )
 from degreebox.sequences import (
@@ -171,6 +175,10 @@ class TestVerifyWitness:
         with pytest.raises(LengthMismatch):
             verify_witness(g, (0, 0), (0,))
 
+    def test_graph_size_must_match_bounds(self):
+        with pytest.raises(LengthMismatch):
+            verify_witness(SimpleGraph(3, frozenset()), (0, 0), (1, 1))
+
     # each rejected graph has every degree inside the box, so only its shape fails
     def test_rejects_reversed_pair(self):
         assert not verify_witness(SimpleGraph(2, frozenset({(1, 0)})), (0, 0), (1, 1))
@@ -251,6 +259,23 @@ class TestIntervalBipartite:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(LowerExceedsUpper):
             interval_bipartite_realize([(2, 1)], [(0, 0)])
+
+    def test_negative_lower_bound_rejected(self):
+        with pytest.raises(NegativeEntry):
+            interval_bipartite_realize([(0, 1)], [(-1, 1)])
+
+    def test_self_reduction_probes_per_run_not_per_cell(self, monkeypatch):
+        """Runs of cells at their upper bounds cost O(log n) probes each."""
+        calls = []
+        probe = realize._interval_feasible
+        monkeypatch.setattr(realize, "_interval_feasible",
+                            lambda left, right: calls.append(1) or probe(left, right))
+        for seed in range(400, 403):
+            pair = normalize_good_order(*ref_impl.random_box(random.Random(seed), 400)).pair
+            system = ryser_interval_system(pair)
+            calls.clear()
+            assert interval_bipartite_realize(system, system) is not None, seed
+            assert len(calls) <= 40, (seed, len(calls))
 
     def test_empty_parts(self):
         assert interval_bipartite_realize([], []) is not None

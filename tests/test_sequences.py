@@ -197,6 +197,12 @@ class TestParityCorrection:
         pair = validate_and_clamp((1, 1, 1), (1, 1, 1))
         assert parity_correction(pair, 0) == 1
 
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_t_outside_range(self, t):
+        pair = validate_and_clamp((1, 1, 1), (1, 1, 1))
+        with pytest.raises(IndexOutOfRange):
+            parity_correction(pair, t)
+
 
 class TestCrossingIndices:
     def test_counterexample(self):
