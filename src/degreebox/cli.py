@@ -8,6 +8,7 @@ error (a bug, never a verdict), reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -166,13 +167,15 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     if args.matrix:
+        if args.sample is not None or args.seed is not None:
+            raise InputError("--matrix sweeps every instance; --sample and --seed do not apply")
         matrix = _oracle.implication_matrix(n=args.n)
         if args.json:
             print(matrix.to_json())
         elif not args.quiet:
             sys.stdout.write(matrix.to_text())
         return 0
-    report = _oracle.cross_validate(args.n, sample=args.sample, seed=args.seed)
+    report = _oracle.cross_validate(args.n, sample=args.sample, seed=args.seed or 0)
     if args.json:
         print(report.to_json())
     elif not args.quiet:
@@ -248,7 +251,9 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="degreebox",
         description="Check, realize and cross-validate degree-interval realizability.",
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--sample", type=int, default=None,
                    help="sample this many instances instead of exhausting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     p.add_argument("--matrix", action="store_true",
                    help="print the pairwise implication matrix instead")
     p.set_defaults(func=cmd_crossval)

@@ -5,13 +5,14 @@ inequality family, t = 0, 1, ... (prefix length), read by one scan,
 ``_first_failure``, that reports the smallest failing t; the two
 Fulkerson checks quantify over a tail length m as well and share one
 (t, m) scan.  Verdicts are therefore reproducible and can be re-verified
-by direct evaluation.  Every stream but Ryser's reads one O(n) pass of
-the CDZ kernel, ``sequences._cdz_terms``, whose right-hand side is rhs(t)
-below; Berge, Bollobas and Grunbaum subtract the head deficit D_x(t) of
-one O(n) ``sequences._head_deficits`` pass.  The Ryser interval stream
-reads a Gale-Ryser pass over the tilde system instead, the pass the
-bipartite witness route probes as well.  Checkers never re-sort their
-input; callers normalize first.
+by direct evaluation.  Every stream but Ryser's reads the pair's kernel
+pass, ``IntervalSequencePair.kernel``, built once per pair: the O(n) CDZ
+kernel ``sequences._cdz_terms``, whose right-hand side is rhs(t) below,
+and the head deficits D_a(t) and D_b(t) that Berge, Bollobas and Grunbaum
+subtract.  ``check_cdz`` alone streams the kernel, to stop at its first
+failure.  The Ryser interval stream reads a Gale-Ryser pass over the
+tilde system instead, the pass the bipartite witness route probes as
+well.  Checkers never re-sort their input; callers normalize first.
 
 ``CRITERIA`` declares each criterion once; the registries the report,
 the sweeps and the CLI read are derived from it.
@@ -28,8 +29,6 @@ from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
     _check_nonnegative,
-    _head_deficits,
-    _reduced_range,
     _tilde_unchecked,
     require_good_order,
     require_non_increasing,
@@ -81,10 +80,15 @@ def check_cdz(pair: IntervalSequencePair) -> CriterionVerdict:
 
     Holds iff for every t in 0..n:
         sum(a[:t]) <= t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
-    t = 0 carries the parity obstruction through eps(0).
+    t = 0 carries the parity obstruction through eps(0).  Sweeps and
+    reports read the same scan off the pair's kernel pass, ``_cdz_of_pass``.
     """
     require_good_order(pair)
     return _cdz_over_range(pair, pair.n)
+
+
+def _cdz_of_pass(pair: IntervalSequencePair) -> CriterionVerdict:
+    return _first_failure(pair.kernel.terms, pair.n + 1)
 
 
 def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -93,8 +97,7 @@ def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
     s = max{i : a[i-1] >= i-1}; any failure of the full family already
     occurs in this range, so the verdict coincides with check_cdz.
     """
-    require_good_order(pair)
-    return _cdz_over_range(pair, _reduced_range(pair.a))
+    return _first_failure(pair.kernel.terms, pair.kernel.s + 1)
 
 
 def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
@@ -103,9 +106,9 @@ def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) = rhs(t) + eps(t) - D_b(t) for
     every t in 0..n.  The converse direction fails; see the crossval harness.
     """
-    require_good_order(pair)
-    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.b))
-    terms = ((lhs, rhs + eps - deficit, eps) for (lhs, rhs, eps), deficit in kernel)
+    kernel = pair.kernel
+    terms = ((lhs, rhs + eps - deficit, eps)
+             for (lhs, rhs, eps), deficit in zip(kernel.terms, kernel.deficit_b))
     return _first_failure(terms, pair.n + 1)
 
 
@@ -114,9 +117,9 @@ def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
 
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) = rhs(t) - D_b(t), t in 0..n.
     """
-    require_good_order(pair)
-    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.b))
-    terms = ((lhs, rhs - deficit, eps) for (lhs, rhs, eps), deficit in kernel)
+    kernel = pair.kernel
+    terms = ((lhs, rhs - deficit, eps)
+             for (lhs, rhs, eps), deficit in zip(kernel.terms, kernel.deficit_b))
     return _first_failure(terms, pair.n + 1)
 
 
@@ -128,10 +131,9 @@ def _fulkerson_scan(
     row[m] = t(n-m-1) + sum(b[n-m:]) - eps(t) is the right-hand side at
     tail length m, for m in 0..n-t.
     """
-    require_good_order(pair)
     n = pair.n
     tails = list(accumulate(reversed(pair.b), initial=0))  # tails[m] = sum(b[n-m:])
-    for t, (lhs, _, eps) in enumerate(_cdz_terms(pair.a, pair.b)):
+    for t, (lhs, _, eps) in enumerate(pair.kernel.terms):
         row = [t * (n - m - 1) + tails[m] - eps for m in range(n - t + 1)]
         m = pick(lhs, row)
         if m is not None:
@@ -177,7 +179,7 @@ def _bollobas_terms(pair: IntervalSequencePair):
     to both sides gives the Grunbaum term, as max(t-1, x) = t-1 + x - min(x, t-1).
     """
     tails = accumulate(pair.b, sub, initial=sum(pair.b))  # sum(b[t:])
-    kernel = zip(_cdz_terms(pair.a, pair.b), _head_deficits(pair.a), tails)
+    kernel = zip(pair.kernel.terms, pair.kernel.deficit_a, tails)
     for t, ((lhs, _, eps), deficit, tail) in enumerate(kernel):
         yield lhs, t * (t - 1) + tail - deficit - eps, deficit
 
@@ -188,7 +190,6 @@ def check_bollobas(pair: IntervalSequencePair) -> CriterionVerdict:
     Holds iff for every t in 0..n:
         sum(a[:t]) <= sum(b[t:]) + sum(min(a[i], t-1) for i < t) - eps(t).
     """
-    require_good_order(pair)
     return _first_failure(_bollobas_terms(pair), pair.n + 1)
 
 
@@ -198,7 +199,6 @@ def check_grunbaum(pair: IntervalSequencePair) -> CriterionVerdict:
     Holds iff for every t in 0..n:
         sum(max(t-1, a[i]) for i < t) <= t(t-1) + sum(b[t:]) - eps(t).
     """
-    require_good_order(pair)
     terms = ((lhs + shift, rhs + shift, shift) for lhs, rhs, shift in _bollobas_terms(pair))
     return _first_failure(terms, pair.n + 1)
 
@@ -212,8 +212,7 @@ def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
     b[k] with k < t is at least a[s-1] >= s-1 >= t, so both corrections
     vanish: this is the CDZ family over t <= s-1, one short of cdz_reduced.
     """
-    require_good_order(pair)
-    return _cdz_over_range(pair, _reduced_range(pair.a) - 1)
+    return _first_failure(pair.kernel.terms, pair.kernel.s)
 
 
 def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
@@ -311,7 +310,7 @@ class Criterion(NamedTuple):
 # gated: their sufficiency is empirically false on some inputs (see the
 # sweep harness), so none of them is a decision procedure here.
 CRITERIA: dict[str, Criterion] = {
-    "cdz": Criterion(check_cdz, "CDZ", EXACT, REPORT),
+    "cdz": Criterion(_cdz_of_pass, "CDZ", EXACT, REPORT),
     "cdz_reduced": Criterion(check_cdz_reduced, "CDZ-reduced", EXACT, REPORT),
     "berge_necessary": Criterion(check_berge_necessary, "Berge-necessary", NECESSARY, REPORT),
     "berge_sufficient": Criterion(check_berge_sufficient, "Berge-sufficient", SUFFICIENT, REPORT),
@@ -337,7 +336,8 @@ class CriteriaReport:
 
 
 def criteria_report(pair: IntervalSequencePair) -> CriteriaReport:
-    """Run every registered checker and flag cdz/cdz_reduced disagreement.
+    """Run every registered checker, all off the pair's one kernel pass, and
+    flag cdz/cdz_reduced disagreement.
 
     The flag must never be False; it exists so a regression cannot pass
     silently through aggregated reports.

@@ -4,7 +4,8 @@ The oracle counts, for every labelled degree vector, the edge subsets of
 the complete graph K_n that produce it, by a dynamic program over the
 edges, and keeps those counts as n-dimensional prefix sums (a summed-area
 table).  A box query is then an exact inclusion-exclusion sum over the
-box's 2^n corners.  It never consults the criteria module, which is what
+box's 2^n corners, and a sweep gathers the corners of a whole chunk of
+boxes at once.  It never consults the criteria module, which is what
 makes the agreement sweeps meaningful.
 """
 
@@ -27,6 +28,8 @@ from .sequences import IntervalSequencePair
 
 MAX_EXHAUSTIVE_N = 7
 MAX_MATRIX_N = 6
+# Boxes per oracle gather in a sweep: about 10 KB of corners each at n = 7
+SWEEP_CHUNK = 256
 
 ALL_CRITERIA = {name: row.check for name, row in _criteria.CRITERIA.items()}
 DEFAULT_SWEEP_CRITERIA = tuple(
@@ -66,21 +69,29 @@ def _count_grid(n: int):
     return grid.ravel(), lower, signs, strides
 
 
-def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
-    """Exhaustive decision plus the number of witnessing edge subsets.
+def _box_counts(n: int, lows, highs) -> np.ndarray:
+    """Witness counts of k >= 1 boxes on n vertices, given as (k, n) bound arrays.
 
-    The count of subsets with a_i <= deg_i <= b_i is an inclusion-exclusion
-    sum over the 2^n corners of the box, one summed-area lookup each;
-    corners below zero on some axis count nothing and are dropped.
+    The count of edge subsets with lows[i] <= deg <= highs[i] is an
+    inclusion-exclusion sum over the 2^n corners of box i, one summed-area
+    lookup each; corners below zero on some axis count nothing.  All k
+    boxes make one (k, 2^n, n) corners array and one gather.
     """
+    cumulative, lower, signs, strides = _count_grid(n)
+    lows = np.asarray(lows, dtype=np.int64)[:, None, :]
+    highs = np.asarray(highs, dtype=np.int64)[:, None, :]
+    corners = np.where(lower, lows - 1, highs)
+    inside = (corners >= 0).all(axis=2)
+    # an outside corner's index wraps to some other cell; its lookup is zeroed
+    return (cumulative[corners @ strides] * inside) @ signs
+
+
+def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
+    """Exhaustive decision plus the number of witnessing edge subsets: the
+    one-box case of ``_box_counts``."""
     if pair.n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
-    cumulative, lower, signs, strides = _count_grid(pair.n)
-    a = np.asarray(pair.a, dtype=np.int64)
-    b = np.asarray(pair.b, dtype=np.int64)
-    corners = np.where(lower, a - 1, b)
-    inside = (corners >= 0).all(axis=1)
-    count = int(signs[inside] @ cumulative[corners[inside] @ strides])
+    count = int(_box_counts(pair.n, [pair.a], [pair.b])[0])
     return OracleResult(count > 0, count)
 
 
@@ -94,11 +105,10 @@ def _require_size(n: int) -> None:
         raise InputError(f"n must be >= 0, got {n}")
 
 
-def _cells(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _cells(n: int) -> tuple[tuple[int, int], ...]:
     """All bound cells (a, b) with 0 <= a <= b <= n-1, largest first."""
-    cells = [(a, b) for b in range(n) for a in range(b + 1)]
-    cells.sort(key=lambda c: (-c[0], -c[1]))
-    return cells
+    return tuple(sorted(((a, b) for b in range(n) for a in range(b + 1)), reverse=True))
 
 
 def _pair_of(cells: Sequence[tuple[int, int]]) -> IntervalSequencePair:
@@ -317,7 +327,9 @@ def cross_validate(
         report.cdz_reduced_disagreements = 0
 
     start = time.perf_counter()
-    for index, pair in enumerate(instances):
+    decided = (_oracle_decisions(n, instances) if report.oracle_used
+               else zip(instances, itertools.repeat(None)))
+    for index, (pair, realizable) in enumerate(decided):
         report.instance_count += 1
         verdicts = {name: ALL_CRITERIA[name](pair) for name in names}
         if track_reduced and verdicts["cdz"] != verdicts["cdz_reduced"]:
@@ -327,9 +339,8 @@ def cross_validate(
             )
         for name in names:
             report.holds_counts[name] += verdicts[name].holds
-        if not report.oracle_used:
+        if realizable is None:
             continue
-        realizable = oracle_decide(pair)
         report.oracle_yes += int(realizable)
         for name in names:
             verdict = verdicts[name]
@@ -348,6 +359,16 @@ def cross_validate(
         cdz = report.cells["cdz"]
         report.cdz_oracle_disagreements = cdz["oracle_yes_fails"] + cdz["oracle_no_holds"]
     return report
+
+
+def _oracle_decisions(
+    n: int, pairs: Iterable[IntervalSequencePair]
+) -> Iterator[tuple[IntervalSequencePair, bool]]:
+    """Each pair with its oracle decision, SWEEP_CHUNK boxes per ``_box_counts`` call."""
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, SWEEP_CHUNK)):
+        counts = _box_counts(n, [p.a for p in chunk], [p.b for p in chunk])
+        yield from zip(chunk, (counts > 0).tolist())
 
 
 def _violation(index, pair, name, direction, verdict) -> dict:

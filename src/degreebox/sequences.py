@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     EntryTooLarge,
@@ -32,6 +33,20 @@ from .errors import (
 DegreeSequence = tuple[int, ...]
 
 
+class KernelPass(NamedTuple):
+    """The CDZ kernel's pass over a good-ordered pair, materialized for t = 0..n.
+
+    terms[t] is the (lhs, rhs, eps) of ``_cdz_terms``, deficit_a[t] and
+    deficit_b[t] the head deficits D_a(t) and D_b(t) of ``_head_deficits``,
+    and s = ``_reduced_range(a)``.  Every criterion but Ryser's is read off it.
+    """
+
+    terms: tuple[tuple[int, int, int], ...]
+    deficit_a: tuple[int, ...]
+    deficit_b: tuple[int, ...]
+    s: int
+
+
 @dataclass(frozen=True)
 class IntervalSequencePair:
     """Per-vertex degree bounds a[i] <= b[i] for a simple graph on n vertices."""
@@ -42,6 +57,15 @@ class IntervalSequencePair:
     @property
     def n(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def kernel(self) -> KernelPass:
+        """This pair's KernelPass, built on first use after the good-order
+        check (which raises NotGoodOrder, and caches nothing, on unordered
+        input); every later read returns the same immutable pass."""
+        require_good_order(self)
+        return KernelPass(tuple(_cdz_terms(self.a, self.b)), tuple(_head_deficits(self.a)),
+                          tuple(_head_deficits(self.b)), _reduced_range(self.a))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,9 @@ class TestExitCodes:
         "check -1,1/1,1",
         "realize -1,1/1,1",
         "--json check --oracle -2,1/1,1",
+        # the matrix covers every instance, so a sample size or seed is an error
+        "crossval 3 --matrix --sample 2",
+        "--json crossval --matrix 3 --seed 0",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -16,10 +17,11 @@ from degreebox.criteria import (
     check_fulkerson_exists,
     check_grunbaum,
     check_hasselbarth,
+    check_ryser_interval,
     criteria_report,
 )
 from degreebox.errors import NegativeEntry, NotGoodOrder, NotNonIncreasing
-from degreebox.oracle import enumerate_instances, random_instances
+from degreebox.oracle import ALL_CRITERIA, enumerate_instances, random_instances
 from degreebox.sequences import (
     IntervalSequencePair,
     normalize_good_order,
@@ -201,6 +203,43 @@ class TestCriteriaReport:
 def _all_small_pairs():
     for n in range(0, 5):
         yield from enumerate_instances(n)
+
+
+@pytest.mark.parametrize("check", [
+    check_cdz, check_cdz_reduced, check_berge_necessary, check_berge_sufficient,
+    check_fulkerson, check_fulkerson_exists, check_bollobas, check_grunbaum,
+    check_hasselbarth, check_ryser_interval, criteria_report,
+], ids=lambda f: f.__name__)
+def test_public_checkers_reject_unordered_input(check):
+    pair = IntervalSequencePair((0, 1), (1, 1))
+    for _ in range(2):  # a failed good-order check leaves nothing cached
+        with pytest.raises(NotGoodOrder):
+            check(pair)
+
+
+def test_one_pass_rows_match_per_checker_verdicts():
+    """Every ALL_CRITERIA row evaluated as a sweep does it, all on one pair
+    object and so all off one kernel pass, against a pinned digest.
+
+    The digest covers holds, witness t and m, lhs and rhs of every row on
+    every good-ordered pair with n <= 4 and on 60 seeded boxes (every
+    fourth up to n = 300, the rest up to 60, every third the point box
+    (b; b)).  It was pinned when each checker ran its own kernel and
+    head-deficit passes.  The streaming check_cdz must agree with the
+    cdz row read off the pass.
+    """
+    rng = random.Random(20261021)
+    boxes = []
+    for k in range(60):
+        a, b = ref_impl.random_box(rng, rng.randint(1, 300 if k % 4 == 0 else 60))
+        boxes.append(normalize_good_order(b if k % 3 == 1 else a, b).pair)
+    out = hashlib.sha256()
+    for pair in itertools.chain(_all_small_pairs(), boxes):
+        for name, check in ALL_CRITERIA.items():
+            v = check(pair)
+            out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
+        assert check_cdz(pair) == ALL_CRITERIA["cdz"](pair), pair
+    assert out.hexdigest() == "3419c7646664a682c1f56bca4ab5f6c91c5dd960ff058ebdc46459bb3e20d8a6"
 
 
 def test_checkers_match_reference_scan_exhaustively():

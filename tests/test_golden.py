@@ -87,6 +87,18 @@ GOLDEN = {
     "crossval 7 --sample 200 --seed 1": (
         [["--json", "crossval", "7", "--sample", "200", "--seed", "1"]],
         "31691c50c6e058cd7e7419e847eb8833a3c00a34a527acaf47e600cb989823b7"),
+    "crossval 5 --sample 200 --seed 3": (
+        [["--json", "crossval", "5", "--sample", "200", "--seed", "3"]],
+        "ece14f2a969a54e36cb30ce596f00cc9b73f1d96c541eaae1c993211c2621650"),
+    "crossval 9 --sample 40 --seed 3": (
+        [["--json", "crossval", "9", "--sample", "40", "--seed", "3"]],
+        "40392b1fabce9d0b661f8cf43ba04980fcbf1c66edc9d514cebbf9f24b6a9930"),
+    "crossval 0": (
+        [["--json", "crossval", "0"]],
+        "7b5bf4d0a8ad5fc4fa3197080e4c816380d33527ada2af54ae92c4994d11be70"),
+    "crossval 1": (
+        [["--json", "crossval", "1"]],
+        "54401baa6d7c282003e5435128db52c4efb819220d8eb5041f322b9ff3d032d3"),
     "check on seeded boxes": (
         list(_check_argvs()),
         "859c78022c33b41265daedad85de5f218efb8b5ed5ae65ac5e7dca75543aec43"),

@@ -5,6 +5,9 @@ import pytest
 from degreebox.criteria import check_cdz
 from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
+    SWEEP_CHUNK,
+    _box_counts,
+    _oracle_decisions,
     cross_validate,
     enumerate_instances,
     implication_matrix,
@@ -61,6 +64,18 @@ class TestOracle:
         for pair in sample_instances(n, size, seed=5):
             count = ref_witness_count(pair)
             assert oracle_realizable(pair) == (count > 0, count), pair
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_batched_counts_match_per_box_queries(self, n):
+        """One gather over many boxes, and a sweep's chunked decisions, equal
+        per-box oracle_realizable; past n = 3 the batch of 2 * SWEEP_CHUNK + 37
+        boxes is not a whole number of chunks."""
+        pairs = sample_instances(n, 2 * SWEEP_CHUNK + 37, seed=n)
+        expected = [oracle_realizable(pair) for pair in pairs]
+        counts = _box_counts(n, [p.a for p in pairs], [p.b for p in pairs])
+        assert counts.tolist() == [r.witness_count for r in expected]
+        decided = list(_oracle_decisions(n, pairs))
+        assert decided == [(p, r.realizable) for p, r in zip(pairs, expected)]
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
