@@ -1,18 +1,23 @@
 """Realizability criteria for bound pairs in good order, declared in one table.
 
-Every checker is a stream of per-t terms (lhs, rhs, _) of its
-inequality family, t = 0, 1, ... (prefix length), read by one scan,
-``_first_failure``, that reports the smallest failing t; the two
-Fulkerson checks quantify over a tail length m as well and share one
-(t, m) scan.  Verdicts are therefore reproducible and can be re-verified
-by direct evaluation.  Every stream but Ryser's reads the pair's kernel
-pass, ``IntervalSequencePair.kernel``, built once per pair: the O(n) CDZ
-kernel ``sequences._cdz_terms``, whose right-hand side is rhs(t) below,
-and the head deficits D_a(t) and D_b(t) that Berge, Bollobas and Grunbaum
-subtract.  ``check_cdz`` alone streams the kernel, to stop at its first
-failure.  The Ryser interval stream reads a Gale-Ryser pass over the
-tilde system instead, the pass the bipartite witness route probes as
-well.  Checkers never re-sort their input; callers normalize first.
+Every criterion is an inequality family over the columns of the CDZ
+kernel pass, ``sequences.kernel_pass``, and is written once, as a row
+check that maps a whole batch of k pairs of equal size n to verdict
+columns: holds, and the smallest failing witness t (and tail length m
+for Fulkerson) with both sides of the inequality.  The smallest failing
+t is a masked argmax over the (k, n+1) comparison; the Fulkerson rows
+scan t and compare all tail lengths m at once; the Ryser interval row is
+one Gale-Ryser pass over the tilde system, the pass the bipartite
+witness route probes as well.  Sweeps evaluate each row over a chunk of
+instances at once.  The per-pair checkers (``check_cdz_reduced``,
+``check_berge_necessary``, ..., ``CHECKERS``, ``PAIR_CHECKS``) are the
+k = 1 view of the rows, read off the pair's cached
+``IntervalSequencePair.kernel``.  ``check_cdz`` alone streams the scalar
+kernel ``sequences._cdz_terms`` and stops at its first failure; the
+witness search probes that same stream, and so does
+``check_erdos_gallai_fixed``.  Verdicts are reproducible and can be
+re-verified by direct evaluation.  Checkers never re-sort their input;
+callers normalize first.
 
 ``CRITERIA`` declares each criterion once; the registries the report,
 the sweeps and the CLI read are derived from it.
@@ -21,14 +26,16 @@ the sweeps and the CLI read are derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .sequences import (
     IntervalSequencePair,
+    KernelPass,
     _cdz_terms,
     _check_nonnegative,
+    _row_histogram,
     _tilde_unchecked,
     require_good_order,
     require_non_increasing,
@@ -52,6 +59,27 @@ class CriterionVerdict:
 
 
 _HOLDS = CriterionVerdict(True)
+
+
+class Verdicts(NamedTuple):
+    """One criterion's verdicts over a batch of k pairs, as (k,) columns.
+
+    On a failing row, t (and m, where a second quantifier exists), lhs and
+    rhs are its smallest witness; a holding row's entries there mean
+    nothing.  A column the criterion reports no witness in is None.
+    """
+
+    holds: np.ndarray
+    t: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+    lhs: Optional[np.ndarray] = None
+    rhs: Optional[np.ndarray] = None
+
+    def verdict(self, i: int) -> CriterionVerdict:
+        """Row i as a CriterionVerdict."""
+        if self.holds[i]:
+            return _HOLDS
+        return CriterionVerdict(False, *(None if c is None else int(c[i]) for c in self[1:]))
 
 
 def _fail(t: int, lhs: int, rhs: int, m: Optional[int] = None) -> CriterionVerdict:
@@ -80,130 +108,138 @@ def check_cdz(pair: IntervalSequencePair) -> CriterionVerdict:
 
     Holds iff for every t in 0..n:
         sum(a[:t]) <= t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
-    t = 0 carries the parity obstruction through eps(0).  Sweeps and
-    reports read the same scan off the pair's kernel pass, ``_cdz_of_pass``.
+    t = 0 carries the parity obstruction through eps(0).  This is the
+    streaming scan; the table's cdz row is the same family over a batch.
     """
     require_good_order(pair)
     return _cdz_over_range(pair, pair.n)
 
 
-def _cdz_of_pass(pair: IntervalSequencePair) -> CriterionVerdict:
-    return _first_failure(pair.kernel.terms, pair.n + 1)
+def _failure_columns(lhs: np.ndarray, rhs: np.ndarray, stop=None) -> Verdicts:
+    """Row by row, the smallest t (below stop[i], if given) with lhs[i, t] > rhs[i, t].
+
+    The first True of each row of the (k, n+1) failure mask is its argmax;
+    a row whose argmax is False has no failure.
+    """
+    fails = lhs > rhs
+    if stop is not None:
+        fails &= np.arange(lhs.shape[1]) < stop[:, None]
+    rows = np.arange(len(fails))
+    t = fails.argmax(axis=1)
+    return Verdicts(~fails[rows, t], t, None, lhs[rows, t], rhs[rows, t])
 
 
-def check_cdz_reduced(pair: IntervalSequencePair) -> CriterionVerdict:
+def _cdz(kernel: KernelPass) -> Verdicts:
+    """Exact realizability test: the family of ``check_cdz``, over t in 0..n."""
+    return _failure_columns(kernel.lhs, kernel.rhs)
+
+
+def _cdz_reduced(kernel: KernelPass) -> Verdicts:
     """Same inequality family as check_cdz, scanned only for t <= s.
 
     s = max{i : a[i-1] >= i-1}; any failure of the full family already
     occurs in this range, so the verdict coincides with check_cdz.
     """
-    return _first_failure(pair.kernel.terms, pair.kernel.s + 1)
+    return _failure_columns(kernel.lhs, kernel.rhs, kernel.s + 1)
 
 
-def check_berge_necessary(pair: IntervalSequencePair) -> CriterionVerdict:
+def _berge_necessary(kernel: KernelPass) -> Verdicts:
     """Prefix domination by the Berge sequence of b: necessary only.
 
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) = rhs(t) + eps(t) - D_b(t) for
     every t in 0..n.  The converse direction fails; see the crossval harness.
     """
-    kernel = pair.kernel
-    terms = ((lhs, rhs + eps - deficit, eps)
-             for (lhs, rhs, eps), deficit in zip(kernel.terms, kernel.deficit_b))
-    return _first_failure(terms, pair.n + 1)
+    return _failure_columns(kernel.lhs, kernel.rhs + kernel.eps - kernel.deficit_b)
 
 
-def check_berge_sufficient(pair: IntervalSequencePair) -> CriterionVerdict:
+def _berge_sufficient(kernel: KernelPass) -> Verdicts:
     """Berge prefix domination sharpened by the parity correction: sufficient only.
 
     Holds iff sum(a[:t]) <= sum(berge(b)[:t]) - eps(t) = rhs(t) - D_b(t), t in 0..n.
     """
-    kernel = pair.kernel
-    terms = ((lhs, rhs - deficit, eps)
-             for (lhs, rhs, eps), deficit in zip(kernel.terms, kernel.deficit_b))
-    return _first_failure(terms, pair.n + 1)
+    return _failure_columns(kernel.lhs, kernel.rhs - kernel.deficit_b)
 
 
-def _fulkerson_scan(
-    pair: IntervalSequencePair, pick: Callable[[int, list[int]], Optional[int]]
-) -> CriterionVerdict:
-    """Smallest t for which ``pick(lhs, row)`` names a witness tail length m.
+def _fulkerson_scan(kernel: KernelPass, first_failing: bool) -> Verdicts:
+    """Smallest t at which a witness tail length m exists, row by row.
 
-    row[m] = t(n-m-1) + sum(b[n-m:]) - eps(t) is the right-hand side at
-    tail length m, for m in 0..n-t.
+    At t the right-hand side over m in 0..n-t is t(n-m-1) + sum(b[n-m:]) -
+    eps(t), one (k, n-t+1) array.  The witness m is the first failing one
+    if ``first_failing``, else the first of largest right-hand side, which
+    is a witness only if it fails.
     """
-    n = pair.n
-    tails = list(accumulate(reversed(pair.b), initial=0))  # tails[m] = sum(b[n-m:])
-    for t, (lhs, _, eps) in enumerate(pair.kernel.terms):
-        row = [t * (n - m - 1) + tails[m] - eps for m in range(n - t + 1)]
-        m = pick(lhs, row)
-        if m is not None:
-            return _fail(t, lhs, row[m], m=m)
-    return _HOLDS
+    k, width = kernel.lhs.shape
+    n = width - 1
+    tails = kernel.tail[:, ::-1]  # tails[:, m] = sum(b[n-m:])
+    rows = np.arange(k)
+    holds = np.ones(k, dtype=bool)
+    t_col, m_col, lhs_col, rhs_col = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    for t in range(width):
+        if not holds.any():
+            break
+        m = np.arange(n - t + 1)
+        rhs = t * (n - m - 1) + tails[:, :n - t + 1] - kernel.eps[:, t, None]
+        lhs = kernel.lhs[:, t]
+        if first_failing:
+            fails = lhs[:, None] > rhs
+            pick = fails.argmax(axis=1)
+            hit = holds & fails[rows, pick]
+        else:
+            pick = rhs.argmax(axis=1)
+            hit = holds & (lhs > rhs[rows, pick])
+        t_col[hit], m_col[hit] = t, pick[hit]
+        lhs_col[hit], rhs_col[hit] = lhs[hit], rhs[rows, pick][hit]
+        holds &= ~hit
+    return Verdicts(holds, t_col, m_col, lhs_col, rhs_col)
 
 
-def _first_failing_tail(lhs: int, row: list[int]) -> Optional[int]:
-    for m, rhs in enumerate(row):
-        if lhs > rhs:
-            return m
-    return None
-
-
-def _best_tail_if_all_fail(lhs: int, row: list[int]) -> Optional[int]:
-    best = max(row)
-    return row.index(best) if lhs > best else None
-
-
-def check_fulkerson(pair: IntervalSequencePair) -> CriterionVerdict:
+def _fulkerson(kernel: KernelPass) -> Verdicts:
     """Tail-sum family quantified over every admissible tail length m.
 
     Holds iff for all t in 0..n and all m in 0..n-t:
         sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
     Reports the lexicographically smallest failing (t, m).
     """
-    return _fulkerson_scan(pair, _first_failing_tail)
+    return _fulkerson_scan(kernel, first_failing=True)
 
 
-def check_fulkerson_exists(pair: IntervalSequencePair) -> CriterionVerdict:
+def _fulkerson_exists(kernel: KernelPass) -> Verdicts:
     """Weaker tail-sum variant: each t only needs one admissible m to work.
 
     Kept for side-by-side comparison with check_fulkerson in sweeps; the
     reported witness carries the m with the largest right-hand side.
     """
-    return _fulkerson_scan(pair, _best_tail_if_all_fail)
+    return _fulkerson_scan(kernel, first_failing=False)
 
 
-def _bollobas_terms(pair: IntervalSequencePair):
-    """Bollobas terms (lhs, rhs, shift) for t = 0..n.
-
-    sum(min(a[i], t-1) for i < t) = t(t-1) - D_a(t); adding shift = D_a(t)
-    to both sides gives the Grunbaum term, as max(t-1, x) = t-1 + x - min(x, t-1).
-    """
-    tails = accumulate(pair.b, sub, initial=sum(pair.b))  # sum(b[t:])
-    kernel = zip(pair.kernel.terms, pair.kernel.deficit_a, tails)
-    for t, ((lhs, _, eps), deficit, tail) in enumerate(kernel):
-        yield lhs, t * (t - 1) + tail - deficit - eps, deficit
+def _bollobas_rhs(kernel: KernelPass) -> np.ndarray:
+    """Bollobas's right-hand side, t(t-1) + sum(b[t:]) - D_a(t) - eps(t),
+    as sum(min(a[i], t-1) for i < t) = t(t-1) - D_a(t)."""
+    t = np.arange(kernel.lhs.shape[1])
+    return t * (t - 1) + kernel.tail - kernel.deficit_a - kernel.eps
 
 
-def check_bollobas(pair: IntervalSequencePair) -> CriterionVerdict:
+def _bollobas(kernel: KernelPass) -> Verdicts:
     """Clipped-lower-bound family.
 
     Holds iff for every t in 0..n:
         sum(a[:t]) <= sum(b[t:]) + sum(min(a[i], t-1) for i < t) - eps(t).
     """
-    return _first_failure(_bollobas_terms(pair), pair.n + 1)
+    return _failure_columns(kernel.lhs, _bollobas_rhs(kernel))
 
 
-def check_grunbaum(pair: IntervalSequencePair) -> CriterionVerdict:
+def _grunbaum(kernel: KernelPass) -> Verdicts:
     """Raised-prefix family.
 
     Holds iff for every t in 0..n:
         sum(max(t-1, a[i]) for i < t) <= t(t-1) + sum(b[t:]) - eps(t).
+    As max(t-1, x) = t-1 + x - min(x, t-1), this is Bollobas's family with
+    D_a(t) added to both sides.
     """
-    terms = ((lhs + shift, rhs + shift, shift) for lhs, rhs, shift in _bollobas_terms(pair))
-    return _first_failure(terms, pair.n + 1)
+    return _failure_columns(kernel.lhs + kernel.deficit_a, _bollobas_rhs(kernel) + kernel.deficit_a)
 
 
-def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
+def _hasselbarth(kernel: KernelPass) -> Verdicts:
     """Conjugate-prefix family, scanned for t up to s-1.
 
     Holds iff sum(a[:t]) <= sum(conj(b)[:t]) - t - eps(t) for every t in
@@ -212,7 +248,7 @@ def check_hasselbarth(pair: IntervalSequencePair) -> CriterionVerdict:
     b[k] with k < t is at least a[s-1] >= s-1 >= t, so both corrections
     vanish: this is the CDZ family over t <= s-1, one short of cdz_reduced.
     """
-    return _first_failure(pair.kernel.terms, pair.kernel.s)
+    return _failure_columns(kernel.lhs, kernel.rhs, kernel.s)
 
 
 def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
@@ -236,29 +272,20 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     return _first_failure(terms, len(d) + 1)
 
 
-def _gale_ryser_terms(
-    demand: Sequence[tuple[int, int]], supply: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (sum of the top k demands, sum(min(k, s) for s in supply), 0), k = 0..len(demand).
+def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
+    """Row i: some 0-1 matrix has row sums demand[i] and column sums at most supply[i].
 
-    Demands are the lower bounds of the ``demand`` cells, supplies the upper
-    bounds of the ``supply`` cells; some 0-1 matrix has row sums the demands
-    and column sums at most the supplies iff lhs <= rhs for every k (Gale
-    1957, Ryser 1957).  A histogram of the supplies gives rhs(k + 1) =
-    rhs(k) + #{s > k}, so after one sort of the demands the scan is O(n).
+    By Gale (1957) and Ryser (1957) that holds iff for every k the k
+    largest demands sum to at most sum(min(k, s) for s in supply[i]).  One
+    sort of each row's demands gives the left sides, and a histogram of
+    its supplies (capped at the number of demands) the right sides, as
+    rhs(k + 1) = rhs(k) + #{s > k}.
     """
-    top = len(demand)
-    count = [0] * (top + 1)
-    for _, s in supply:
-        count[min(s, top)] += 1
-    above = len(supply)  # #{s > k - 1}
-    lhs = rhs = 0
-    for k, d in enumerate(sorted((lo for lo, _ in demand), reverse=True)):
-        yield lhs, rhs, 0
-        above -= count[k]
-        lhs += d
-        rhs += above
-    yield lhs, rhs, 0
+    k, top = demand.shape
+    lhs = np.cumsum(np.sort(demand, axis=1)[:, ::-1], axis=1)
+    capped = np.minimum(supply, top)
+    above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1), axis=1)[:, :top]
+    return (lhs <= np.cumsum(above, axis=1)).all(axis=1)
 
 
 def ryser_interval_system(
@@ -271,18 +298,25 @@ def ryser_interval_system(
     return list(zip(ta, tb))
 
 
-def check_ryser_interval(pair: IntervalSequencePair) -> CriterionVerdict:
+def _lifted(x: np.ndarray) -> np.ndarray:
+    """The tilde lift of each row: 1 added to its first g entries, g the
+    largest i with x[i-1] >= i (0 if none)."""
+    i = np.arange(1, x.shape[1] + 1)
+    g = (i * (x >= i)).max(axis=1, initial=0)
+    return x + (i <= g[:, None])
+
+
+def _ryser_interval(kernel: KernelPass) -> Verdicts:
     """Necessary condition: the tilde interval system is bipartite realizable.
 
     Applies the tilde lift to a and b separately (each with its own
     crossing index) and decides feasibility of the symmetric bipartite
-    interval system.  Its two Gale-Ryser families coincide, so one O(n log n)
-    scan of the lifted lower bounds against the lifted upper bounds decides
-    it.  Realizable pairs always pass; the converse fails.  No witness
-    indices apply, so a failing verdict carries none.
+    interval system.  Its two Gale-Ryser families coincide, so one
+    O(n log n) pass of the lifted lower bounds against the lifted upper
+    bounds decides it.  Realizable pairs always pass; the converse fails.
+    No witness indices apply, so a failing verdict carries none.
     """
-    system = ryser_interval_system(pair)
-    return CriterionVerdict(_first_failure(_gale_ryser_terms(system, system), pair.n + 1).holds)
+    return Verdicts(_gale_ryser(_lifted(kernel.a), _lifted(kernel.b)))
 
 
 REPORT, SWEEP, NAMED = "report", "sweep", "named"
@@ -290,7 +324,10 @@ EXACT, NECESSARY, SUFFICIENT = ("necessity", "sufficiency"), ("necessity",), ("s
 
 
 class Criterion(NamedTuple):
-    """One criterion: its checker, display name, gated arrows and scope.
+    """One criterion: its row check, display name, gated arrows and scope.
+
+    ``check`` maps a kernel pass over k pairs to the criterion's verdict
+    columns; sweeps and the implication matrix call it once per chunk.
 
     ``gated`` names the arrows a sweep gates to zero against the oracle:
     "necessity" flags an oracle-realizable instance the criterion fails,
@@ -300,7 +337,7 @@ class Criterion(NamedTuple):
     sweep), SWEEP (the default sweep only) or NAMED (only a sweep naming it).
     """
 
-    check: Callable[[IntervalSequencePair], CriterionVerdict]
+    check: Callable[[KernelPass], Verdicts]
     display: str
     gated: tuple[str, ...]
     scope: str
@@ -310,21 +347,44 @@ class Criterion(NamedTuple):
 # gated: their sufficiency is empirically false on some inputs (see the
 # sweep harness), so none of them is a decision procedure here.
 CRITERIA: dict[str, Criterion] = {
-    "cdz": Criterion(_cdz_of_pass, "CDZ", EXACT, REPORT),
-    "cdz_reduced": Criterion(check_cdz_reduced, "CDZ-reduced", EXACT, REPORT),
-    "berge_necessary": Criterion(check_berge_necessary, "Berge-necessary", NECESSARY, REPORT),
-    "berge_sufficient": Criterion(check_berge_sufficient, "Berge-sufficient", SUFFICIENT, REPORT),
-    "fulkerson": Criterion(check_fulkerson, "Fulkerson", NECESSARY, REPORT),
-    "bollobas": Criterion(check_bollobas, "Bollobas", NECESSARY, REPORT),
-    "grunbaum": Criterion(check_grunbaum, "Grunbaum", NECESSARY, REPORT),
-    "hasselbarth": Criterion(check_hasselbarth, "Hasselbarth", NECESSARY, REPORT),
-    "ryser_interval": Criterion(check_ryser_interval, "Ryser-interval", NECESSARY, SWEEP),
-    "fulkerson_exists": Criterion(check_fulkerson_exists, "Fulkerson-exists", NECESSARY, NAMED),
+    "cdz": Criterion(_cdz, "CDZ", EXACT, REPORT),
+    "cdz_reduced": Criterion(_cdz_reduced, "CDZ-reduced", EXACT, REPORT),
+    "berge_necessary": Criterion(_berge_necessary, "Berge-necessary", NECESSARY, REPORT),
+    "berge_sufficient": Criterion(_berge_sufficient, "Berge-sufficient", SUFFICIENT, REPORT),
+    "fulkerson": Criterion(_fulkerson, "Fulkerson", NECESSARY, REPORT),
+    "bollobas": Criterion(_bollobas, "Bollobas", NECESSARY, REPORT),
+    "grunbaum": Criterion(_grunbaum, "Grunbaum", NECESSARY, REPORT),
+    "hasselbarth": Criterion(_hasselbarth, "Hasselbarth", NECESSARY, REPORT),
+    "ryser_interval": Criterion(_ryser_interval, "Ryser-interval", NECESSARY, SWEEP),
+    "fulkerson_exists": Criterion(_fulkerson_exists, "Fulkerson-exists", NECESSARY, NAMED),
 }
 
-CHECKERS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
-    name: row.check for name, row in CRITERIA.items() if row.scope == REPORT
+
+def _pair_view(name: str) -> Callable[[IntervalSequencePair], CriterionVerdict]:
+    """CRITERIA[name] on one pair: its row check at k = 1, off the pair's kernel pass."""
+    rows = CRITERIA[name].check
+
+    def check(pair: IntervalSequencePair) -> CriterionVerdict:
+        return rows(pair.kernel).verdict(0)
+
+    check.__name__ = check.__qualname__ = f"check_{name}"
+    check.__doc__ = rows.__doc__
+    return check
+
+
+PAIR_CHECKS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
+    name: _pair_view(name) for name in CRITERIA
 }
+CHECKERS = {name: PAIR_CHECKS[name] for name, row in CRITERIA.items() if row.scope == REPORT}
+check_cdz_reduced = PAIR_CHECKS["cdz_reduced"]
+check_berge_necessary = PAIR_CHECKS["berge_necessary"]
+check_berge_sufficient = PAIR_CHECKS["berge_sufficient"]
+check_fulkerson = PAIR_CHECKS["fulkerson"]
+check_fulkerson_exists = PAIR_CHECKS["fulkerson_exists"]
+check_bollobas = PAIR_CHECKS["bollobas"]
+check_grunbaum = PAIR_CHECKS["grunbaum"]
+check_hasselbarth = PAIR_CHECKS["hasselbarth"]
+check_ryser_interval = PAIR_CHECKS["ryser_interval"]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,15 @@ The oracle counts, for every labelled degree vector, the edge subsets of
 the complete graph K_n that produce it, by a dynamic program over the
 edges, and keeps those counts as n-dimensional prefix sums (a summed-area
 table).  A box query is then an exact inclusion-exclusion sum over the
-box's 2^n corners, and a sweep gathers the corners of a whole chunk of
-boxes at once.  It never consults the criteria module, which is what
-makes the agreement sweeps meaningful.
+box's 2^n corners.  The oracle never consults the criteria module, which
+is what makes the agreement sweeps meaningful.
+
+A sweep (``cross_validate``) and the implication matrix take their
+instances in chunks of up to SWEEP_CHUNK pairs of equal size, held as
+two (k, n) bound arrays.  Each chunk makes one oracle gather over its
+boxes and one kernel pass, every ``criteria.CRITERIA`` row is evaluated
+over the whole chunk, and the tallies are counts over the boolean
+verdict columns; only the violations are built one instance at a time.
 """
 
 from __future__ import annotations
@@ -24,14 +30,14 @@ import numpy as np
 
 from . import criteria as _criteria
 from .errors import InputError, TooLarge, UnknownCriterion
-from .sequences import IntervalSequencePair
+from .sequences import IntervalSequencePair, kernel_pass, require_good_order
 
 MAX_EXHAUSTIVE_N = 7
 MAX_MATRIX_N = 6
-# Boxes per oracle gather in a sweep: about 10 KB of corners each at n = 7
+# Instances per chunk of a sweep: about 10 KB of oracle corners each at n = 7
 SWEEP_CHUNK = 256
 
-ALL_CRITERIA = {name: row.check for name, row in _criteria.CRITERIA.items()}
+ALL_CRITERIA = _criteria.PAIR_CHECKS  # every criterion on one pair, by name
 DEFAULT_SWEEP_CRITERIA = tuple(
     name for name, row in _criteria.CRITERIA.items() if row.scope != _criteria.NAMED
 )
@@ -138,23 +144,39 @@ def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
 
 
 def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
-    """The rank-th pair of enumerate_instances(n), computed directly."""
+    """The rank-th pair of enumerate_instances(n), computed directly.
+
+    With L cells and r more to place after position pos, comb(L-x+r, r+1)
+    multisets fill positions pos.. from cell x on (the hockey-stick
+    identity), so choosing cell x instead of c skips comb(L-c+r, r+1) -
+    comb(L-x+r, r+1) of them.  The cell at pos is the largest x whose skip
+    fits in the rank, found by an exponential search from c and then
+    bisection: O(log L) binomials per position rather than one per cell.
+    """
     cells = _cells(n)
     total = instance_space_size(n)
     if not 0 <= rank < total:
         raise IndexError(f"rank {rank} not in [0, {total})")
+    size = len(cells)
     combo = []
     c = 0
+    fit = total  # comb(size - c + r, r + 1): multisets filling positions pos.. from cell c on
     for pos in range(n):
-        remaining = n - pos - 1
-        while True:
-            # tails: multisets of size `remaining` drawn from cells c..end
-            tails = comb(len(cells) - c + remaining - 1, remaining)
-            if rank < tails:
-                break
-            rank -= tails
-            c += 1
+        r = n - pos - 1
+        target = fit - rank  # cell x fits iff comb(size - x + r, r + 1) >= target
+        step = 1
+        while c + step < size and (above := comb(size - c - step + r, r + 1)) >= target:
+            c, fit, step = c + step, above, 2 * step
+        bad = min(c + step, size)
+        while bad - c > 1:
+            mid = (c + bad) // 2
+            if (above := comb(size - mid + r, r + 1)) >= target:
+                c, fit = mid, above
+            else:
+                bad = mid
+        rank = fit - target
         combo.append(cells[c])
+        fit = fit * (r + 1) // (size - c + r)  # comb(size - c + r - 1, r), for position pos + 1
     return _pair_of(combo)
 
 
@@ -198,9 +220,9 @@ def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:
     if names is None:
         return DEFAULT_SWEEP_CRITERIA
     for name in names:
-        if name not in ALL_CRITERIA:
+        if name not in _criteria.CRITERIA:
             raise UnknownCriterion(
-                f"unknown criterion {name!r}; available: {', '.join(sorted(ALL_CRITERIA))}"
+                f"unknown criterion {name!r}; available: {', '.join(sorted(_criteria.CRITERIA))}"
             )
     return tuple(names)
 
@@ -327,33 +349,38 @@ def cross_validate(
         report.cdz_reduced_disagreements = 0
 
     start = time.perf_counter()
-    decided = (_oracle_decisions(n, instances) if report.oracle_used
-               else zip(instances, itertools.repeat(None)))
-    for index, (pair, realizable) in enumerate(decided):
-        report.instance_count += 1
-        verdicts = {name: ALL_CRITERIA[name](pair) for name in names}
-        if track_reduced and verdicts["cdz"] != verdicts["cdz_reduced"]:
-            report.cdz_reduced_disagreements += 1
+    index = 0
+    for chunk, lows, highs in _chunks(instances):
+        kernel = kernel_pass(lows, highs)
+        verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
+        flagged = []  # (offset in chunk, 0 or 1 + position in names, criterion, arrow)
+        if track_reduced:
+            differ = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
+            report.cdz_reduced_disagreements += int(differ.sum())
+            flagged += [(i, 0, "cdz_reduced", "reduced-vs-full")
+                        for i in np.flatnonzero(differ).tolist()]
+        for name in names:
+            report.holds_counts[name] += int(verdicts[name].holds.sum())
+        if report.oracle_used:
+            realizable = _box_counts(n, lows, highs) > 0
+            report.oracle_yes += int(realizable.sum())
+            for slot, name in enumerate(names, 1):
+                holds = verdicts[name].holds
+                cell = report.cells[name]
+                cell["oracle_yes_holds"] += int((realizable & holds).sum())
+                cell["oracle_yes_fails"] += int((realizable & ~holds).sum())
+                cell["oracle_no_holds"] += int((~realizable & holds).sum())
+                cell["oracle_no_fails"] += int((~realizable & ~holds).sum())
+                # the arrow a disagreement breaks
+                for arrow, broken in (("necessity", realizable & ~holds),
+                                      ("sufficiency", ~realizable & holds)):
+                    if arrow in _criteria.CRITERIA[name].gated:
+                        flagged += [(i, slot, name, arrow) for i in np.flatnonzero(broken).tolist()]
+        for i, _, name, arrow in sorted(flagged):
             report.violations.append(
-                _violation(index, pair, "cdz_reduced", "reduced-vs-full", verdicts["cdz_reduced"])
-            )
-        for name in names:
-            report.holds_counts[name] += verdicts[name].holds
-        if realizable is None:
-            continue
-        report.oracle_yes += int(realizable)
-        for name in names:
-            verdict = verdicts[name]
-            key = (
-                "oracle_yes_holds" if realizable and verdict.holds
-                else "oracle_yes_fails" if realizable
-                else "oracle_no_holds" if verdict.holds
-                else "oracle_no_fails"
-            )
-            report.cells[name][key] += 1
-            arrow = "necessity" if realizable else "sufficiency"  # the arrow a disagreement breaks
-            if verdict.holds != realizable and arrow in _criteria.CRITERIA[name].gated:
-                report.violations.append(_violation(index, pair, name, arrow, verdict))
+                _violation(index + i, chunk[i], name, arrow, verdicts[name].verdict(i)))
+        index += len(chunk)
+    report.instance_count = index
     report.elapsed = time.perf_counter() - start
     if report.oracle_used:
         cdz = report.cells["cdz"]
@@ -361,14 +388,28 @@ def cross_validate(
     return report
 
 
-def _oracle_decisions(
-    n: int, pairs: Iterable[IntervalSequencePair]
-) -> Iterator[tuple[IntervalSequencePair, bool]]:
-    """Each pair with its oracle decision, SWEEP_CHUNK boxes per ``_box_counts`` call."""
-    pairs = iter(pairs)
-    while chunk := list(itertools.islice(pairs, SWEEP_CHUNK)):
-        counts = _box_counts(n, [p.a for p in chunk], [p.b for p in chunk])
-        yield from zip(chunk, (counts > 0).tolist())
+def _chunks(
+    pairs: Iterable[IntervalSequencePair],
+) -> Iterator[tuple[list[IntervalSequencePair], np.ndarray, np.ndarray]]:
+    """Runs of up to SWEEP_CHUNK consecutive pairs of equal size, in order,
+    each with its lower and upper bounds as (k, n) int64 arrays."""
+    for n, run in itertools.groupby(pairs, key=lambda pair: pair.n):
+        while chunk := list(itertools.islice(run, SWEEP_CHUNK)):
+            lows = np.array([p.a for p in chunk], dtype=np.int64).reshape(len(chunk), n)
+            highs = np.array([p.b for p in chunk], dtype=np.int64).reshape(len(chunk), n)
+            yield chunk, lows, highs
+
+
+def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
+    """Rows on which two criteria's verdicts differ as CriterionVerdicts: in
+    holds or, where both fail, in a witness column (a column against None
+    differs on every such row)."""
+    differ = x.holds != y.holds
+    for cx, cy in zip(x[1:], y[1:]):
+        if cx is None and cy is None:
+            continue
+        differ |= ~x.holds & (True if cx is None or cy is None else cx != cy)
+    return differ
 
 
 def _violation(index, pair, name, direction, verdict) -> dict:
@@ -448,21 +489,22 @@ def implication_matrix(
         if n > MAX_MATRIX_N:
             raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
         pairs = enumerate_instances(n)
+    else:
+        pairs = list(pairs)
+        for pair in pairs:
+            require_good_order(pair)
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
-    for pair in pairs:
-        total += 1
-        holds = {name: ALL_CRITERIA[name](pair).holds for name in names}
-        if all(holds.values()):
-            continue
-        for x in names:
-            if not holds[x]:
-                continue
-            for y in names:
-                if x != y and not holds[y]:
-                    counts[(x, y)] += 1
-                    examples.setdefault((x, y), pair)
+    for chunk, lows, highs in _chunks(pairs):
+        total += len(chunk)
+        kernel = kernel_pass(lows, highs)
+        holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}
+        for x, y in counts:
+            cases = holds[x] & ~holds[y]
+            if cases.any():
+                counts[(x, y)] += int(cases.sum())
+                examples.setdefault((x, y), chunk[int(cases.argmax())])
     return ImplicationMatrix(
         criteria=names, instance_count=total, counts=counts, examples=examples
     )

@@ -7,7 +7,7 @@ on 2 cores).  The witness travels as two sorted integer edge
 columns from Havel-Hakimi through ``verify_witness`` to the edge-list,
 DOT and JSON writers, so no per-edge Python object is built on the way.
 The bipartite route decides a per-vertex degree-interval
-system by two one-sided Gale-Ryser scans (O(n log n) each), fixes exact
+system by two one-sided Gale-Ryser passes (O(n log n) each), fixes exact
 degrees by self-reduction through them and realizes those with the
 constructive Gale-Ryser greedy.  Both routes are exact and are
 cross-validated against brute-force enumeration at small sizes.
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import _cdz_over_range, _first_failure, _gale_ryser_terms
+from .criteria import _cdz_over_range, _gale_ryser
 from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from .sequences import (
     IntervalSequencePair,
@@ -308,10 +308,11 @@ def _interval_feasible(left: Sequence[tuple[int, int]], right: Sequence[tuple[in
 
     By Hoffman's circulation theorem the cut conditions split into two
     one-sided Gale-Ryser families, each side's lower bounds against the
-    other side's upper bounds.
+    other side's upper bounds: two one-row passes of ``_gale_ryser``.
     """
-    families = ((left, right), (right, left))
-    return all(_first_failure(_gale_ryser_terms(d, s), len(d) + 1).holds for d, s in families)
+    left, right = (np.array(side, dtype=np.int64).reshape(1, -1, 2) for side in (left, right))
+    return bool(_gale_ryser(left[..., 0], right[..., 1])[0]
+                and _gale_ryser(right[..., 0], left[..., 1])[0])
 
 
 def interval_bipartite_realize(

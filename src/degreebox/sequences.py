@@ -16,8 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     EntryTooLarge,
@@ -34,17 +35,25 @@ DegreeSequence = tuple[int, ...]
 
 
 class KernelPass(NamedTuple):
-    """The CDZ kernel's pass over a good-ordered pair, materialized for t = 0..n.
+    """The CDZ kernel's columns over a batch of k pairs of equal size n.
 
-    terms[t] is the (lhs, rhs, eps) of ``_cdz_terms``, deficit_a[t] and
-    deficit_b[t] the head deficits D_a(t) and D_b(t) of ``_head_deficits``,
-    and s = ``_reduced_range(a)``.  Every criterion but Ryser's is read off it.
+    a and b are the (k, n) bound arrays.  Column t of each (k, n+1) array
+    is, row by row: lhs = sum(a[:t]), rhs = t(t-1) + sum(min(t, b[j]) for
+    j >= t) - eps(t), the parity correction eps(t), tail = sum(b[t:]), and
+    the head deficits D_a(t), D_b(t), with D_x(t) = sum(max(0, t-1-x[k])
+    for k < t).  s[i] = #{j : a[i, j] >= j}, which is max{t : a[t-1] >= t-1}
+    when row i is in good order.  Every criterion is read off these columns.
     """
 
-    terms: tuple[tuple[int, int, int], ...]
-    deficit_a: tuple[int, ...]
-    deficit_b: tuple[int, ...]
-    s: int
+    a: np.ndarray
+    b: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    eps: np.ndarray
+    tail: np.ndarray
+    deficit_a: np.ndarray
+    deficit_b: np.ndarray
+    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,12 +69,11 @@ class IntervalSequencePair:
 
     @cached_property
     def kernel(self) -> KernelPass:
-        """This pair's KernelPass, built on first use after the good-order
-        check (which raises NotGoodOrder, and caches nothing, on unordered
-        input); every later read returns the same immutable pass."""
+        """This pair's kernel pass, a batch of one, built on first use after
+        the good-order check (which raises NotGoodOrder, and caches nothing,
+        on unordered input); every later read returns the same pass."""
         require_good_order(self)
-        return KernelPass(tuple(_cdz_terms(self.a, self.b)), tuple(_head_deficits(self.a)),
-                          tuple(_head_deficits(self.b)), _reduced_range(self.a))
+        return kernel_pass([self.a], [self.b])
 
 
 @dataclass(frozen=True)
@@ -165,9 +173,8 @@ def berge_sequence(d: Sequence[int]) -> DegreeSequence:
     for k, x in enumerate(d):
         if x > n - 1:
             raise EntryTooLarge(f"entry d[{k}] = {x} exceeds n-1 = {n - 1}")
-    prefixes = [rhs + eps - deficit
-                for (_, rhs, eps), deficit in zip(_cdz_terms(d, d), _head_deficits(d))]
-    return tuple(map(sub, prefixes[1:], prefixes))
+    kernel = kernel_pass([d], [d])
+    return tuple(np.diff(kernel.rhs + kernel.eps - kernel.deficit_b)[0].tolist())
 
 
 def conjugate_sequence(d: Sequence[int]) -> DegreeSequence:
@@ -221,11 +228,8 @@ def parity_correction(pair: IntervalSequencePair, t: int) -> int:
 
 
 def parity_corrections(pair: IntervalSequencePair) -> tuple[int, ...]:
-    """The parity correction eps(t) for every t in 0..n, in one O(n) pass.
-
-    This is the eps column of _cdz_terms, so eps has a single implementation.
-    """
-    return tuple(eps for _, _, eps in _cdz_terms(pair.a, pair.b))
+    """The parity correction eps(t) for every t in 0..n: the kernel pass's eps column."""
+    return tuple(kernel_pass([pair.a], [pair.b]).eps[0].tolist())
 
 
 def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -268,21 +272,55 @@ def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, i
                 loose_count[hi] -= lo < hi
 
 
-def _head_deficits(x: Sequence[int]) -> Iterator[int]:
-    """Yield the head deficit D_x(t) = sum(max(0, t-1-x[k]) for k < t), t = 0..n.
+def kernel_pass(a, b) -> KernelPass:
+    """The kernel's columns for a (k, n) batch of bounds a, b, in O(kn).
 
-    Going to t+1, D grows by #{k < t : x[k] < t} + max(0, t - x[t]), and a
-    histogram of the head entries not yet below t keeps that count: O(n).
-    Any order of the entries works; each must lie in 0..n.
+    Every column is a per-row histogram of a threshold, summed up to t.
+    Cell j lies in S(t) = {j >= t : b[j] > t} iff t < min(j, b[j] - 1) + 1,
+    so |S(t)|, the b-sum over S(t) and its unforced (a < b) cells, like
+    sum(b[t:]), are histograms summed from the top down.  Head k adds
+    t - 1 - x[k] to D_x(t) from t = max(k + 1, x[k] + 2) on, so D_x(t) is
+    t * #{heads started} - sum(1 + x[k] over them), and these, like
+    sum(a[:t]), are histograms summed from the bottom up.  All nine
+    histograms are one bincount, in float64, which is exact while each
+    row's weights (at most n per cell) sum below 2^53.  Any order of the
+    cells works; entries of b must lie in 0..n-1.
     """
-    high = [0] * (len(x) + 1)  # high[v], v >= t: entries k < t with x[k] == v
-    deficit = low = 0
-    for t, v in enumerate(x):
-        yield deficit
-        deficit += low + max(0, t - v)
-        low += high[t] + (v <= t)
-        high[v] += 1  # read again only if v > t
-    yield deficit
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    k, n = a.shape
+    t = np.arange(n + 1)
+    index = np.empty((9, k, n), dtype=np.int64)
+    weights = np.ones((9, k, n))
+    index[:3] = np.minimum(t[:-1], b - 1) + 1  # |S(t)|, its b-sum, its unforced cells
+    weights[1], weights[2] = b, a < b
+    index[3:5] = t[1:]  # sum(b[t:]), sum(a[:t])
+    weights[3], weights[4] = b, a
+    index[5:7] = np.maximum(t[1:], a + 2)  # heads started in D_a, their 1 + a[k]
+    weights[6] = a + 1
+    index[7:] = np.maximum(t[1:], b + 2)  # the same for D_b
+    weights[8] = b + 1
+    hist = _row_histogram(index.reshape(9 * k, n), n + 2, weights).reshape(9, k, n + 2)
+    # summed from the top, column c counts entries >= c: the value at t is column t + 1
+    size, total, loose, tail = np.cumsum(hist[:4, :, :0:-1], axis=2)[:, :, ::-1]
+    lhs, started_a, offset_a, started_b, offset_b = np.cumsum(hist[4:, :, :-1], axis=2)
+    eps = np.where(loose == 0, (total + t * size) % 2, 0)
+    rhs = t * (t - 1) + tail - total + t * size - eps
+    return KernelPass(a, b, lhs, rhs, eps, tail, t * started_a - offset_a,
+                      t * started_b - offset_b, (a >= t[:-1]).sum(axis=1))
+
+
+def _row_histogram(index: np.ndarray, width: int, weights=None) -> np.ndarray:
+    """Row i's bincount of index[i] (entries in 0..width-1), as a (k, width) int64 array.
+
+    A weighted bincount comes back as float64; it is exact, and so is the
+    cast back, while every row's weight sum stays below 2^53.
+    """
+    k = len(index)
+    flat = (index + width * np.arange(k)[:, None]).ravel()
+    weights = None if weights is None else weights.ravel()
+    counts = np.bincount(flat, weights, minlength=k * width)
+    return counts.astype(np.int64, copy=False).reshape(k, width)
 
 
 def _reduced_range(a: Sequence[int]) -> int:

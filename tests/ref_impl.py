@@ -6,6 +6,7 @@ bookkeeping, so a bug in the implementation cannot hide in the tests.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 
@@ -158,6 +159,25 @@ def ref_graphic_vector_in_box(pair, decide):
                 top = mid - 1
         cells[i] = (lo, lo)
     return tuple(lo for lo, _ in cells)
+
+
+def ref_unrank_cells(cells, n, rank):
+    """The rank-th size-n multiset of ``cells`` in lexicographic order, as a
+    list of cells: at each position, walk the cells one by one and skip the
+    multisets that start with each."""
+    combo = []
+    c = 0
+    for pos in range(n):
+        remaining = n - pos - 1
+        while True:
+            # tails: multisets of size `remaining` drawn from cells c..end
+            tails = math.comb(len(cells) - c + remaining - 1, remaining)
+            if rank < tails:
+                break
+            rank -= tails
+            c += 1
+        combo.append(cells[c])
+    return combo
 
 
 @lru_cache(maxsize=None)

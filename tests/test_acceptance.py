@@ -15,7 +15,12 @@ from typing import Optional
 import pytest
 
 from degreebox.cli import main, run_identity_suite
-from degreebox.criteria import check_cdz, check_erdos_gallai_fixed, ryser_interval_system
+from degreebox.criteria import (
+    CRITERIA,
+    check_cdz,
+    check_erdos_gallai_fixed,
+    ryser_interval_system,
+)
 from degreebox.oracle import (
     DEFAULT_SWEEP_CRITERIA,
     ALL_CRITERIA,
@@ -33,7 +38,7 @@ from degreebox.realize import (
     realize_pair,
     verify_witness,
 )
-from degreebox.sequences import validate_and_clamp
+from degreebox.sequences import kernel_pass, validate_and_clamp
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
 ODD_ONES = validate_and_clamp((1, 1, 1), (1, 1, 1))
@@ -61,18 +66,26 @@ class Record:
     witness_ok: bool
 
 
+def _batch_verdicts(pairs, name):
+    """The named criterion's row check over pairs of one size, as one batch."""
+    kernel = kernel_pass([p.a for p in pairs], [p.b for p in pairs])
+    return CRITERIA[name].check(kernel)
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    """Exhaustive n <= 5 sweep: oracle, all criteria, witness construction."""
+    """Exhaustive n <= 5 sweep: oracle, all criteria, witness construction.
+
+    The criteria run as sweeps run them, one batch per n."""
     start = time.perf_counter()
     records = []
     for n in range(0, 6):
-        for pair in enumerate_instances(n):
+        pairs = list(enumerate_instances(n))
+        verdicts = {name: _batch_verdicts(pairs, name).holds.tolist()
+                    for name in DEFAULT_SWEEP_CRITERIA}
+        for i, pair in enumerate(pairs):
             realizable = oracle_decide(pair)
-            holds = {
-                name: ALL_CRITERIA[name](pair).holds
-                for name in DEFAULT_SWEEP_CRITERIA
-            }
+            holds = {name: verdicts[name][i] for name in DEFAULT_SWEEP_CRITERIA}
             graph = realize_pair(pair)
             witness_ok = graph is None or verify_witness(graph, pair.a, pair.b)
             records.append(Record(pair, realizable, holds, graph, witness_ok))
@@ -122,12 +135,14 @@ def test_a3_reduced_range_equivalence(sweep):
     records, _ = sweep
     for r in records:
         assert r.holds["cdz"] == r.holds["cdz_reduced"]
+    pairs = list(random_instances(100_000, 12, seed=42))
     checked = 0
-    for pair in random_instances(100_000, 12, seed=42):
-        full = check_cdz(pair)
-        reduced = ALL_CRITERIA["cdz_reduced"](pair)
-        assert full == reduced, pair
-        checked += 1
+    for n in range(1, 13):
+        group = [pair for pair in pairs if pair.n == n]
+        reduced = _batch_verdicts(group, "cdz_reduced")
+        for i, pair in enumerate(group):
+            assert check_cdz(pair) == reduced.verdict(i), pair
+            checked += 1
     assert checked == 100_000
     announce("3 (reduced check range equivalent on n<=5 and 10^5 random n<=12)")
 
@@ -211,8 +226,11 @@ def test_a8_deterministic_reports():
 
 
 def test_a9_exhaustive_n6_oracle_equivalence():
-    report = cross_validate(6, criteria=["cdz"])
+    """Every default sweep criterion against the oracle on all of n = 6."""
+    report = cross_validate(6)
+    assert report.criteria == DEFAULT_SWEEP_CRITERIA
     assert report.instance_count == 230_230
     assert report.cdz_oracle_disagreements == 0
+    assert report.cdz_reduced_disagreements == 0
     assert report.violations == []
-    announce("9 (cdz = oracle on all 230,230 instances with n=6)")
+    announce("9 (cdz = oracle and every gated arrow on all 230,230 instances with n=6)")

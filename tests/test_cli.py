@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degreebox
@@ -14,8 +15,7 @@ from degreebox.cli import (
     parse_instance,
     run_identity_suite,
 )
-from degreebox import oracle
-from degreebox.criteria import CriterionVerdict
+from degreebox import criteria
 from degreebox.errors import LengthMismatch
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
@@ -158,9 +158,13 @@ class TestExitCodes:
         {"cdz_reduced": True, "hasselbarth": False},
     ])
     def test_crossval_fails_on_every_gated_violation(self, patches, monkeypatch, capsys):
-        """Exit 1 when any gated arrow breaks, not only when cdz disagrees with the oracle."""
+        """Exit 1 when any gated arrow breaks, not only when cdz disagrees with the oracle.
+
+        The patched rows are the batch checks that sweeps and the matrix read."""
         for name, holds in patches.items():
-            monkeypatch.setitem(oracle.ALL_CRITERIA, name, lambda pair, v=CriterionVerdict(holds): v)
+            row = criteria.CRITERIA[name]._replace(
+                check=lambda kernel, h=holds: criteria.Verdicts(np.full(len(kernel.s), h)))
+            monkeypatch.setitem(criteria.CRITERIA, name, row)
         assert main(["--json", "crossval", "3"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["cdz_oracle_disagreements"] == 0

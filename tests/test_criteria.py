@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import ref_impl
 from degreebox.criteria import (
     CHECKERS,
+    CRITERIA,
     check_berge_necessary,
     check_berge_sufficient,
     check_bollobas,
@@ -24,6 +26,7 @@ from degreebox.errors import NegativeEntry, NotGoodOrder, NotNonIncreasing
 from degreebox.oracle import ALL_CRITERIA, enumerate_instances, random_instances
 from degreebox.sequences import (
     IntervalSequencePair,
+    kernel_pass,
     normalize_good_order,
     parity_corrections,
     validate_and_clamp,
@@ -217,29 +220,62 @@ def test_public_checkers_reject_unordered_input(check):
             check(pair)
 
 
+PINNED_VERDICTS = "3419c7646664a682c1f56bca4ab5f6c91c5dd960ff058ebdc46459bb3e20d8a6"
+
+
+def _batch_verdicts(pairs):
+    """Every CRITERIA row over pairs, each equal-n group as one batch:
+    out[i][name] is pair i's verdict."""
+    out = [{} for _ in pairs]
+    for n in sorted({pair.n for pair in pairs}):
+        group = [i for i, pair in enumerate(pairs) if pair.n == n]
+        kernel = kernel_pass([pairs[i].a for i in group], [pairs[i].b for i in group])
+        for name, row in CRITERIA.items():
+            verdicts = row.check(kernel)
+            for j, i in enumerate(group):
+                out[i][name] = verdicts.verdict(j)
+    return out
+
+
 def test_one_pass_rows_match_per_checker_verdicts():
-    """Every ALL_CRITERIA row evaluated as a sweep does it, all on one pair
-    object and so all off one kernel pass, against a pinned digest.
+    """Every ALL_CRITERIA checker, all on one pair object and so all off one
+    kernel pass, and every CRITERIA row over batches, against a pinned digest.
 
     The digest covers holds, witness t and m, lhs and rhs of every row on
     every good-ordered pair with n <= 4 and on 60 seeded boxes (every
     fourth up to n = 300, the rest up to 60, every third the point box
     (b; b)).  It was pinned when each checker ran its own kernel and
-    head-deficit passes.  The streaming check_cdz must agree with the
-    cdz row read off the pass.
+    head-deficit passes.  The batch digest evaluates each equal-n group
+    of those pairs as one batch.  The streaming check_cdz must agree with
+    the cdz row read off the pass.
     """
     rng = random.Random(20261021)
     boxes = []
     for k in range(60):
         a, b = ref_impl.random_box(rng, rng.randint(1, 300 if k % 4 == 0 else 60))
         boxes.append(normalize_good_order(b if k % 3 == 1 else a, b).pair)
-    out = hashlib.sha256()
-    for pair in itertools.chain(_all_small_pairs(), boxes):
+    pairs = list(itertools.chain(_all_small_pairs(), boxes))
+    batched = _batch_verdicts(pairs)
+    per_pair, batch = hashlib.sha256(), hashlib.sha256()
+    for pair, row_verdicts in zip(pairs, batched):
         for name, check in ALL_CRITERIA.items():
-            v = check(pair)
-            out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
+            for out, v in ((per_pair, check(pair)), (batch, row_verdicts[name])):
+                out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
         assert check_cdz(pair) == ALL_CRITERIA["cdz"](pair), pair
-    assert out.hexdigest() == "3419c7646664a682c1f56bca4ab5f6c91c5dd960ff058ebdc46459bb3e20d8a6"
+    assert per_pair.hexdigest() == PINNED_VERDICTS
+    assert batch.hexdigest() == PINNED_VERDICTS
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_rows_on_tiny_and_empty_batches(n):
+    """Batches of repeated pairs at n <= 2, and a batch of no pairs, against
+    the per-pair checkers."""
+    pairs = list(enumerate_instances(n)) * 3
+    for i, verdicts in enumerate(_batch_verdicts(pairs)):
+        assert verdicts == {name: check(pairs[i]) for name, check in ALL_CRITERIA.items()}
+    empty = kernel_pass(np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64))
+    for row in CRITERIA.values():
+        assert row.check(empty).holds.shape == (0,)
 
 
 def test_checkers_match_reference_scan_exhaustively():

@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
 from degreebox.criteria import check_cdz
 from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
+    ALL_CRITERIA,
     SWEEP_CHUNK,
     _box_counts,
-    _oracle_decisions,
+    _cells,
+    _chunks,
     cross_validate,
     enumerate_instances,
     implication_matrix,
@@ -24,7 +27,7 @@ from degreebox.sequences import (
     normalize_good_order,
     validate_and_clamp,
 )
-from ref_impl import ref_witness_count
+from ref_impl import ref_unrank_cells, ref_witness_count
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
 
@@ -67,15 +70,18 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", range(8))
     def test_batched_counts_match_per_box_queries(self, n):
-        """One gather over many boxes, and a sweep's chunked decisions, equal
-        per-box oracle_realizable; past n = 3 the batch of 2 * SWEEP_CHUNK + 37
-        boxes is not a whole number of chunks."""
+        """One gather over many boxes, and a sweep's chunks, equal per-box
+        oracle_realizable; past n = 3 the batch of 2 * SWEEP_CHUNK + 37 boxes
+        is not a whole number of chunks."""
         pairs = sample_instances(n, 2 * SWEEP_CHUNK + 37, seed=n)
-        expected = [oracle_realizable(pair) for pair in pairs]
+        expected = [oracle_realizable(pair).witness_count for pair in pairs]
         counts = _box_counts(n, [p.a for p in pairs], [p.b for p in pairs])
-        assert counts.tolist() == [r.witness_count for r in expected]
-        decided = list(_oracle_decisions(n, pairs))
-        assert decided == [(p, r.realizable) for p, r in zip(pairs, expected)]
+        assert counts.tolist() == expected
+        chunks = list(_chunks(pairs))
+        assert [p for chunk, _, _ in chunks for p in chunk] == pairs
+        assert all(0 < len(chunk) <= SWEEP_CHUNK for chunk, _, _ in chunks)
+        chunked = [_box_counts(n, lows, highs).tolist() for _, lows, highs in chunks]
+        assert sum(chunked, []) == expected
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
@@ -128,6 +134,26 @@ class TestInstanceSpace:
         instances = list(enumerate_instances(5))
         for rank in (0, 1, 777, 11627):
             assert unrank_instance(5, rank) == instances[rank]
+
+    def test_unrank_bisection_matches_linear_walk(self):
+        """Every rank with n <= 5, and 200 seeded ranks at each of n = 7, 9,
+        20 and 60, against the cell-by-cell walk of the reference."""
+        rng = random.Random(20261018)
+        ranks = [(n, rank) for n in range(6) for rank in range(instance_space_size(n))]
+        for n in (7, 9, 20, 60):
+            total = instance_space_size(n)
+            ranks += [(n, rng.randrange(total)) for _ in range(196)]
+            ranks += [(n, 0), (n, 1), (n, total - 2), (n, total - 1)]
+        for n, rank in ranks:
+            cells = ref_unrank_cells(_cells(n), n, rank)
+            expected = IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
+            assert unrank_instance(n, rank) == expected, (n, rank)
+
+    def test_unrank_at_n400_is_fast(self):
+        start = time.perf_counter()
+        pair = unrank_instance(400, instance_space_size(400) // 3)
+        assert is_good_order(pair) and pair.n == 400
+        assert time.perf_counter() - start < 5.0
 
     def test_sampling_is_seeded_and_uniform_without_replacement(self):
         first = sample_instances(6, 100, seed=42)
@@ -189,6 +215,29 @@ class TestCrossValidate:
     def test_too_large_without_sample(self):
         with pytest.raises(TooLarge):
             cross_validate(8)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chunked_tallies_match_per_pair_checks(self, n):
+        """A sample of 2 * SWEEP_CHUNK + 37 instances, not a whole number of
+        chunks, tallied as the per-pair checkers and oracle queries say."""
+        size = 2 * SWEEP_CHUNK + 37
+        report = cross_validate(n, criteria=list(ALL_CRITERIA), sample=size, seed=n)
+        cells = {name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
+                                      "oracle_no_holds", "oracle_no_fails"), 0)
+                 for name in ALL_CRITERIA}
+        holds_counts = dict.fromkeys(ALL_CRITERIA, 0)
+        pairs = sample_instances(n, size, seed=n)
+        for pair in pairs:
+            realizable = oracle_decide(pair)
+            for name, check in ALL_CRITERIA.items():
+                holds = check(pair).holds
+                holds_counts[name] += holds
+                side = "oracle_yes" if realizable else "oracle_no"
+                cells[name][f"{side}_{'holds' if holds else 'fails'}"] += 1
+        assert report.instance_count == size
+        assert report.cells == cells and report.holds_counts == holds_counts
+        assert report.oracle_yes == sum(map(oracle_decide, pairs))
+        assert report.violations == [] and report.cdz_reduced_disagreements == 0
 
     def test_large_n_sampled_runs_without_oracle(self):
         report = cross_validate(9, criteria=["cdz", "cdz_reduced"], sample=40, seed=1)
