@@ -189,28 +189,37 @@ def run_identity_suite(count: int, seed: int) -> list[dict]:
     Per round: the two max-sum truncation identities on a random prefix,
     sum preservation of both matrix transforms, prefix agreement between
     the zero-diagonal column sums and the shifted conjugate, and the
-    conjugate involution.
+    conjugate involution.  Every round is drawn first; the Berge
+    sequences of all rounds of one length come from one kernel pass.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
+    rounds = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        p = [rng.randint(0, 12) for _ in range(n)]
+        t = rng.randint(1, n)
+        d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
+        rounds.append((p, t, d))
+    by_length: dict[int, list[list[int]]] = {}
+    for _, _, d in rounds:
+        by_length.setdefault(len(d), []).append(d)
+    berge_rows = {n: iter(_sequences._berge_rows(ds).tolist()) for n, ds in by_length.items()}
+
     failures: list[dict] = []
 
     def record(kind, **data):
         failures.append({"kind": kind, **data})
 
-    for _ in range(count):
-        n = rng.randint(1, 12)
-        p = [rng.randint(0, 12) for _ in range(n)]
-        t = rng.randint(1, n)
+    for p, t, d in rounds:
         if not _sequences.max_sum_identities_hold(p, t):
             record("max_sum_identities", p=p, t=t)
 
-        d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
-        berge = _sequences.berge_sequence(d)
+        berge = next(berge_rows[len(d)])
         conj = _sequences.conjugate_sequence(d)
         if sum(berge) != sum(d) or sum(conj) != sum(d):
-            record("sum_preservation", d=d, berge=list(berge), conjugate=list(conj))
+            record("sum_preservation", d=d, berge=berge, conjugate=list(conj))
         f = _sequences.crossing_index(d)
         bp = cp = 0
         for k in range(f):

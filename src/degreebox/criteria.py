@@ -9,15 +9,17 @@ t is a masked argmax over the (k, n+1) comparison; the Fulkerson rows
 scan t and compare all tail lengths m at once; the Ryser interval row is
 one Gale-Ryser pass over the tilde system, the pass the bipartite
 witness route probes as well.  Sweeps evaluate each row over a chunk of
-instances at once.  The per-pair checkers (``check_cdz_reduced``,
-``check_berge_necessary``, ..., ``CHECKERS``, ``PAIR_CHECKS``) are the
-k = 1 view of the rows, read off the pair's cached
-``IntervalSequencePair.kernel``.  ``check_cdz`` alone streams the scalar
-kernel ``sequences._cdz_terms`` and stops at its first failure; the
-witness search probes that same stream, and so does
-``check_erdos_gallai_fixed``.  Verdicts are reproducible and can be
-re-verified by direct evaluation.  Checkers never re-sort their input;
-callers normalize first.
+instances at once.  The per-pair checkers (``check_cdz``,
+``check_cdz_reduced``, ..., ``CHECKERS``, ``PAIR_CHECKS``) are the k = 1
+view of the rows, read off the pair's cached
+``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
+and ``criteria_report`` on one pair share one pass.  The witness
+search's probes and ``check_erdos_gallai_fixed`` stream the scalar
+kernel ``sequences._cdz_terms`` instead (``_cdz_over_range``): it stops
+at its first failure and costs less than a pass on the small boxes the
+probes see.  Verdicts are reproducible and can be re-verified by direct
+evaluation.  Checkers never re-sort their input; callers normalize
+first.
 
 ``CRITERIA`` declares each criterion once; the registries the report,
 the sweeps and the CLI read are derived from it.
@@ -103,18 +105,6 @@ def _cdz_over_range(pair: IntervalSequencePair, t_max: int) -> CriterionVerdict:
     return _first_failure(_cdz_terms(pair.a, pair.b), t_max + 1)
 
 
-def check_cdz(pair: IntervalSequencePair) -> CriterionVerdict:
-    """Exact realizability test.
-
-    Holds iff for every t in 0..n:
-        sum(a[:t]) <= t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
-    t = 0 carries the parity obstruction through eps(0).  This is the
-    streaming scan; the table's cdz row is the same family over a batch.
-    """
-    require_good_order(pair)
-    return _cdz_over_range(pair, pair.n)
-
-
 def _failure_columns(lhs: np.ndarray, rhs: np.ndarray, stop=None) -> Verdicts:
     """Row by row, the smallest t (below stop[i], if given) with lhs[i, t] > rhs[i, t].
 
@@ -130,15 +120,22 @@ def _failure_columns(lhs: np.ndarray, rhs: np.ndarray, stop=None) -> Verdicts:
 
 
 def _cdz(kernel: KernelPass) -> Verdicts:
-    """Exact realizability test: the family of ``check_cdz``, over t in 0..n."""
+    """Exact realizability test.
+
+    Holds iff for every t in 0..n:
+        sum(a[:t]) <= t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
+    t = 0 carries the parity obstruction through eps(0).  Every column is
+    read off the kernel pass; the scalar stream ``_cdz_over_range`` is the
+    same family, stopped at its first failure.
+    """
     return _failure_columns(kernel.lhs, kernel.rhs)
 
 
 def _cdz_reduced(kernel: KernelPass) -> Verdicts:
-    """Same inequality family as check_cdz, scanned only for t <= s.
+    """Same inequality family as cdz, scanned only for t <= s.
 
     s = max{i : a[i-1] >= i-1}; any failure of the full family already
-    occurs in this range, so the verdict coincides with check_cdz.
+    occurs in this range, so the verdict coincides with cdz.
     """
     return _failure_columns(kernel.lhs, kernel.rhs, kernel.s + 1)
 
@@ -259,9 +256,9 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     An odd total is reported as witness_t = 0 with lhs 0, rhs -1,
     mirroring how the parity correction sinks the t = 0 inequality of
     check_cdz, so witness re-verification stays uniform.  The scan is the
-    kernel's O(n) pass on the point box (d; d), parity correction added
-    back (its k = 0 term is 0 <= 0); the kernel needs d capped at n-1,
-    which changes no min(d[j], k).
+    scalar kernel's O(n) stream on the point box (d; d), parity
+    correction added back (its k = 0 term is 0 <= 0); the kernel needs d
+    capped at n-1, which changes no min(d[j], k).
     """
     require_non_increasing(d)
     _check_nonnegative(d, "sequence")
@@ -376,6 +373,7 @@ PAIR_CHECKS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
     name: _pair_view(name) for name in CRITERIA
 }
 CHECKERS = {name: PAIR_CHECKS[name] for name, row in CRITERIA.items() if row.scope == REPORT}
+check_cdz = PAIR_CHECKS["cdz"]
 check_cdz_reduced = PAIR_CHECKS["cdz_reduced"]
 check_berge_necessary = PAIR_CHECKS["berge_necessary"]
 check_berge_sufficient = PAIR_CHECKS["berge_sufficient"]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import criteria as _criteria
 from .errors import InputError, TooLarge, UnknownCriterion
-from .sequences import IntervalSequencePair, kernel_pass, require_good_order
+from .sequences import IntervalSequencePair, _require_good_order_rows, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
 MAX_MATRIX_N = 6
@@ -482,21 +482,20 @@ def implication_matrix(
 ) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n, or explicit pairs."""
     names = _resolve_criteria(criteria)
-    if pairs is None:
+    explicit = pairs is not None
+    if not explicit:
         if n is None:
             raise ValueError("pass either n or pairs")
         _require_size(n)
         if n > MAX_MATRIX_N:
             raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
         pairs = enumerate_instances(n)
-    else:
-        pairs = list(pairs)
-        for pair in pairs:
-            require_good_order(pair)
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
     for chunk, lows, highs in _chunks(pairs):
+        if explicit:
+            _require_good_order_rows(lows, highs)
         total += len(chunk)
         kernel = kernel_pass(lows, highs)
         holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}

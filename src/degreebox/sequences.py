@@ -72,8 +72,9 @@ class IntervalSequencePair:
         """This pair's kernel pass, a batch of one, built on first use after
         the good-order check (which raises NotGoodOrder, and caches nothing,
         on unordered input); every later read returns the same pass."""
-        require_good_order(self)
-        return kernel_pass([self.a], [self.b])
+        a, b = np.array([self.a], dtype=np.int64), np.array([self.b], dtype=np.int64)
+        _require_good_order_rows(a, b)
+        return kernel_pass(a, b)
 
 
 @dataclass(frozen=True)
@@ -114,51 +115,92 @@ def require_non_increasing(seq: Sequence[int]) -> None:
             raise NotNonIncreasing(f"entry {i + 1} increases: {seq[i]} < {seq[i + 1]}")
 
 
+def _int64_column(seq: Sequence[int]) -> np.ndarray:
+    """seq as an int64 array; a Python int beyond int64 saturates to its range.
+
+    Every check on a bound compares it with 0 or n-1, so a saturated entry
+    is rejected or clamped exactly where the Python int would be.
+    """
+    try:
+        return np.fromiter(seq, np.int64, len(seq))
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        return np.fromiter((min(max(x, info.min), info.max) for x in seq), np.int64, len(seq))
+
+
+def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as int64 columns, b clamped to n-1, checked as masks.
+
+    Raises what ``validate_and_clamp`` documents, naming the first
+    offending entry.  A lower bound above n-1 also exceeds its clamped
+    upper bound, so one mask finds the first index of either error.
+    """
+    if len(a) != len(b):
+        raise LengthMismatch(f"lower has length {len(a)}, upper has length {len(b)}")
+    n = len(a)
+    lo, hi = _int64_column(a), _int64_column(b)
+    for column, seq, name in ((lo, a, "lower bounds"), (hi, b, "upper bounds")):
+        negative = column < 0
+        if negative.any():
+            raise NegativeEntry(f"{name} contains negative entry {seq[int(negative.argmax())]}")
+    hi = np.minimum(hi, n - 1)
+    above = lo > hi
+    if above.any():
+        i = int(above.argmax())
+        if lo[i] > n - 1:
+            raise LowerExceedsMaxDegree(f"a[{i}] = {a[i]} exceeds n-1 = {n - 1}")
+        raise LowerExceedsUpper(f"a[{i}] = {a[i]} exceeds b[{i}] = {hi[i]} after clamping")
+    return lo, hi
+
+
 def validate_and_clamp(a: Sequence[int], b: Sequence[int]) -> IntervalSequencePair:
     """Build a pair, clamping each upper bound to n-1.
 
     Degrees in a simple graph cannot exceed n-1, so clamping b does not
-    change realizability; a lower bound above n-1 is rejected outright.
+    change realizability; a lower bound above n-1 is rejected outright
+    (LowerExceedsMaxDegree), as are negative entries (NegativeEntry) and a
+    lower bound above its clamped upper bound (LowerExceedsUpper).  The
+    checks run as int64 masks over both vectors; entries past int64 are
+    decided as their Python values would be.
     """
-    if len(a) != len(b):
-        raise LengthMismatch(f"lower has length {len(a)}, upper has length {len(b)}")
-    _check_nonnegative(a, "lower bounds")
-    _check_nonnegative(b, "upper bounds")
-    n = len(a)
-    clamped = tuple(min(x, n - 1) for x in b)
-    for i, (lo, hi) in enumerate(zip(a, clamped)):
-        if lo > n - 1:
-            raise LowerExceedsMaxDegree(f"a[{i}] = {lo} exceeds n-1 = {n - 1}")
-        if lo > hi:
-            raise LowerExceedsUpper(f"a[{i}] = {lo} exceeds b[{i}] = {hi} after clamping")
-    return IntervalSequencePair(tuple(a), clamped)
+    lo, hi = _validated_columns(a, b)
+    return IntervalSequencePair(tuple(lo.tolist()), tuple(hi.tolist()))
+
+
+def _good_order_rows(a, b) -> np.ndarray:
+    """Row i of the (k, n) bounds a, b is in good order: no cell (a, b) is
+    lexicographically above the one before it."""
+    rise_a = np.diff(np.asarray(a, dtype=np.int64), axis=1)
+    rise_b = np.diff(np.asarray(b, dtype=np.int64), axis=1)
+    return ~((rise_a > 0) | ((rise_a == 0) & (rise_b > 0))).any(axis=1)
+
+
+def _require_good_order_rows(a, b) -> None:
+    if not _good_order_rows(a, b).all():
+        raise NotGoodOrder("bound pair is not in good order; normalize first")
 
 
 def is_good_order(pair: IntervalSequencePair) -> bool:
     """True iff the cells (a[i], b[i]) are lexicographically non-increasing."""
-    a, b = pair.a, pair.b
-    for i in range(pair.n - 1):
-        if a[i + 1] > a[i] or (a[i + 1] == a[i] and b[i + 1] > b[i]):
-            return False
-    return True
+    return bool(_good_order_rows([pair.a], [pair.b])[0])
 
 
 def require_good_order(pair: IntervalSequencePair) -> None:
-    if not is_good_order(pair):
-        raise NotGoodOrder("bound pair is not in good order; normalize first")
+    _require_good_order_rows([pair.a], [pair.b])
 
 
 def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstance:
     """Validate, clamp, and stably sort the cells into good order.
 
-    Ties keep input order, so the recorded permutation is deterministic.
+    Validation is ``validate_and_clamp``'s.  The cells are sorted by a
+    descending, then b descending, as one stable argsort of the int64 key
+    a*n + b (0 <= b < n keeps it lexicographic); ties keep input order, so
+    the recorded permutation is deterministic.
     """
-    pair = validate_and_clamp(a, b)
-    order = sorted(range(pair.n), key=lambda i: (-pair.a[i], -pair.b[i]))
-    sorted_pair = IntervalSequencePair(
-        tuple(pair.a[i] for i in order), tuple(pair.b[i] for i in order)
-    )
-    return NormalizedInstance(sorted_pair, tuple(order))
+    lo, hi = _validated_columns(a, b)
+    order = np.argsort(-(lo * len(lo) + hi), kind="stable")
+    pair = IntervalSequencePair(tuple(lo[order].tolist()), tuple(hi[order].tolist()))
+    return NormalizedInstance(pair, tuple(order.tolist()))
 
 
 def berge_sequence(d: Sequence[int]) -> DegreeSequence:
@@ -173,8 +215,14 @@ def berge_sequence(d: Sequence[int]) -> DegreeSequence:
     for k, x in enumerate(d):
         if x > n - 1:
             raise EntryTooLarge(f"entry d[{k}] = {x} exceeds n-1 = {n - 1}")
-    kernel = kernel_pass([d], [d])
-    return tuple(np.diff(kernel.rhs + kernel.eps - kernel.deficit_b)[0].tolist())
+    return tuple(_berge_rows([d])[0].tolist())
+
+
+def _berge_rows(d) -> np.ndarray:
+    """``berge_sequence`` of every row of a (k, n) batch, entries in 0..n-1
+    unchecked: one kernel pass on the point boxes (d; d)."""
+    kernel = kernel_pass(d, d)
+    return np.diff(kernel.rhs + kernel.eps - kernel.deficit_b, axis=1)
 
 
 def conjugate_sequence(d: Sequence[int]) -> DegreeSequence:

@@ -36,6 +36,21 @@ def ref_conj(d):
     return tuple(sum(1 for x in d if x >= j + 1) for j in range(len(d)))
 
 
+def ref_good_order(pair):
+    """Good order by tuple comparison: no cell (a, b) above the one before it."""
+    cells = list(zip(pair.a, pair.b))
+    return all(cells[i] >= cells[i + 1] for i in range(len(cells) - 1))
+
+
+def ref_normalize(a, b):
+    """(a, b clamped to n-1, perm) in good order, by Python's stable sort of
+    the input positions, a descending then b descending."""
+    n = len(a)
+    b = [min(x, n - 1) for x in b]
+    order = sorted(range(n), key=lambda i: (-a[i], -b[i]))
+    return tuple(a[i] for i in order), tuple(b[i] for i in order), tuple(order)
+
+
 def eval_at(name, pair, t, m=None):
     """(lhs, rhs) of the named inequality at prefix length t (and tail m)."""
     a, b, n = pair.a, pair.b, pair.n

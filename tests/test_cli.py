@@ -211,6 +211,57 @@ class TestExitCodes:
         assert "RuntimeError" in lines[0] and "boom" in lines[0]
 
 
+HUGE = [2**63, 2**64, 10**20]
+
+
+class TestInputEdges:
+    """Entries past int64 and the empty instance: exit 0, 1 or 2, never 3."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code, captured.err)
+        assert "Traceback" not in captured.err
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("h", HUGE)
+    def test_huge_upper_bound_is_clamped(self, h, capsys):
+        code, out, _ = self._run(["--json", "check", f"1,1,1/{h},{h},1"], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["b"] == [h, h, 1]
+        assert payload["normalized"] == {"a": [1, 1, 1], "b": [2, 2, 1], "perm": [1, 2, 3]}
+        code, out, _ = self._run(["realize", f"1,1,1/{h},{h},1"], capsys)
+        assert code == 0 and out == "1 2\n1 3\n"
+        for command in ("check", "realize"):
+            assert self._run([command, f"2,0,0/{h},0,0"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("h", HUGE)
+    @pytest.mark.parametrize("command", ["check", "realize"])
+    def test_huge_or_inverted_lower_bound_is_rejected(self, h, command, capsys):
+        for text, message in [
+            (f"{h},0/1,1", f"error: a[0] = {h} exceeds n-1 = 1"),
+            (f"0,-{h}/1,1", f"error: lower bounds contains negative entry -{h}"),
+            (f"0,0/-{h},1", f"error: upper bounds contains negative entry -{h}"),
+            (f"2,2,1/{h},1,{h}", "error: a[1] = 2 exceeds b[1] = 1 after clamping"),
+        ]:
+            code, out, err = self._run([command, text], capsys)
+            assert (code, out, err) == (2, "", message + "\n"), text
+
+    def test_empty_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"a": [], "b": []}))
+        code, out, _ = self._run(["--json", "check", f"@{path}"], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["criteria"]["cdz"]["holds"] is True
+        assert payload["normalized"] == {"a": [], "b": [], "perm": []}
+        code, out, _ = self._run(["--json", "realize", f"@{path}"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"edges": [], "n": 0, "realizable": True,
+                                   "schema": "degreebox.realize/1"}
+
+
 class TestJsonOutput:
     def test_check_json_shape(self, capsys):
         assert main(["--json", "check", "--oracle", CE_TEXT]) == 1

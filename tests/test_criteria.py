@@ -9,6 +9,7 @@ import ref_impl
 from degreebox.criteria import (
     CHECKERS,
     CRITERIA,
+    _cdz_over_range,
     check_berge_necessary,
     check_berge_sufficient,
     check_bollobas,
@@ -246,7 +247,7 @@ def test_one_pass_rows_match_per_checker_verdicts():
     fourth up to n = 300, the rest up to 60, every third the point box
     (b; b)).  It was pinned when each checker ran its own kernel and
     head-deficit passes.  The batch digest evaluates each equal-n group
-    of those pairs as one batch.  The streaming check_cdz must agree with
+    of those pairs as one batch.  The scalar CDZ stream must agree with
     the cdz row read off the pass.
     """
     rng = random.Random(20261021)
@@ -261,7 +262,7 @@ def test_one_pass_rows_match_per_checker_verdicts():
         for name, check in ALL_CRITERIA.items():
             for out, v in ((per_pair, check(pair)), (batch, row_verdicts[name])):
                 out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
-        assert check_cdz(pair) == ALL_CRITERIA["cdz"](pair), pair
+        assert _cdz_over_range(pair, pair.n) == ALL_CRITERIA["cdz"](pair), pair
     assert per_pair.hexdigest() == PINNED_VERDICTS
     assert batch.hexdigest() == PINNED_VERDICTS
 
@@ -399,6 +400,48 @@ def test_cdz_kernel_matches_reference_scan_past_the_oracle():
                 assert got == expected, (name, pair)
             verdicts[name].add(verdict.holds)
     assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def _decide_box(rng, kind, n):
+    """A seeded box around the degrees of a G(n, p) sample, in input order.
+
+    "planted" widens each cell by up to 3 on each side (realizable);
+    "parity" is the point box with one degree moved by one (odd sum);
+    "clash" is a planted box with a forced degree-(n-1) vertex beside a
+    forced isolated one.
+    """
+    deg = np.zeros(n, dtype=np.int64)
+    p = rng.uniform(0.05, 0.6)
+    for i in range(n - 1):
+        row = rng.random(n - i - 1) < p
+        deg[i] += row.sum()
+        deg[i + 1:] += row
+    if kind == "parity":
+        i = rng.integers(n)
+        deg[i] += 1 if deg[i] < n - 1 else -1
+        return deg.tolist(), deg.tolist()
+    a = np.maximum(0, deg - rng.integers(0, 4, n))
+    b = np.minimum(n - 1, deg + rng.integers(0, 4, n))
+    if kind == "clash":
+        i, j = rng.choice(n, 2, replace=False)
+        a[i] = b[i] = n - 1
+        a[j] = b[j] = 0
+    return a.tolist(), b.tolist()
+
+
+def test_check_cdz_matches_scalar_stream_to_n_2000():
+    """check_cdz, read off the kernel pass, against the scalar stream
+    ``_cdz_over_range``: holds, witness t, lhs and rhs, on seeded planted,
+    parity and clash boxes from n = 60 to 2000."""
+    rng = np.random.default_rng(20261102)
+    outcomes = set()
+    for k, n in enumerate([2000] * 3 + rng.integers(60, 2001, 27).tolist()):
+        kind = ("planted", "parity", "clash")[k % 3]
+        pair = normalize_good_order(*_decide_box(rng, kind, n)).pair
+        verdict = check_cdz(pair)
+        assert verdict == _cdz_over_range(pair, pair.n), (kind, n)
+        outcomes.add((kind, verdict.witness_t if verdict.witness_t in (None, 0) else "t > 0"))
+    assert outcomes == {("planted", None), ("parity", 0), ("clash", "t > 0")}
 
 
 def test_head_deficit_families_match_plain_scan_to_n_300():

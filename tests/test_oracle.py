@@ -4,7 +4,7 @@ import time
 import pytest
 
 from degreebox.criteria import check_cdz
-from degreebox.errors import InputError, TooLarge, UnknownCriterion
+from degreebox.errors import InputError, NotGoodOrder, TooLarge, UnknownCriterion
 from degreebox.oracle import (
     ALL_CRITERIA,
     SWEEP_CHUNK,
@@ -282,6 +282,11 @@ class TestImplicationMatrix:
         assert matrix.cell("bollobas", "cdz") == 2
         assert matrix.cell("grunbaum", "cdz") == 2
         assert matrix.example("bollobas", "cdz") == CE
+
+    def test_explicit_pairs_must_be_in_good_order(self):
+        unordered = IntervalSequencePair((0, 1, 1), (1, 1, 1))
+        with pytest.raises(NotGoodOrder):
+            implication_matrix(pairs=[CE, unordered])
 
     def test_json_deterministic(self):
         assert implication_matrix(3).to_json() == implication_matrix(3).to_json()

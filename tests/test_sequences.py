@@ -11,6 +11,7 @@ from degreebox.errors import (
     LengthMismatch,
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
+    NegativeEntry,
     NotNonIncreasing,
 )
 from degreebox.sequences import (
@@ -67,6 +68,27 @@ class TestValidateAndClamp:
         pair = validate_and_clamp((), ())
         assert pair.n == 0
 
+    def test_first_offending_entry_is_named(self):
+        # a[2] = 9 also exceeds n-1, but a[1] comes first
+        message = r"^a\[1\] = 2 exceeds b\[1\] = 1 after clamping$"
+        with pytest.raises(LowerExceedsUpper, match=message):
+            validate_and_clamp((0, 2, 9), (0, 1, 9))
+        with pytest.raises(LowerExceedsMaxDegree, match=r"^a\[0\] = 9 exceeds n-1 = 2$"):
+            validate_and_clamp((9, 2, 0), (9, 1, 0))
+        # negative entries are found before any bound comparison, lower bounds first
+        with pytest.raises(NegativeEntry, match="^lower bounds contains negative entry -3$"):
+            validate_and_clamp((0, -3, -1), (-5, 1, 1))
+        with pytest.raises(NegativeEntry, match="^upper bounds contains negative entry -5$"):
+            validate_and_clamp((0, 3, 1), (1, -5, -1))
+
+    @pytest.mark.parametrize("h", [2**63, 2**64, 10**20])
+    def test_entries_past_int64(self, h):
+        assert validate_and_clamp((0, 1), (h, h)) == IntervalSequencePair((0, 1), (1, 1))
+        with pytest.raises(LowerExceedsMaxDegree, match=rf"^a\[1\] = {h} exceeds n-1 = 1$"):
+            validate_and_clamp((0, h), (1, h))
+        with pytest.raises(NegativeEntry, match=rf"^upper bounds contains negative entry -{h}$"):
+            validate_and_clamp((0, 0), (1, -h))
+
 
 class TestGoodOrder:
     def test_counterexample_is_good(self):
@@ -97,6 +119,22 @@ class TestNormalize:
         assert norm.pair.a == (3, 3, 0, 0, 0)
         assert norm.pair.b == (4, 3, 1, 1, 1)
         assert norm.perm == (1, 0, 2, 3, 4)
+
+    def test_matches_stable_sort_reference_on_tied_boxes(self):
+        """Pair and perm against Python's stable sort, n up to 2000.
+
+        Each box draws its lower bounds from a few values, and its upper
+        bounds are a[i] plus 0, 1, 2, n or 2^64, so most cells tie on a
+        and many on b only after clamping.
+        """
+        rng = random.Random(20261101)
+        for k in range(40):
+            n = 2000 if k < 2 else rng.randint(0, 2000)
+            values = rng.sample(range(n), min(n, rng.randint(1, 5)))
+            a = [rng.choice(values) for _ in range(n)]
+            b = [x + rng.choice((0, 0, 1, 2, n, 2**64)) for x in a]
+            norm = normalize_good_order(a, b)
+            assert (norm.pair.a, norm.pair.b, norm.perm) == ref_impl.ref_normalize(a, b), n
 
     def test_rejects_what_validation_rejects(self):
         # lower bounds above n-1 cannot be met by any simple graph
@@ -317,3 +355,15 @@ def test_normalize_round_trip(cells):
     for i, p in enumerate(norm.perm):
         assert a[p] == norm.pair.a[i]
         assert b[p] == norm.pair.b[i]
+
+
+@given(interval_pairs, st.data())
+def test_good_order_matches_reference(cells, data):
+    """The row mask against tuple comparison, on sorted cells with at most
+    one adjacent swap."""
+    cells.sort(key=lambda c: (-c[0], -c[1]))
+    if len(cells) > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(cells) - 2))
+        cells[i], cells[i + 1] = cells[i + 1], cells[i]
+    pair = IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
+    assert is_good_order(pair) == ref_impl.ref_good_order(pair)
