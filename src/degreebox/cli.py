@@ -166,9 +166,11 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
+    if args.matrix and (args.sample is not None or args.seed is not None):
+        raise InputError("--matrix sweeps every instance; --sample and --seed do not apply")
+    if args.seed is not None and args.sample is None:
+        raise InputError("--seed is the sampling seed; it applies only with --sample")
     if args.matrix:
-        if args.sample is not None or args.seed is not None:
-            raise InputError("--matrix sweeps every instance; --sample and --seed do not apply")
         matrix = _oracle.implication_matrix(n=args.n)
         if args.json:
             print(matrix.to_json())
@@ -183,56 +185,60 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
+_IDENTITY_BLOCK = 2048
+
+
 def run_identity_suite(count: int, seed: int) -> list[dict]:
     """Randomized identity checks; returns the (expected-empty) failure list.
 
     Per round: the two max-sum truncation identities on a random prefix,
     sum preservation of both matrix transforms, prefix agreement between
     the zero-diagonal column sums and the shifted conjugate, and the
-    conjugate involution.  Every round is drawn first; the Berge
-    sequences of all rounds of one length come from one kernel pass.
+    conjugate involution.  Rounds are drawn and checked in blocks of
+    ``_IDENTITY_BLOCK``, so memory stays flat in count; the Berge
+    sequences of a block's rounds of one length come from one kernel pass.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
-    rounds = []
-    for _ in range(count):
-        n = rng.randint(1, 12)
-        p = [rng.randint(0, 12) for _ in range(n)]
-        t = rng.randint(1, n)
-        d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
-        rounds.append((p, t, d))
-    by_length: dict[int, list[list[int]]] = {}
-    for _, _, d in rounds:
-        by_length.setdefault(len(d), []).append(d)
-    berge_rows = {n: iter(_sequences._berge_rows(ds).tolist()) for n, ds in by_length.items()}
-
     failures: list[dict] = []
 
     def record(kind, **data):
         failures.append({"kind": kind, **data})
 
-    for p, t, d in rounds:
-        if not _sequences.max_sum_identities_hold(p, t):
-            record("max_sum_identities", p=p, t=t)
+    for start in range(0, count, _IDENTITY_BLOCK):
+        rounds = []
+        for _ in range(min(_IDENTITY_BLOCK, count - start)):
+            n = rng.randint(1, 12)
+            p = [rng.randint(0, 12) for _ in range(n)]
+            t = rng.randint(1, n)
+            d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
+            rounds.append((p, t, d))
+        by_length: dict[int, list[list[int]]] = {}
+        for _, _, d in rounds:
+            by_length.setdefault(len(d), []).append(d)
+        berge_rows = {n: iter(_sequences._berge_rows(ds).tolist()) for n, ds in by_length.items()}
+        for p, t, d in rounds:
+            if not _sequences.max_sum_identities_hold(p, t):
+                record("max_sum_identities", p=p, t=t)
 
-        berge = next(berge_rows[len(d)])
-        conj = _sequences.conjugate_sequence(d)
-        if sum(berge) != sum(d) or sum(conj) != sum(d):
-            record("sum_preservation", d=d, berge=berge, conjugate=list(conj))
-        f = _sequences.crossing_index(d)
-        bp = cp = 0
-        for k in range(f):
-            bp += berge[k]
-            cp += conj[k] - 1
-            if bp != cp:
-                record("berge_conjugate_prefix", d=d, k=k + 1, berge_prefix=bp,
-                       conjugate_prefix=cp)
-                break
+            berge = next(berge_rows[len(d)])
+            conj = _sequences.conjugate_sequence(d)
+            if sum(berge) != sum(d) or sum(conj) != sum(d):
+                record("sum_preservation", d=d, berge=berge, conjugate=list(conj))
+            f = _sequences.crossing_index(d)
+            bp = cp = 0
+            for k in range(f):
+                bp += berge[k]
+                cp += conj[k] - 1
+                if bp != cp:
+                    record("berge_conjugate_prefix", d=d, k=k + 1, berge_prefix=bp,
+                           conjugate_prefix=cp)
+                    break
 
-        twice = _sequences.conjugate_sequence(conj)
-        if _strip_zeros(twice) != _strip_zeros(d):
-            record("conjugate_involution", d=d, twice=list(twice))
+            twice = _sequences.conjugate_sequence(conj)
+            if _strip_zeros(twice) != _strip_zeros(d):
+                record("conjugate_involution", d=d, twice=list(twice))
     return failures
 
 

@@ -13,13 +13,10 @@ instances at once.  The per-pair checkers (``check_cdz``,
 ``check_cdz_reduced``, ..., ``CHECKERS``, ``PAIR_CHECKS``) are the k = 1
 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
-and ``criteria_report`` on one pair share one pass.  The witness
-search's probes and ``check_erdos_gallai_fixed`` stream the scalar
-kernel ``sequences._cdz_terms`` instead (``_cdz_over_range``): it stops
-at its first failure and costs less than a pass on the small boxes the
-probes see.  Verdicts are reproducible and can be re-verified by direct
-evaluation.  Checkers never re-sort their input; callers normalize
-first.
+and ``criteria_report`` on one pair share one pass;
+``check_erdos_gallai_fixed`` reads the pass on the point box (d; d).
+Verdicts are reproducible and can be re-verified by direct evaluation.
+Checkers never re-sort their input; callers normalize first.
 
 ``CRITERIA`` declares each criterion once; the registries the report,
 the sweeps and the CLI read are derived from it.
@@ -28,17 +25,17 @@ the sweeps and the CLI read are derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .sequences import (
     IntervalSequencePair,
     KernelPass,
-    _cdz_terms,
     _check_nonnegative,
     _row_histogram,
     _tilde_unchecked,
+    kernel_pass,
     require_good_order,
     require_non_increasing,
 )
@@ -60,9 +57,6 @@ class CriterionVerdict:
     rhs: Optional[int] = None
 
 
-_HOLDS = CriterionVerdict(True)
-
-
 class Verdicts(NamedTuple):
     """One criterion's verdicts over a batch of k pairs, as (k,) columns.
 
@@ -80,29 +74,8 @@ class Verdicts(NamedTuple):
     def verdict(self, i: int) -> CriterionVerdict:
         """Row i as a CriterionVerdict."""
         if self.holds[i]:
-            return _HOLDS
+            return CriterionVerdict(True)
         return CriterionVerdict(False, *(None if c is None else int(c[i]) for c in self[1:]))
-
-
-def _fail(t: int, lhs: int, rhs: int, m: Optional[int] = None) -> CriterionVerdict:
-    return CriterionVerdict(False, witness_t=t, witness_m=m, lhs=lhs, rhs=rhs)
-
-
-def _first_failure(terms: Iterable[tuple[int, int, int]], stop: int) -> CriterionVerdict:
-    """Smallest t < stop whose term (lhs, rhs, _) has lhs > rhs.
-
-    ``terms`` yields the term for t = 0, 1, ...; the scan stops at the
-    first failure, so a lazy stream is only evaluated up to it.
-    """
-    for t, (lhs, rhs, _) in zip(range(stop), terms):
-        if lhs > rhs:
-            return _fail(t, lhs, rhs)
-    return _HOLDS
-
-
-def _cdz_over_range(pair: IntervalSequencePair, t_max: int) -> CriterionVerdict:
-    """Smallest failing t <= t_max of the CDZ family; no input validation."""
-    return _first_failure(_cdz_terms(pair.a, pair.b), t_max + 1)
 
 
 def _failure_columns(lhs: np.ndarray, rhs: np.ndarray, stop=None) -> Verdicts:
@@ -125,8 +98,7 @@ def _cdz(kernel: KernelPass) -> Verdicts:
     Holds iff for every t in 0..n:
         sum(a[:t]) <= t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
     t = 0 carries the parity obstruction through eps(0).  Every column is
-    read off the kernel pass; the scalar stream ``_cdz_over_range`` is the
-    same family, stopped at its first failure.
+    read off the kernel pass.
     """
     return _failure_columns(kernel.lhs, kernel.rhs)
 
@@ -256,17 +228,18 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     An odd total is reported as witness_t = 0 with lhs 0, rhs -1,
     mirroring how the parity correction sinks the t = 0 inequality of
     check_cdz, so witness re-verification stays uniform.  The scan is the
-    scalar kernel's O(n) stream on the point box (d; d), parity
-    correction added back (its k = 0 term is 0 <= 0); the kernel needs d
-    capped at n-1, which changes no min(d[j], k).
+    kernel pass on the point box (d; d), parity correction added back
+    (its k = 0 term is 0 <= 0).  A d[0] past n-1 fails at k = 1, against
+    the count of other positive entries, before the pass sees it.
     """
     require_non_increasing(d)
     _check_nonnegative(d, "sequence")
     if sum(d) % 2 == 1:
-        return _fail(0, 0, -1)
-    capped = [min(x, len(d) - 1) for x in d]
-    terms = ((lhs, rhs + eps, eps) for lhs, rhs, eps in _cdz_terms(d, capped))
-    return _first_failure(terms, len(d) + 1)
+        return CriterionVerdict(False, witness_t=0, lhs=0, rhs=-1)
+    if d and d[0] > len(d) - 1:
+        return CriterionVerdict(False, witness_t=1, lhs=d[0], rhs=sum(x > 0 for x in d[1:]))
+    kernel = kernel_pass([d], [d])
+    return _failure_columns(kernel.lhs, kernel.rhs + kernel.eps).verdict(0)
 
 
 def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

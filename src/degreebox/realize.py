@@ -9,21 +9,24 @@ DOT and JSON writers, so no per-edge Python object is built on the way.
 The bipartite route decides a per-vertex degree-interval
 system by two one-sided Gale-Ryser passes (O(n log n) each), fixes exact
 degrees by self-reduction through them and realizes those with the
-constructive Gale-Ryser greedy.  Both routes are exact and are
-cross-validated against brute-force enumeration at small sizes.
+constructive Gale-Ryser greedy, on the residual-bucket walk Havel-Hakimi
+uses.  Both routes are exact and are cross-validated against
+brute-force enumeration at small sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import _cdz_over_range, _gale_ryser
+from .criteria import _gale_ryser
 from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from .sequences import (
     IntervalSequencePair,
+    _cdz_terms,
     _check_nonnegative,
     _reduced_range,
     require_good_order,
@@ -135,20 +138,39 @@ def havel_hakimi_realize(d: Sequence[int]) -> Optional[SimpleGraph]:
     return SimpleGraph.from_columns(len(d), *columns)
 
 
+def _take_largest(buckets: list[list[int]], need: int, top: int) -> Optional[list[int]]:
+    """Take the need vertices of largest residual, ties to the smallest index,
+    each one bucket down; None if fewer than need have a positive residual.
+
+    buckets[r] holds the vertices of residual r in index order, none above
+    top.  A taken prefix, decremented, is merged into the bucket below, so
+    nothing is re-sorted, but each merge copies the rest of its bucket:
+    O(need + B) per take for B the largest bucket touched.
+    """
+    taken, moved, d = [], [], top
+    while need or moved and d:
+        if d == 0:
+            return None
+        source = buckets[d]
+        buckets[d] = sorted(source[need:] + moved)
+        moved = source[:need]
+        taken += moved
+        need -= len(moved)
+        d -= 1
+    return taken
+
+
 def _havel_hakimi(
     deg: Sequence[int], label: Sequence[int]
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Havel-Hakimi on degrees deg[v]: edge columns (u, v) in labels label[v], or None.
 
     Each round joins the largest residual to the next-largest ones, ties to
-    smallest v.  Buckets per residual, sorted by v, hand these out from the
-    top, and a taken prefix, decremented, is merged into the bucket below,
-    so nothing is re-sorted.  Each merge copies the untaken rest of its
-    bucket, though, so the walk is O(m + n * B) for B the largest bucket.
-    The walk records each head with its residual and one flat list of
-    neighbours; relabelling, orienting to u < v and ordering the rows by
-    (u, v), as one sort of the keys u*n + v, are then array passes, so no
-    per-edge tuple is built.
+    smallest v, by ``_take_largest`` over the residual buckets, so the
+    walk is O(m + n * B) for B the largest bucket.  The walk records each
+    head with its residual and one flat list of neighbours; relabelling,
+    orienting to u < v and ordering the rows by (u, v), as one sort of the
+    keys u*n + v, are then array passes, so no per-edge tuple is built.
     """
     n = len(deg)
     if any(x >= n for x in deg):
@@ -161,16 +183,10 @@ def _havel_hakimi(
         while buckets[top]:
             heads.append(buckets[top].pop(0))
             tops.append(top)
-            need, d, moved = top, top, []
-            while need or moved and d:
-                if d == 0:  # fewer vertices of positive residual than the head needs
-                    return None
-                source = buckets[d]
-                buckets[d] = sorted(source[need:] + moved)
-                moved = source[:need]
-                nbrs += moved
-                need -= len(moved)
-                d -= 1
+            taken = _take_largest(buckets, top, top)
+            if taken is None:
+                return None
+            nbrs += taken
     label = np.fromiter(label, dtype=np.int64, count=n)
     u = np.repeat(label[heads], np.array(tops, dtype=np.int64))
     v = label[nbrs]
@@ -238,9 +254,10 @@ def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...
 
     Galloping decision self-reduction (``_self_reduce``) through the CDZ
     kernel, which raising lower bounds keeps monotone: 11 to 20 probes on
-    planted n = 400 boxes.  A probe sorts the box into good order and runs
-    one O(n) kernel scan over t <= s.  None is returned exactly when the
-    pair is not realizable.
+    planted n = 400 boxes.  A probe sorts the box into good order and reads
+    the CDZ family for t <= s off the scalar stream ``_cdz_terms`` up to its
+    first failure, cheaper than a kernel pass on the boxes probes see.
+    None is returned exactly when the pair is not realizable.
     """
     require_good_order(pair)
 
@@ -248,7 +265,8 @@ def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...
         box.sort(reverse=True)
         a = [lo for lo, _ in box]
         b = [hi for _, hi in box]
-        return _cdz_over_range(IntervalSequencePair(a, b), _reduced_range(a)).holds
+        terms = islice(_cdz_terms(a, b), _reduced_range(a) + 1)
+        return all(lhs <= rhs for lhs, rhs, _ in terms)
 
     return _self_reduce(zip(pair.a, pair.b), realizable)
 
@@ -325,8 +343,10 @@ def interval_bipartite_realize(
     ``_self_reduce`` with ``_interval_feasible`` as its probe; the
     constructive Gale-Ryser greedy then realizes these exact degrees, each
     left vertex in index order joining the right vertices of largest
-    residual, ties to the smallest index.  Bounds beyond the opposite part
-    size make the system infeasible (a lower bound) or slack (an upper bound).
+    residual, ties to the smallest index, by ``_take_largest`` over the
+    right side's residual buckets; on degrees the self-reduction fixed,
+    it always finds them.  Bounds beyond the opposite part size make the
+    system infeasible (a lower bound) or slack (an upper bound).
     """
     for side, bounds in (("left", left), ("right", right)):
         for i, (lo, hi) in enumerate(bounds):
@@ -339,11 +359,12 @@ def interval_bipartite_realize(
     degrees = _self_reduce(cells, lambda box: _interval_feasible(box[:ln], box[ln:]))
     if degrees is None:
         return None
-    residual = list(degrees[ln:])
-    edges = set()
+    buckets: list[list[int]] = [[] for _ in range(ln + 1)]
+    for j, r in enumerate(degrees[ln:]):
+        buckets[r].append(j)
+    top, edges = ln, []
     for i, d in enumerate(degrees[:ln]):
-        # a stable sort keeps ties in index order, reversed or not
-        for j in sorted(range(len(residual)), key=residual.__getitem__, reverse=True)[:d]:
-            residual[j] -= 1
-            edges.add((i, j))
+        while top and not buckets[top]:  # the largest residual never grows
+            top -= 1
+        edges += [(i, j) for j in _take_largest(buckets, d, top)]
     return BipartiteGraph(len(left), len(right), frozenset(edges))

@@ -3,11 +3,25 @@
 Everything here is written directly from the inequality definitions with
 plain comprehensions, deliberately avoiding the package's prefix-sum
 bookkeeping, so a bug in the implementation cannot hide in the tests.
+The one exception is ``ref_cdz_stream``, which reads the package's scalar
+CDZ stream: it shares no code with the kernel pass the criteria rows read.
 """
 
 import itertools
 import math
 from functools import lru_cache
+
+from degreebox.criteria import CriterionVerdict
+from degreebox.sequences import _cdz_terms
+
+
+def ref_cdz_stream(pair):
+    """The CDZ verdict from the scalar stream ``sequences._cdz_terms``: the
+    smallest t in 0..n with lhs > rhs, stopping there, as a CriterionVerdict."""
+    for t, (lhs, rhs, _) in enumerate(_cdz_terms(pair.a, pair.b)):
+        if lhs > rhs:
+            return CriterionVerdict(False, witness_t=t, lhs=lhs, rhs=rhs)
+    return CriterionVerdict(True)
 
 
 def ref_eps(pair, t):
@@ -143,6 +157,23 @@ def ref_havel_hakimi(targets):
             edges.add((min(u, v), max(u, v)))
         head[0] = 0
     return edges
+
+
+def ref_gale_ryser_greedy(left, right):
+    """Edges (i, j) of the constructive Gale-Ryser greedy on exact degrees.
+
+    Each left vertex in index order joins the right vertices of largest
+    residual, ties to the smallest index, found by re-sorting every right
+    vertex once per left vertex: the plain spec of the bipartite edge set.
+    """
+    residual = list(right)
+    edges = set()
+    for i, d in enumerate(left):
+        # a stable sort keeps ties in index order, reversed or not
+        for j in sorted(range(len(residual)), key=residual.__getitem__, reverse=True)[:d]:
+            residual[j] -= 1
+            edges.add((i, j))
+    return frozenset(edges)
 
 
 def ref_graphic_vector_in_box(pair, decide):

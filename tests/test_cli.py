@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from degreebox.cli import (
     parse_instance,
     run_identity_suite,
 )
-from degreebox import criteria
+from degreebox import cli, criteria
 from degreebox.errors import LengthMismatch
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
@@ -175,6 +176,31 @@ class TestExitCodes:
         assert main(["identities", "--count", "500", "--seed", "7"]) == 0
         assert "0 failures" in capsys.readouterr().out
 
+    def test_identities_blocks_keep_the_rounds(self, monkeypatch):
+        """Blocks change no round: with a conjugate that breaks sum
+        preservation every round fails, and the failure lists of one block,
+        of 1,000-round blocks and of the default blocks are the same."""
+        conjugate = degreebox.sequences.conjugate_sequence
+        monkeypatch.setattr(degreebox.sequences, "conjugate_sequence",
+                            lambda d: tuple(x + 1 for x in conjugate(d)))
+        runs = []
+        for block in (3000, 1000, cli._IDENTITY_BLOCK):
+            monkeypatch.setattr(cli, "_IDENTITY_BLOCK", block)
+            runs.append(run_identity_suite(3000, 11))
+        assert len(runs[0]) >= 3000 and runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_identities_memory_stays_flat_in_count(self):
+        """Rounds are drawn and checked in blocks: 12,000 rounds peak near 3 MB
+        of traced allocations, where drawing them all first takes near 10 MB."""
+        run_identity_suite(10, 0)  # imports and first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            assert run_identity_suite(12_000, 3) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
+
     @pytest.mark.parametrize("argv", [
         "crossval -1",
         "crossval --matrix -1",
@@ -190,6 +216,8 @@ class TestExitCodes:
         # the matrix covers every instance, so a sample size or seed is an error
         "crossval 3 --matrix --sample 2",
         "--json crossval --matrix 3 --seed 0",
+        # an exhaustive sweep draws nothing, so a seed alone is an error too
+        "crossval 3 --seed 5",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2

@@ -9,7 +9,6 @@ import ref_impl
 from degreebox.criteria import (
     CHECKERS,
     CRITERIA,
-    _cdz_over_range,
     check_berge_necessary,
     check_berge_sufficient,
     check_bollobas,
@@ -174,6 +173,12 @@ class TestErdosGallaiFixed:
         v = check_erdos_gallai_fixed((5, 1, 1, 1))
         assert (v.witness_t, v.lhs, v.rhs) == (1, 5, 3)
 
+    @pytest.mark.parametrize("d, rhs", [((2**70, 1, 1), 2), ((2**63, 2**63), 1)])
+    def test_entry_past_int64_fails_at_one(self, d, rhs):
+        """An even total with d[0] past int64 fails at k = 1, exactly."""
+        v = check_erdos_gallai_fixed(d)
+        assert (v.holds, v.witness_t, v.lhs, v.rhs) == (False, 1, d[0], rhs)
+
 
 class TestCriteriaReport:
     def test_counterexample_verdict_table(self):
@@ -262,7 +267,7 @@ def test_one_pass_rows_match_per_checker_verdicts():
         for name, check in ALL_CRITERIA.items():
             for out, v in ((per_pair, check(pair)), (batch, row_verdicts[name])):
                 out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
-        assert _cdz_over_range(pair, pair.n) == ALL_CRITERIA["cdz"](pair), pair
+        assert ref_impl.ref_cdz_stream(pair) == ALL_CRITERIA["cdz"](pair), pair
     assert per_pair.hexdigest() == PINNED_VERDICTS
     assert batch.hexdigest() == PINNED_VERDICTS
 
@@ -431,7 +436,7 @@ def _decide_box(rng, kind, n):
 
 def test_check_cdz_matches_scalar_stream_to_n_2000():
     """check_cdz, read off the kernel pass, against the scalar stream
-    ``_cdz_over_range``: holds, witness t, lhs and rhs, on seeded planted,
+    ``ref_impl.ref_cdz_stream``: holds, witness t, lhs and rhs, on seeded planted,
     parity and clash boxes from n = 60 to 2000."""
     rng = np.random.default_rng(20261102)
     outcomes = set()
@@ -439,7 +444,7 @@ def test_check_cdz_matches_scalar_stream_to_n_2000():
         kind = ("planted", "parity", "clash")[k % 3]
         pair = normalize_good_order(*_decide_box(rng, kind, n)).pair
         verdict = check_cdz(pair)
-        assert verdict == _cdz_over_range(pair, pair.n), (kind, n)
+        assert verdict == ref_impl.ref_cdz_stream(pair), (kind, n)
         outcomes.add((kind, verdict.witness_t if verdict.witness_t in (None, 0) else "t > 0"))
     assert outcomes == {("planted", None), ("parity", 0), ("clash", "t > 0")}
 

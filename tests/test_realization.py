@@ -317,6 +317,32 @@ class TestIntervalBipartite:
                 assert all(lo <= d <= hi for d, (lo, hi) in zip(got.right_degrees(), right))
         assert 700 < feasible < 1300, feasible
 
+    def test_walk_matches_resorting_greedy(self):
+        """The residual-bucket walk gives the re-sorting greedy's edges, on
+        exact-degree systems and on unequal sides with loose cells, sides up
+        to 200."""
+        rng = random.Random(20261019)
+        realized = 0
+        for k in range(60):
+            ln = rng.randint(0, 200 if k % 5 == 0 else 40)
+            rn = ln if k % 2 == 0 else rng.randint(0, 200 if k % 5 == 1 else 40)
+            if k % 3 == 0:  # the exact degrees of a random bipartite graph
+                p, ldeg, rdeg = rng.random(), [0] * ln, [0] * rn
+                for i, j in itertools.product(range(ln), range(rn)):
+                    if rng.random() < p:
+                        ldeg[i] += 1
+                        rdeg[j] += 1
+                left, right = [(d, d) for d in ldeg], [(d, d) for d in rdeg]
+            else:
+                left, right = _planted_bipartite_system(rng, ln, rn)
+            g = interval_bipartite_realize(left, right)
+            assert g is not None or k % 3, (left, right)
+            if g is not None:
+                realized += 1
+                expected = ref_impl.ref_gale_ryser_greedy(g.left_degrees(), g.right_degrees())
+                assert g.edges == expected, (left, right)
+        assert realized >= 30, realized
+
 
 def _planted_bipartite_system(rng, ln, rn):
     """Intervals around the degrees of a random bipartite graph.
@@ -495,14 +521,15 @@ def _reference_box(rng, k):
 
 
 def _count_kernel_calls(monkeypatch):
+    """Count the witness probes: each opens one scalar CDZ stream."""
     calls = [0]
-    kernel = realize._cdz_over_range
+    kernel = realize._cdz_terms
 
-    def counting(pair, t_max):
+    def counting(a, b):
         calls[0] += 1
-        return kernel(pair, t_max)
+        return kernel(a, b)
 
-    monkeypatch.setattr(realize, "_cdz_over_range", counting)
+    monkeypatch.setattr(realize, "_cdz_terms", counting)
     return calls
 
 
