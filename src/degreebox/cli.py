@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -78,8 +79,23 @@ def parse_instance(text: str) -> InstanceSpec:
     return InstanceSpec(a, b)
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it; a reader that closed the pipe ends the output.
+
+    On a broken pipe, fd 1 is pointed at os.devnull, so later writes and the
+    flush at exit cannot raise again, and the command still returns its verdict.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _verdict_json(v: _criteria.CriterionVerdict) -> dict:
@@ -129,15 +145,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         })
     elif not args.quiet:
         if norm.perm != tuple(range(pair.n)):
-            print(f"normalized to good order; permutation (1-based): "
-                  f"{[p + 1 for p in norm.perm]}")
+            _write(f"normalized to good order; permutation (1-based): "
+                   f"{[p + 1 for p in norm.perm]}\n")
         for name, v in verdicts.items():
-            print(f"{_criteria.CRITERIA[name].display:<18} {_verdict_text(v)}")
+            _write(f"{_criteria.CRITERIA[name].display:<18} {_verdict_text(v)}\n")
         if not report.cdz_consistent:
-            print("WARNING: cdz and cdz_reduced disagree (internal inconsistency)")
+            _write("WARNING: cdz and cdz_reduced disagree (internal inconsistency)\n")
         if oracle_result is not None:
-            print(f"{'oracle':<18} {'realizable' if oracle_result.realizable else 'not realizable'}"
-                  f" ({oracle_result.witness_count} witnessing edge subsets)")
+            _write(f"{'oracle':<18} {'realizable' if oracle_result.realizable else 'not realizable'}"
+                   f" ({oracle_result.witness_count} witnessing edge subsets)\n")
     return 0 if verdicts["cdz"].holds else 1
 
 
@@ -156,12 +172,12 @@ def cmd_realize(args: argparse.Namespace) -> int:
         }, sort_keys=True, separators=(",", ":"))
         if graph is not None:  # "edges" sorts first, so the first match is its value
             report = report.replace('"edges":null', '"edges":' + graph.to_json_edges(), 1)
-        print(report)
+        _write(report + "\n")
     elif graph is None:
         if not args.quiet:
-            print("not realizable")
+            _write("not realizable\n")
     elif not args.quiet:
-        sys.stdout.write(graph.to_dot() if args.dot else graph.to_edge_list())
+        _write(graph.to_dot() if args.dot else graph.to_edge_list())
     return 0 if graph is not None else 1
 
 
@@ -173,15 +189,15 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     if args.matrix:
         matrix = _oracle.implication_matrix(n=args.n)
         if args.json:
-            print(matrix.to_json())
+            _write(matrix.to_json() + "\n")
         elif not args.quiet:
-            sys.stdout.write(matrix.to_text())
+            _write(matrix.to_text())
         return 0
     report = _oracle.cross_validate(args.n, sample=args.sample, seed=args.seed or 0)
     if args.json:
-        print(report.to_json())
+        _write(report.to_json() + "\n")
     elif not args.quiet:
-        sys.stdout.write(report.to_text())
+        _write(report.to_text())
     return 1 if report.violations else 0
 
 
@@ -259,10 +275,9 @@ def cmd_identities(args: argparse.Namespace) -> int:
             "failures": failures,
         })
     elif not args.quiet:
-        if failures:
-            for f in failures[:20]:
-                print(f"FAIL {f}")
-        print(f"{args.count} rounds, {len(failures)} failures")
+        for f in failures[:20]:
+            _write(f"FAIL {f}\n")
+        _write(f"{args.count} rounds, {len(failures)} failures\n")
     return 0 if not failures else 1
 
 

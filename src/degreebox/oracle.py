@@ -33,6 +33,9 @@ from .errors import InputError, TooLarge, UnknownCriterion
 from .sequences import IntervalSequencePair, _require_good_order_rows, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
+# A draw lists all n(n+1)/2 cells and takes binomials of numbers thousands of
+# digits long: one draw at n = 2000 took 32 s and 385 MB on 2 cores
+MAX_SAMPLE_N = 2000
 MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 10 KB of oracle corners each at n = 7
 SWEEP_CHUNK = 256
@@ -182,6 +185,8 @@ def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
 
 def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
     """Uniform sample without replacement from the good-ordered instance space."""
+    if n > MAX_SAMPLE_N:
+        raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
     total = instance_space_size(n)
     if count >= total:
         return list(enumerate_instances(n))

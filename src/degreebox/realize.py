@@ -1,22 +1,19 @@
 """Witness construction: simple graphs meeting bound pairs, bipartite interval graphs.
 
-The simple-graph route fixes an in-box graphic degree vector by galloping
-decision self-reduction through the CDZ kernel and realizes it with a
-bucketed Havel-Hakimi (a planted n = 1000 box, 150k edges: about 35 ms
-on 2 cores).  The witness travels as two sorted integer edge
-columns from Havel-Hakimi through ``verify_witness`` to the edge-list,
-DOT and JSON writers, so no per-edge Python object is built on the way.
-The bipartite route decides a per-vertex degree-interval
-system by two one-sided Gale-Ryser passes (O(n log n) each), fixes exact
-degrees by self-reduction through them and realizes those with the
-constructive Gale-Ryser greedy, on the residual-bucket walk Havel-Hakimi
-uses.  Both routes are exact and are cross-validated against
-brute-force enumeration at small sizes.
+Both witnesses hold their edges as two int64 columns, so neither route
+builds a Python object per edge.  The simple-graph route fixes an in-box
+graphic degree vector by galloping decision self-reduction through the CDZ
+kernel and realizes it with a bucketed Havel-Hakimi, whose sorted columns
+go through ``verify_witness`` to the edge-list, DOT and JSON writers.  The
+bipartite route decides a degree-interval system by two one-sided
+Gale-Ryser passes (O(n log n) each), fixes exact degrees by self-reduction
+through them and realizes those with the constructive Gale-Ryser greedy on
+the same residual-bucket walk.  Both routes are exact and are
+cross-validated against brute-force enumeration at small sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,18 +31,46 @@ from .sequences import (
 )
 
 
-class SimpleGraph:
-    """Undirected graph on vertices 0..n-1, held as two integer edge columns.
-
-    Row i is the edge (u[i], v[i]).  A witness has u < v in every row and
-    its rows in (u, v) order, so the writers read the columns as they are:
-    degrees are two bincounts and each writer one string lookup per
-    endpoint, O(n + m) with no per-edge tuple.  ``SimpleGraph(n, edges)``
-    sorts the given pairs into rows without reorienting them, and
-    ``.edges``, the frozenset of row pairs, is built on first use.
+class _EdgeColumns:
+    """Two int64 edge columns, row i the edge (u[i], v[i]), and ``.edges``, the
+    frozenset of row pairs as Python ints, built on first use.  Graphs of one
+    class compare and hash by ``.edges`` and their sizes, a subclass's slots.
     """
 
-    __slots__ = ("n", "u", "v", "_edges")
+    __slots__ = ("u", "v", "_edges")
+
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(zip(self.u.tolist(), self.v.tolist()))
+        return self._edges
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._sizes() == other._sizes() and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self._sizes(), self.edges))
+
+    def __repr__(self) -> str:
+        sizes = "".join(f"{k}={x}, " for k, x in zip(type(self).__slots__, self._sizes()))
+        return f"{type(self).__name__}({sizes}edges={len(self.u)})"
+
+
+class SimpleGraph(_EdgeColumns):
+    """Undirected graph on vertices 0..n-1, held as two integer edge columns.
+
+    A witness has u < v in every row and its rows in (u, v) order, so the
+    writers read the columns as they are: degrees are two bincounts and each
+    writer one string lookup per endpoint, O(n + m).  ``SimpleGraph(n,
+    edges)`` sorts the given pairs into rows without reorienting them.
+    """
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         rows = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
@@ -57,23 +82,6 @@ class SimpleGraph:
         g = cls.__new__(cls)
         g.n, g.u, g.v, g._edges = n, np.asarray(u, np.int64), np.asarray(v, np.int64), None
         return g
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(zip(self.u.tolist(), self.v.tolist()))
-        return self._edges
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimpleGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, edges={len(self.u)})"
 
     def degrees(self) -> tuple[int, ...]:
         deg = np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
@@ -102,25 +110,20 @@ class SimpleGraph:
         return "graph witness {\n" + isolated + self._join("  {} -- ", "{};\n") + "}\n"
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph: edges are (left index, right index) pairs, both 0-based."""
+class BipartiteGraph(_EdgeColumns):
+    """Bipartite graph: row i is the edge from left vertex u[i] to right vertex v[i], 0-based."""
 
-    left_n: int
-    right_n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("left_n", "right_n")
+
+    def __init__(self, left_n: int, right_n: int, u, v):
+        self.left_n, self.right_n, self._edges = left_n, right_n, None
+        self.u, self.v = np.asarray(u, np.int64), np.asarray(v, np.int64)
 
     def left_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.left_n
-        for i, _ in self.edges:
-            deg[i] += 1
-        return tuple(deg)
+        return tuple(np.bincount(self.u, minlength=self.left_n).tolist())
 
     def right_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.right_n
-        for _, j in self.edges:
-            deg[j] += 1
-        return tuple(deg)
+        return tuple(np.bincount(self.v, minlength=self.right_n).tolist())
 
 
 def havel_hakimi_realize(d: Sequence[int]) -> Optional[SimpleGraph]:
@@ -133,9 +136,7 @@ def havel_hakimi_realize(d: Sequence[int]) -> Optional[SimpleGraph]:
     require_non_increasing(d)
     _check_nonnegative(d, "degree sequence")
     columns = _havel_hakimi(d, range(len(d)))
-    if columns is None:
-        return None
-    return SimpleGraph.from_columns(len(d), *columns)
+    return None if columns is None else SimpleGraph.from_columns(len(d), *columns)
 
 
 def _take_largest(buckets: list[list[int]], need: int, top: int) -> Optional[list[int]]:
@@ -274,9 +275,7 @@ def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...
 def find_graphic_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
     """Non-increasing graphic sequence assignable into the boxes, or None."""
     vec = graphic_vector_in_box(pair)
-    if vec is None:
-        return None
-    return tuple(sorted(vec, reverse=True))
+    return None if vec is None else tuple(sorted(vec, reverse=True))
 
 
 def realize_pair(
@@ -338,15 +337,16 @@ def interval_bipartite_realize(
 ) -> Optional[BipartiteGraph]:
     """Bipartite graph with each vertex degree inside its interval, or None.
 
-    Every cell, left side then right side, in index order, is fixed to
-    (v, v) for the largest v in it that keeps the system feasible, by
-    ``_self_reduce`` with ``_interval_feasible`` as its probe; the
-    constructive Gale-Ryser greedy then realizes these exact degrees, each
-    left vertex in index order joining the right vertices of largest
-    residual, ties to the smallest index, by ``_take_largest`` over the
-    right side's residual buckets; on degrees the self-reduction fixed,
-    it always finds them.  Bounds beyond the opposite part size make the
-    system infeasible (a lower bound) or slack (an upper bound).
+    Every cell, left side then right side, in index order, is fixed to (v, v)
+    for the largest v in it that keeps the system feasible, by ``_self_reduce``
+    with ``_interval_feasible`` as its probe; the constructive Gale-Ryser
+    greedy then realizes these exact degrees, each left vertex in index order
+    joining the right vertices of largest residual, ties to the smallest index,
+    by ``_take_largest`` over the right side's residual buckets; on degrees the
+    self-reduction fixed, it always finds them.  The taken vertices are the v
+    column, and u repeats each left vertex by its degree.  Bounds beyond the
+    opposite part size make the system infeasible (a lower bound) or slack (an
+    upper bound).
     """
     for side, bounds in (("left", left), ("right", right)):
         for i, (lo, hi) in enumerate(bounds):
@@ -362,9 +362,9 @@ def interval_bipartite_realize(
     buckets: list[list[int]] = [[] for _ in range(ln + 1)]
     for j, r in enumerate(degrees[ln:]):
         buckets[r].append(j)
-    top, edges = ln, []
-    for i, d in enumerate(degrees[:ln]):
+    top, nbrs = ln, []
+    for d in degrees[:ln]:
         while top and not buckets[top]:  # the largest residual never grows
             top -= 1
-        edges += [(i, j) for j in _take_largest(buckets, d, top)]
-    return BipartiteGraph(len(left), len(right), frozenset(edges))
+        nbrs += _take_largest(buckets, d, top)
+    return BipartiteGraph(ln, len(right), np.repeat(np.arange(ln), degrees[:ln]), nbrs)

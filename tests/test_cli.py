@@ -218,6 +218,9 @@ class TestExitCodes:
         "--json crossval --matrix 3 --seed 0",
         # an exhaustive sweep draws nothing, so a seed alone is an error too
         "crossval 3 --seed 5",
+        # drawing one instance lists every cell, so sampled sizes are bounded
+        "crossval 100000 --sample 1",
+        "crossval 2001 --sample 1",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2
@@ -335,15 +338,19 @@ def test_identity_suite_clean_run():
     assert run_identity_suite(2000, seed=123) == []
 
 
-def _run_module(module, argv):
+def _module_env():
     # the child imports the same degreebox as this process, installed or not
     src = str(Path(degreebox.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_module(module, argv):
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
     )
 
 
@@ -363,3 +370,41 @@ def test_package_runs_as_module_like_cli(argv, code):
     pkg, cli = _run_module("degreebox", argv), _run_module("degreebox.cli", argv)
     assert pkg.returncode == cli.returncode == code
     assert pkg.stdout == cli.stdout
+
+
+def test_reader_closing_stdout_early_is_not_a_crash(tmp_path):
+    """A reader that takes 100 bytes of a megabytes-long witness and closes the
+    pipe ends the output, not the run: the verdict's exit code, nothing on stderr."""
+    rng = np.random.default_rng(1500)
+    upper = np.triu(rng.random((1500, 1500)) < 0.3, 1)  # G(1500, 0.3)
+    deg = (upper.sum(axis=0) + upper.sum(axis=1)).tolist()
+    instance = tmp_path / "dense.json"
+    instance.write_text(json.dumps({"a": deg, "b": deg}))
+    # buffered stdout, as a shell pipeline has it: unbuffered, a write the
+    # reader cuts short is truncated without an error
+    env = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degreebox", "--json", "realize", f"@{instance}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{"edges":[[1,')
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_stdout_closed_before_the_first_write_keeps_the_verdict():
+    """Output small enough to sit in the buffer fails only at the flush; the
+    flush at exit must not fail again."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "degreebox", "check", CE_TEXT],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

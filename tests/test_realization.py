@@ -20,6 +20,7 @@ from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
+    BipartiteGraph,
     SimpleGraph,
     find_graphic_in_box,
     graphic_vector_in_box,
@@ -279,6 +280,32 @@ class TestIntervalBipartite:
 
     def test_empty_parts(self):
         assert interval_bipartite_realize([], []) is not None
+
+    @pytest.mark.parametrize("left, right", [([(0, 0)], []), ([], [(0, 0), (0, 0)])])
+    def test_one_empty_part(self, left, right):
+        g = interval_bipartite_realize(left, right)
+        assert (g.left_n, g.right_n) == (len(left), len(right))
+        assert g.edges == frozenset() and len(g.u) == len(g.v) == 0
+        assert g.left_degrees() == (0,) * len(left)
+        assert g.right_degrees() == (0,) * len(right)
+
+    def test_degrees_and_edges_are_python_ints(self):
+        system = ryser_interval_system(CE)
+        g = interval_bipartite_realize(system, system)
+        assert g.u.dtype == g.v.dtype == np.int64
+        assert all(type(d) is int for d in g.left_degrees() + g.right_degrees())
+        assert all(type(i) is int and type(j) is int for i, j in g.edges)
+
+    def test_equal_witnesses_compare_and_hash_equal(self):
+        system = ryser_interval_system(CE)
+        g, h = (interval_bipartite_realize(system, system) for _ in range(2))
+        assert g is not h and g == h and hash(g) == hash(h)
+        same_edges = BipartiteGraph(g.left_n, g.right_n, g.u[::-1], g.v[::-1])
+        assert same_edges == g and hash(same_edges) == hash(g)
+        assert BipartiteGraph(g.left_n + 1, g.right_n, g.u, g.v) != g
+        assert BipartiteGraph(2, 2, [0], [1]) != SimpleGraph(2, [(0, 1)])
+        assert repr(BipartiteGraph(2, 3, [0], [1])) == (
+            "BipartiteGraph(left_n=2, right_n=3, edges=1)")
 
     def test_against_brute_force_random_systems(self):
         rng = random.Random(20260809)
