@@ -7,12 +7,15 @@ table).  A box query is then an exact inclusion-exclusion sum over the
 box's 2^n corners.  The oracle never consults the criteria module, which
 is what makes the agreement sweeps meaningful.
 
-A sweep (``cross_validate``) and the implication matrix take their
-instances in chunks of up to SWEEP_CHUNK pairs of equal size, held as
-two (k, n) bound arrays.  Each chunk makes one oracle gather over its
+A sweep (``cross_validate``) and the implication matrix over a size n
+read their instances as ranks: every rank of the space, or a sorted
+seeded sample of them.  Each run of up to SWEEP_CHUNK ranks is unranked
+at once into two (k, n) bound arrays (``_rank_chunks``), with no
+per-instance Python object.  Each chunk makes one oracle gather over its
 boxes and one kernel pass, every ``criteria.CRITERIA`` row is evaluated
 over the whole chunk, and the tallies are counts over the boolean
-verdict columns; only the violations are built one instance at a time.
+verdict columns; a pair is built only for a violation or a matrix
+example, from its row.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ MAX_EXHAUSTIVE_N = 7
 # digits long: one draw at n = 2000 took 32 s and 385 MB on 2 cores
 MAX_SAMPLE_N = 2000
 MAX_MATRIX_N = 6
-# Instances per chunk of a sweep: about 10 KB of oracle corners each at n = 7
+# Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
 SWEEP_CHUNK = 256
 
 ALL_CRITERIA = _criteria.PAIR_CHECKS  # every criterion on one pair, by name
@@ -59,8 +62,10 @@ def _count_grid(n: int):
     edge subsets whose degree vector is d: each edge (u, v) either stays
     out or adds one to both d_u and d_v.  After them, cell x counts the
     subsets with degree vector <= x componentwise.  The corners are the
-    2^n choices of "lower" or "upper" side per axis with their
-    inclusion-exclusion signs.
+    2^n choices of "lower" or "upper" side per axis, as the 0/1 columns
+    of ``lower_t`` (one per corner), with their inclusion-exclusion signs.
+    ``lower_t`` is float64 so that products with it run through BLAS; at
+    the n <= 7 built here they are integers far below 2^53, so exact.
     """
     grid = np.zeros((n,) * n, dtype=np.int64)
     grid[(0,) * n] = 1
@@ -72,10 +77,10 @@ def _count_grid(n: int):
         grid[tuple(dst)] = grid[tuple(dst)] + grid[tuple(src)]
     for axis in range(n):
         grid = np.cumsum(grid, axis=axis)
-    lower = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    signs = (-1) ** lower.sum(axis=1)
+    lower_t = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    signs = (-1) ** lower_t.sum(axis=0)
     strides = n ** np.arange(n - 1, -1, -1)
-    return grid.ravel(), lower, signs, strides
+    return grid.ravel(), lower_t.astype(np.float64), signs, strides
 
 
 def _box_counts(n: int, lows, highs) -> np.ndarray:
@@ -83,16 +88,21 @@ def _box_counts(n: int, lows, highs) -> np.ndarray:
 
     The count of edge subsets with lows[i] <= deg <= highs[i] is an
     inclusion-exclusion sum over the 2^n corners of box i, one summed-area
-    lookup each; corners below zero on some axis count nothing.  All k
-    boxes make one (k, 2^n, n) corners array and one gather.
+    lookup each; corners below zero on some axis count nothing.  Corner c
+    takes lows[i, j] - 1 on the axes j it has lower and highs[i, j] on the
+    rest, so its flat index is the upper corner's plus the lower axes'
+    (lows - 1 - highs) * strides: all k * 2^n indices come from two small
+    matrix products, with no corners array, and make one gather.
     """
-    cumulative, lower, signs, strides = _count_grid(n)
-    lows = np.asarray(lows, dtype=np.int64)[:, None, :]
-    highs = np.asarray(highs, dtype=np.int64)[:, None, :]
-    corners = np.where(lower, lows - 1, highs)
-    inside = (corners >= 0).all(axis=2)
-    # an outside corner's index wraps to some other cell; its lookup is zeroed
-    return (cumulative[corners @ strides] * inside) @ signs
+    cumulative, lower_t, signs, strides = _count_grid(n)
+    lows = np.asarray(lows, dtype=np.int64)
+    highs = np.asarray(highs, dtype=np.int64)
+    drop = ((lows - 1 - highs) * strides) @ lower_t
+    index = (highs @ strides)[:, None] + drop.astype(np.int64)
+    # a corner is outside iff it takes a lower side where lows is 0; its
+    # index wraps to some other cell, so its lookup is zeroed
+    outside = (lows == 0) @ lower_t > 0
+    return np.where(outside, 0, cumulative[index]) @ signs
 
 
 def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
@@ -118,6 +128,58 @@ def _require_size(n: int) -> None:
 def _cells(n: int) -> tuple[tuple[int, int], ...]:
     """All bound cells (a, b) with 0 <= a <= b <= n-1, largest first."""
     return tuple(sorted(((a, b) for b in range(n) for a in range(b + 1)), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``unrank_instance``'s binomials as an int64 table, and the cells'
+    bounds as two arrays: row r holds -comb(L - x + r, r + 1) for every
+    cell x of the L cells, increasing in x.  Its largest magnitude is the
+    size of the space, so it fits where that is at most 2^62 (n <= 14)."""
+    cells = _cells(n)
+    size = len(cells)
+    table = np.array([[-comb(size - x + r, r + 1) for x in range(size)] for r in range(n)],
+                     dtype=np.int64).reshape(n, size)
+    bounds = np.array(cells, dtype=np.int64).reshape(size, 2)
+    table.flags.writeable = bounds.flags.writeable = False  # shared by every caller
+    return table, bounds[:, 0], bounds[:, 1]
+
+
+def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``unrank_instance`` gives at ranks, as (k, n) lower and
+    upper bound arrays; for spaces of at most 2^62 instances.
+
+    Each position makes the scalar route's choice for every rank at once:
+    the cell is the largest x with comb(L - x + r, r + 1) >= target, one
+    searchsorted in row r of ``_unrank_table``, whose entries up to the
+    current cell all pass since fit >= target.
+    """
+    table, cell_lows, cell_highs = _unrank_table(n)
+    if isinstance(ranks, range):
+        ranks = np.arange(ranks.start, ranks.stop, dtype=np.int64)
+    rank = np.asarray(ranks, dtype=np.int64)
+    cell = np.empty((len(rank), n), dtype=np.int64)
+    fit = np.full(len(rank), instance_space_size(n), dtype=np.int64)
+    for pos in range(n):
+        r = n - pos - 1
+        target = fit - rank
+        x = np.searchsorted(table[r], -target, side="right") - 1
+        cell[:, pos] = x
+        rank = -table[r, x] - target
+        if r:
+            fit = -table[r - 1, x]
+    return cell_lows[cell], cell_highs[cell]
+
+
+def _bounds(pairs: Sequence[IntervalSequencePair], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of pairs of size n as (k, n) int64 arrays."""
+    return (np.array([p.a for p in pairs], dtype=np.int64).reshape(len(pairs), n),
+            np.array([p.b for p in pairs], dtype=np.int64).reshape(len(pairs), n))
+
+
+def _pair_of_row(lows: np.ndarray, highs: np.ndarray, i: int) -> IntervalSequencePair:
+    """The pair in row i of a chunk's bound arrays."""
+    return IntervalSequencePair(tuple(lows[i].tolist()), tuple(highs[i].tolist()))
 
 
 def _pair_of(cells: Sequence[tuple[int, int]]) -> IntervalSequencePair:
@@ -183,22 +245,44 @@ def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
     return _pair_of(combo)
 
 
-def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
-    """Uniform sample without replacement from the good-ordered instance space."""
+def _sample_ranks(n: int, count: int, seed: int) -> Sequence[int]:
+    """Sorted ranks of a uniform sample without replacement: every rank
+    when count covers the space."""
     if n > MAX_SAMPLE_N:
         raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
+    _require_size(n)
     total = instance_space_size(n)
     if count >= total:
-        return list(enumerate_instances(n))
+        return range(total)
     rng = random.Random(seed)
     if total <= 1 << 62:
-        ranks = sorted(rng.sample(range(total), count))
-    else:  # len() of a huge range overflows; fall back to rejection sampling
-        picked: set[int] = set()
-        while len(picked) < count:
-            picked.add(rng.randrange(total))
-        ranks = sorted(picked)
-    return [unrank_instance(n, r) for r in ranks]
+        return sorted(rng.sample(range(total), count))
+    # len() of a huge range overflows; fall back to rejection sampling
+    picked: set[int] = set()
+    while len(picked) < count:
+        picked.add(rng.randrange(total))
+    return sorted(picked)
+
+
+def _rank_chunks(n: int, ranks: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs at ranks, in order, as runs of up to SWEEP_CHUNK rows:
+    (k, n) lower and upper bound arrays.  Spaces of at most 2^62
+    instances are unranked a chunk at once; past that, ranks are Python
+    ints and each row comes from ``unrank_instance``."""
+    batch = instance_space_size(n) <= 1 << 62
+    for start in range(0, len(ranks), SWEEP_CHUNK):
+        part = ranks[start:start + SWEEP_CHUNK]
+        if batch:
+            yield _unrank_rows(n, part)
+        else:
+            yield _bounds([unrank_instance(n, rank) for rank in part], n)
+
+
+def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
+    """Uniform sample without replacement from the good-ordered instance space."""
+    return [IntervalSequencePair(tuple(a), tuple(b))
+            for lows, highs in _rank_chunks(n, _sample_ranks(n, count, seed))
+            for a, b in zip(lows.tolist(), highs.tolist())]
 
 
 def random_instances(
@@ -333,10 +417,10 @@ def cross_validate(
             raise TooLarge(
                 f"exhaustive sweep supports n <= {MAX_EXHAUSTIVE_N}; pass sample="
             )
-        instances: Iterable[IntervalSequencePair] = enumerate_instances(n)
+        ranks: Sequence[int] = range(instance_space_size(n))
         report = SweepReport(n=n, mode="exhaustive", sample_size=None, seed=None, criteria=names)
     else:
-        instances = sample_instances(n, sample, seed)
+        ranks = _sample_ranks(n, sample, seed)
         report = SweepReport(n=n, mode="sample", sample_size=sample, seed=seed, criteria=names)
     report.oracle_used = n <= MAX_EXHAUSTIVE_N
     report.cells = {
@@ -355,7 +439,7 @@ def cross_validate(
 
     start = time.perf_counter()
     index = 0
-    for chunk, lows, highs in _chunks(instances):
+    for lows, highs in _rank_chunks(n, ranks):
         kernel = kernel_pass(lows, highs)
         verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
         flagged = []  # (offset in chunk, 0 or 1 + position in names, criterion, arrow)
@@ -382,9 +466,9 @@ def cross_validate(
                     if arrow in _criteria.CRITERIA[name].gated:
                         flagged += [(i, slot, name, arrow) for i in np.flatnonzero(broken).tolist()]
         for i, _, name, arrow in sorted(flagged):
-            report.violations.append(
-                _violation(index + i, chunk[i], name, arrow, verdicts[name].verdict(i)))
-        index += len(chunk)
+            report.violations.append(_violation(
+                index + i, _pair_of_row(lows, highs, i), name, arrow, verdicts[name].verdict(i)))
+        index += len(lows)
     report.instance_count = index
     report.elapsed = time.perf_counter() - start
     if report.oracle_used:
@@ -393,16 +477,15 @@ def cross_validate(
     return report
 
 
-def _chunks(
-    pairs: Iterable[IntervalSequencePair],
-) -> Iterator[tuple[list[IntervalSequencePair], np.ndarray, np.ndarray]]:
-    """Runs of up to SWEEP_CHUNK consecutive pairs of equal size, in order,
-    each with its lower and upper bounds as (k, n) int64 arrays."""
+def _chunks(pairs: Iterable[IntervalSequencePair]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Explicit pairs as runs of up to SWEEP_CHUNK consecutive pairs of
+    equal size, in order, each as (k, n) lower and upper bound arrays;
+    raises NotGoodOrder on a run holding a pair out of good order."""
     for n, run in itertools.groupby(pairs, key=lambda pair: pair.n):
         while chunk := list(itertools.islice(run, SWEEP_CHUNK)):
-            lows = np.array([p.a for p in chunk], dtype=np.int64).reshape(len(chunk), n)
-            highs = np.array([p.b for p in chunk], dtype=np.int64).reshape(len(chunk), n)
-            yield chunk, lows, highs
+            lows, highs = _bounds(chunk, n)
+            _require_good_order_rows(lows, highs)
+            yield lows, highs
 
 
 def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
@@ -487,28 +570,28 @@ def implication_matrix(
 ) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n, or explicit pairs."""
     names = _resolve_criteria(criteria)
-    explicit = pairs is not None
-    if not explicit:
-        if n is None:
-            raise ValueError("pass either n or pairs")
+    if pairs is not None:
+        chunks = _chunks(pairs)
+    elif n is None:
+        raise ValueError("pass either n or pairs")
+    else:
         _require_size(n)
         if n > MAX_MATRIX_N:
             raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
-        pairs = enumerate_instances(n)
+        chunks = _rank_chunks(n, range(instance_space_size(n)))
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
-    for chunk, lows, highs in _chunks(pairs):
-        if explicit:
-            _require_good_order_rows(lows, highs)
-        total += len(chunk)
+    for lows, highs in chunks:
+        total += len(lows)
         kernel = kernel_pass(lows, highs)
         holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}
         for x, y in counts:
             cases = holds[x] & ~holds[y]
             if cases.any():
                 counts[(x, y)] += int(cases.sum())
-                examples.setdefault((x, y), chunk[int(cases.argmax())])
+                if (x, y) not in examples:
+                    examples[(x, y)] = _pair_of_row(lows, highs, int(cases.argmax()))
     return ImplicationMatrix(
         criteria=names, instance_count=total, counts=counts, examples=examples
     )

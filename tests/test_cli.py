@@ -18,6 +18,7 @@ from degreebox.cli import (
 )
 from degreebox import cli, criteria
 from degreebox.errors import LengthMismatch
+from degreebox.oracle import DEFAULT_SWEEP_CRITERIA, enumerate_instances
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
 
@@ -170,7 +171,27 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["cdz_oracle_disagreements"] == 0
         assert {v["criterion"] for v in report["violations"]} == set(patches)
+        # each violation's pair, rebuilt from its chunk row, is its instance's
+        instances = list(enumerate_instances(3))
+        for v in report["violations"]:
+            pair = instances[v["instance_index"]]
+            assert (v["a"], v["b"]) == (list(pair.a), list(pair.b)), v
         assert main(["--json", "crossval", "--matrix", "3"]) == 0
+        matrix = json.loads(capsys.readouterr().out)
+        # every nonzero cell x->y, with the first instance in enumeration
+        # order on which the (patched) row x holds and y fails
+        holds = [{name: bool(criteria.CRITERIA[name].check(pair.kernel).holds[0])
+                  for name in DEFAULT_SWEEP_CRITERIA} for pair in instances]
+        cells, examples = {}, {}
+        for x in DEFAULT_SWEEP_CRITERIA:
+            for y in DEFAULT_SWEEP_CRITERIA:
+                cases = [i for i, h in enumerate(holds) if h[x] and not h[y]]
+                if x != y and cases:
+                    cells[f"{x}->{y}"] = len(cases)
+                    first = instances[cases[0]]
+                    examples[f"{x}->{y}"] = {"a": list(first.a), "b": list(first.b)}
+        assert any(name in cell.split("->") for name in patches for cell in cells)
+        assert matrix["cells"] == cells and matrix["examples"] == examples
 
     def test_identities(self, capsys):
         assert main(["identities", "--count", "500", "--seed", "7"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -11,6 +12,10 @@ from degreebox.oracle import (
     _box_counts,
     _cells,
     _chunks,
+    _count_grid,
+    _rank_chunks,
+    _sample_ranks,
+    _unrank_rows,
     cross_validate,
     enumerate_instances,
     implication_matrix,
@@ -30,6 +35,25 @@ from degreebox.sequences import (
 from ref_impl import ref_unrank_cells, ref_witness_count
 
 CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
+
+
+def _rows(chunks) -> list[IntervalSequencePair]:
+    """The pairs in the rows of (lows, highs) chunks, in order."""
+    return [IntervalSequencePair(tuple(a), tuple(b))
+            for lows, highs in chunks for a, b in zip(lows.tolist(), highs.tolist())]
+
+
+def _corner_sum(pair) -> int:
+    """A box's witness count as an inclusion-exclusion sum over its corners,
+    one summed-area lookup each, skipping corners below zero."""
+    n = pair.n
+    grid = _count_grid(n)[0].reshape((n,) * n)
+    total = 0
+    for lower in itertools.product((False, True), repeat=n):
+        corner = tuple(lo - 1 if side else hi for side, lo, hi in zip(lower, pair.a, pair.b))
+        if min(corner, default=0) >= 0:
+            total += (-1) ** sum(lower) * int(grid[corner])
+    return total
 
 
 class TestOracle:
@@ -70,18 +94,28 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", range(8))
     def test_batched_counts_match_per_box_queries(self, n):
-        """One gather over many boxes, and a sweep's chunks, equal per-box
-        oracle_realizable; past n = 3 the batch of 2 * SWEEP_CHUNK + 37 boxes
-        is not a whole number of chunks."""
-        pairs = sample_instances(n, 2 * SWEEP_CHUNK + 37, seed=n)
+        """A sweep's rank chunks hold at most SWEEP_CHUNK rows each, and
+        their rows are sample_instances' pairs, in order, which are the
+        scalar unranker's; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks are not
+        a whole number of chunks.  One gather per chunk equals per-box
+        oracle_realizable and a corner-by-corner sum over the table, boxes
+        with some a_i = 0 (lower corners outside the table) included.  The
+        explicit pairs' chunks carry the same rows."""
+        size = 2 * SWEEP_CHUNK + 37
+        ranks = _sample_ranks(n, size, seed=n)
+        pairs = sample_instances(n, size, seed=n)
+        assert pairs == [unrank_instance(n, rank) for rank in ranks]
+        assert n == 0 or any(0 in pair.a for pair in pairs)
+        chunks = list(_rank_chunks(n, ranks))
+        assert all(0 < len(lows) <= SWEEP_CHUNK for lows, _ in chunks)
+        assert _rows(chunks) == pairs
         expected = [oracle_realizable(pair).witness_count for pair in pairs]
-        counts = _box_counts(n, [p.a for p in pairs], [p.b for p in pairs])
-        assert counts.tolist() == expected
-        chunks = list(_chunks(pairs))
-        assert [p for chunk, _, _ in chunks for p in chunk] == pairs
-        assert all(0 < len(chunk) <= SWEEP_CHUNK for chunk, _, _ in chunks)
-        chunked = [_box_counts(n, lows, highs).tolist() for _, lows, highs in chunks]
+        assert expected == [_corner_sum(pair) for pair in pairs]
+        chunked = [_box_counts(n, lows, highs).tolist() for lows, highs in chunks]
         assert sum(chunked, []) == expected
+        explicit = list(_chunks(pairs))
+        assert all(0 < len(lows) <= SWEEP_CHUNK for lows, _ in explicit)
+        assert _rows(explicit) == pairs
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
@@ -136,18 +170,36 @@ class TestInstanceSpace:
             assert unrank_instance(5, rank) == instances[rank]
 
     def test_unrank_bisection_matches_linear_walk(self):
-        """Every rank with n <= 5, and 200 seeded ranks at each of n = 7, 9,
-        20 and 60, against the cell-by-cell walk of the reference."""
+        """Both unrankers against the cell-by-cell walk of the reference:
+        every rank with n <= 5, and 196 seeded ranks plus ranks 0, 1,
+        total - 2 and total - 1 at each larger n.  The scalar unranker runs
+        at n = 7, 9, 14, 20 and 60; the batch one wherever its int64 table
+        applies, up to n = 14, whose table entries come nearest to overflow."""
+        assert instance_space_size(14) <= 1 << 62 < instance_space_size(15)
         rng = random.Random(20261018)
-        ranks = [(n, rank) for n in range(6) for rank in range(instance_space_size(n))]
-        for n in (7, 9, 20, 60):
+        ranks = {n: list(range(instance_space_size(n))) for n in range(6)}
+        for n in (7, 9, 14, 20, 60):
             total = instance_space_size(n)
-            ranks += [(n, rng.randrange(total)) for _ in range(196)]
-            ranks += [(n, 0), (n, 1), (n, total - 2), (n, total - 1)]
-        for n, rank in ranks:
-            cells = ref_unrank_cells(_cells(n), n, rank)
-            expected = IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
-            assert unrank_instance(n, rank) == expected, (n, rank)
+            ranks[n] = [rng.randrange(total) for _ in range(196)] + [0, 1, total - 2, total - 1]
+        for n, some in ranks.items():
+            expected = []
+            for rank in some:
+                cells = ref_unrank_cells(_cells(n), n, rank)
+                expected.append(IntervalSequencePair(tuple(c[0] for c in cells),
+                                                     tuple(c[1] for c in cells)))
+            assert [unrank_instance(n, rank) for rank in some] == expected, n
+            if n <= 14:
+                assert _rows([_unrank_rows(n, some)]) == expected, n
+
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_rank_chunks_past_2_to_62_unrank_one_rank_at_a_time(self, n):
+        """Past 2^62 instances the sweep's chunk stream takes Python-int
+        ranks through unrank_instance, in order and chunk by chunk."""
+        rng = random.Random(n)
+        ranks = sorted(rng.randrange(instance_space_size(n)) for _ in range(SWEEP_CHUNK + 3))
+        chunks = list(_rank_chunks(n, ranks))
+        assert [len(lows) for lows, _ in chunks] == [SWEEP_CHUNK, 3]
+        assert _rows(chunks) == [unrank_instance(n, rank) for rank in ranks]
 
     def test_unrank_at_n400_is_fast(self):
         start = time.perf_counter()
