@@ -24,7 +24,6 @@ from .criteria import (
     criteria_report,
 )
 from .errors import (
-    EntryTooLarge,
     IndexOutOfRange,
     InputError,
     LengthMismatch,
@@ -41,35 +40,24 @@ from .oracle import (
     enumerate_instances,
     implication_matrix,
     instance_space_size,
-    oracle_decide,
     oracle_realizable,
     sample_instances,
 )
 from .realize import (
     BipartiteGraph,
     SimpleGraph,
-    find_graphic_in_box,
     graphic_vector_in_box,
-    havel_hakimi_realize,
     interval_bipartite_realize,
     realize_pair,
     verify_witness,
 )
 from .sequences import (
-    IndexProfile,
     IntervalSequencePair,
     NormalizedInstance,
-    berge_sequence,
     conjugate_sequence,
     crossing_index,
-    crossing_indices,
-    is_good_order,
     max_sum_identities_hold,
     normalize_good_order,
-    parity_correction,
-    parity_support,
-    tilde_sequence,
-    validate_and_clamp,
 )
 
 __version__ = "0.1.0"

@@ -57,7 +57,9 @@ def parse_instance(text: str) -> InstanceSpec:
                 payload = json.load(fh)
         except OSError as exc:
             raise InstanceSyntaxError(f"cannot read instance file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # malformed UTF-8, JSON and over-long integer literals are ValueErrors;
+        # arrays nested past the parser's recursion limit raise RecursionError
+        except (ValueError, RecursionError) as exc:
             raise InstanceSyntaxError(f"instance file is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "a" not in payload or "b" not in payload:
             raise InstanceSyntaxError('instance file must be {"a": [...], "b": [...]}')
@@ -158,6 +160,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
+    if args.json and args.dot:
+        raise InputError("--json reports the edges itself; --dot does not apply")
     spec = parse_instance(args.instance)
     norm = _sequences.normalize_good_order(spec.a, spec.b)
     graph = _realize.realize_pair(norm.pair, norm.perm)

@@ -7,11 +7,11 @@ columns: holds, and the smallest failing witness t (and tail length m
 for Fulkerson) with both sides of the inequality.  The smallest failing
 t is a masked argmax over the (k, n+1) comparison; the Fulkerson rows
 scan t and compare all tail lengths m at once; the Ryser interval row is
-one Gale-Ryser pass over the tilde system, the pass the bipartite
-witness route probes as well.  Sweeps evaluate each row over a chunk of
-instances at once.  The per-pair checkers (``check_cdz``,
-``check_cdz_reduced``, ..., ``CHECKERS``, ``PAIR_CHECKS``) are the k = 1
-view of the rows, read off the pair's cached
+one Gale-Ryser pass over the tilde system, whose bound rows ``_lifted``
+builds, the pass the bipartite witness route probes as well.  Sweeps
+evaluate each row over a chunk of instances at once.  The per-pair
+checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``,
+``PAIR_CHECKS``) are the k = 1 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
 and ``criteria_report`` on one pair share one pass;
 ``check_erdos_gallai_fixed`` reads the pass on the point box (d; d).
@@ -34,9 +34,7 @@ from .sequences import (
     KernelPass,
     _check_nonnegative,
     _row_histogram,
-    _tilde_unchecked,
     kernel_pass,
-    require_good_order,
     require_non_increasing,
 )
 
@@ -256,16 +254,6 @@ def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     capped = np.minimum(supply, top)
     above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1), axis=1)[:, :top]
     return (lhs <= np.cumsum(above, axis=1)).all(axis=1)
-
-
-def ryser_interval_system(
-    pair: IntervalSequencePair,
-) -> list[tuple[int, int]]:
-    """Per-vertex intervals [tilde(a)_i, tilde(b)_i], each side of the test below."""
-    require_good_order(pair)
-    ta = _tilde_unchecked(pair.a)
-    tb = _tilde_unchecked(pair.b)
-    return list(zip(ta, tb))
 
 
 def _lifted(x: np.ndarray) -> np.ndarray:

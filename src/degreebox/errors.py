@@ -21,10 +21,6 @@ class LowerExceedsMaxDegree(InputError):
     """Some lower bound exceeds n-1, which no simple graph can meet."""
 
 
-class EntryTooLarge(InputError):
-    """A degree entry exceeds n-1, so the zero-diagonal matrix is undefined."""
-
-
 class NotNonIncreasing(InputError):
     """The operation requires a non-increasing sequence."""
 

@@ -27,13 +27,13 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import criteria as _criteria
 from .errors import InputError, TooLarge, UnknownCriterion
-from .sequences import IntervalSequencePair, _require_good_order_rows, kernel_pass
+from .sequences import IntervalSequencePair, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
 # A draw lists all n(n+1)/2 cells and takes binomials of numbers thousands of
@@ -43,7 +43,6 @@ MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
 SWEEP_CHUNK = 256
 
-ALL_CRITERIA = _criteria.PAIR_CHECKS  # every criterion on one pair, by name
 DEFAULT_SWEEP_CRITERIA = tuple(
     name for name, row in _criteria.CRITERIA.items() if row.scope != _criteria.NAMED
 )
@@ -112,11 +111,6 @@ def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
         raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
     count = int(_box_counts(pair.n, [pair.a], [pair.b])[0])
     return OracleResult(count > 0, count)
-
-
-def oracle_decide(pair: IntervalSequencePair) -> bool:
-    """Decision-only view of oracle_realizable."""
-    return oracle_realizable(pair).realizable
 
 
 def _require_size(n: int) -> None:
@@ -283,26 +277,6 @@ def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair
     return [IntervalSequencePair(tuple(a), tuple(b))
             for lows, highs in _rank_chunks(n, _sample_ranks(n, count, seed))
             for a, b in zip(lows.tolist(), highs.tolist())]
-
-
-def random_instances(
-    count: int, max_n: int, seed: int
-) -> Iterator[IntervalSequencePair]:
-    """Seeded stream of good-ordered pairs with 1 <= n <= max_n.
-
-    Sizes and cells are drawn uniformly; cells are sorted into good order.
-    Used by the randomized equivalence suites where exhaustion is out of
-    reach.
-    """
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, max_n)
-        cells = []
-        for _ in range(n):
-            hi = rng.randint(0, n - 1)
-            cells.append((rng.randint(0, hi), hi))
-        cells.sort(key=lambda c: (-c[0], -c[1]))
-        yield _pair_of(cells)
 
 
 def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:
@@ -477,17 +451,6 @@ def cross_validate(
     return report
 
 
-def _chunks(pairs: Iterable[IntervalSequencePair]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Explicit pairs as runs of up to SWEEP_CHUNK consecutive pairs of
-    equal size, in order, each as (k, n) lower and upper bound arrays;
-    raises NotGoodOrder on a run holding a pair out of good order."""
-    for n, run in itertools.groupby(pairs, key=lambda pair: pair.n):
-        while chunk := list(itertools.islice(run, SWEEP_CHUNK)):
-            lows, highs = _bounds(chunk, n)
-            _require_good_order_rows(lows, highs)
-            yield lows, highs
-
-
 def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
     """Rows on which two criteria's verdicts differ as CriterionVerdicts: in
     holds or, where both fail, in a witness column (a column against None
@@ -563,26 +526,16 @@ class ImplicationMatrix:
         return "\n".join(lines) + "\n"
 
 
-def implication_matrix(
-    n: Optional[int] = None,
-    pairs: Optional[Iterable[IntervalSequencePair]] = None,
-    criteria: Optional[Sequence[str]] = None,
-) -> ImplicationMatrix:
-    """Tally x-holds/y-fails over the exhaustive space at n, or explicit pairs."""
+def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> ImplicationMatrix:
+    """Tally x-holds/y-fails over the exhaustive space at n."""
     names = _resolve_criteria(criteria)
-    if pairs is not None:
-        chunks = _chunks(pairs)
-    elif n is None:
-        raise ValueError("pass either n or pairs")
-    else:
-        _require_size(n)
-        if n > MAX_MATRIX_N:
-            raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
-        chunks = _rank_chunks(n, range(instance_space_size(n)))
+    _require_size(n)
+    if n > MAX_MATRIX_N:
+        raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
-    for lows, highs in chunks:
+    for lows, highs in _rank_chunks(n, range(instance_space_size(n))):
         total += len(lows)
         kernel = kernel_pass(lows, highs)
         holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}

@@ -24,10 +24,8 @@ from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
-    _check_nonnegative,
     _reduced_range,
     require_good_order,
-    require_non_increasing,
 )
 
 
@@ -38,6 +36,9 @@ class _EdgeColumns:
     """
 
     __slots__ = ("u", "v", "_edges")
+
+    def __init__(self, u, v):
+        self.u, self.v, self._edges = np.asarray(u, np.int64), np.asarray(v, np.int64), None
 
     def _sizes(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in type(self).__slots__)
@@ -64,24 +65,18 @@ class _EdgeColumns:
 class SimpleGraph(_EdgeColumns):
     """Undirected graph on vertices 0..n-1, held as two integer edge columns.
 
-    A witness has u < v in every row and its rows in (u, v) order, so the
-    writers read the columns as they are: degrees are two bincounts and each
-    writer one string lookup per endpoint, O(n + m).  ``SimpleGraph(n,
-    edges)`` sorts the given pairs into rows without reorienting them.
+    ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given, as
+    ``BipartiteGraph`` does.  A witness has u < v in every row and its rows
+    in (u, v) order, so the writers read the columns as they are: degrees
+    are two bincounts and each writer one string lookup per endpoint,
+    O(n + m).
     """
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        rows = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-        self.n, self.u, self.v, self._edges = n, rows[:, 0].copy(), rows[:, 1].copy(), None
-
-    @classmethod
-    def from_columns(cls, n: int, u, v) -> SimpleGraph:
-        """The graph whose rows are (u[i], v[i]), taken as given."""
-        g = cls.__new__(cls)
-        g.n, g.u, g.v, g._edges = n, np.asarray(u, np.int64), np.asarray(v, np.int64), None
-        return g
+    def __init__(self, n: int, u, v):
+        self.n = n
+        super().__init__(u, v)
 
     def degrees(self) -> tuple[int, ...]:
         deg = np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
@@ -116,27 +111,14 @@ class BipartiteGraph(_EdgeColumns):
     __slots__ = ("left_n", "right_n")
 
     def __init__(self, left_n: int, right_n: int, u, v):
-        self.left_n, self.right_n, self._edges = left_n, right_n, None
-        self.u, self.v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+        self.left_n, self.right_n = left_n, right_n
+        super().__init__(u, v)
 
     def left_degrees(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.u, minlength=self.left_n).tolist())
 
     def right_degrees(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.v, minlength=self.right_n).tolist())
-
-
-def havel_hakimi_realize(d: Sequence[int]) -> Optional[SimpleGraph]:
-    """Realize a non-increasing degree sequence, or return None if not graphic.
-
-    Each round connects the largest remaining residual to the next-largest
-    ones; ties break by original vertex index, so the witness is
-    deterministic.  Success agrees exactly with check_erdos_gallai_fixed.
-    """
-    require_non_increasing(d)
-    _check_nonnegative(d, "degree sequence")
-    columns = _havel_hakimi(d, range(len(d)))
-    return None if columns is None else SimpleGraph.from_columns(len(d), *columns)
 
 
 def _take_largest(buckets: list[list[int]], need: int, top: int) -> Optional[list[int]]:
@@ -272,12 +254,6 @@ def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...
     return _self_reduce(zip(pair.a, pair.b), realizable)
 
 
-def find_graphic_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
-    """Non-increasing graphic sequence assignable into the boxes, or None."""
-    vec = graphic_vector_in_box(pair)
-    return None if vec is None else tuple(sorted(vec, reverse=True))
-
-
 def realize_pair(
     pair: IntervalSequencePair, perm: Optional[Sequence[int]] = None
 ) -> Optional[SimpleGraph]:
@@ -294,7 +270,7 @@ def realize_pair(
     columns = _havel_hakimi(vec, range(pair.n) if perm is None else perm)
     if columns is None:  # cannot happen: the search only returns graphic vectors
         raise AssertionError("graphic vector failed to realize")
-    return SimpleGraph.from_columns(pair.n, *columns)
+    return SimpleGraph(pair.n, *columns)
 
 
 def verify_witness(g: SimpleGraph, a: Sequence[int], b: Sequence[int]) -> bool:

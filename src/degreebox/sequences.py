@@ -21,7 +21,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    EntryTooLarge,
     IndexOutOfRange,
     LengthMismatch,
     LowerExceedsMaxDegree,
@@ -89,20 +88,6 @@ class NormalizedInstance:
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IndexProfile:
-    """Crossing indices of a bound pair.
-
-    s   largest i with a[i-1] >= i-1 (always >= 1 for n >= 1)
-    g_a largest i with a[i-1] >= i (0 if none)
-    g_b largest i with b[i-1] >= i (0 if none)
-    """
-
-    s: int
-    g_a: int
-    g_b: int
-
-
 def _check_nonnegative(seq: Sequence[int], name: str) -> None:
     for x in seq:
         if x < 0:
@@ -131,7 +116,7 @@ def _int64_column(seq: Sequence[int]) -> np.ndarray:
 def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """a and b as int64 columns, b clamped to n-1, checked as masks.
 
-    Raises what ``validate_and_clamp`` documents, naming the first
+    Raises what ``normalize_good_order`` documents, naming the first
     offending entry.  A lower bound above n-1 also exceeds its clamped
     upper bound, so one mask finds the first index of either error.
     """
@@ -153,20 +138,6 @@ def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
     return lo, hi
 
 
-def validate_and_clamp(a: Sequence[int], b: Sequence[int]) -> IntervalSequencePair:
-    """Build a pair, clamping each upper bound to n-1.
-
-    Degrees in a simple graph cannot exceed n-1, so clamping b does not
-    change realizability; a lower bound above n-1 is rejected outright
-    (LowerExceedsMaxDegree), as are negative entries (NegativeEntry) and a
-    lower bound above its clamped upper bound (LowerExceedsUpper).  The
-    checks run as int64 masks over both vectors; entries past int64 are
-    decided as their Python values would be.
-    """
-    lo, hi = _validated_columns(a, b)
-    return IntervalSequencePair(tuple(lo.tolist()), tuple(hi.tolist()))
-
-
 def _good_order_rows(a, b) -> np.ndarray:
     """Row i of the (k, n) bounds a, b is in good order: no cell (a, b) is
     lexicographically above the one before it."""
@@ -180,11 +151,6 @@ def _require_good_order_rows(a, b) -> None:
         raise NotGoodOrder("bound pair is not in good order; normalize first")
 
 
-def is_good_order(pair: IntervalSequencePair) -> bool:
-    """True iff the cells (a[i], b[i]) are lexicographically non-increasing."""
-    return bool(_good_order_rows([pair.a], [pair.b])[0])
-
-
 def require_good_order(pair: IntervalSequencePair) -> None:
     _require_good_order_rows([pair.a], [pair.b])
 
@@ -192,10 +158,17 @@ def require_good_order(pair: IntervalSequencePair) -> None:
 def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstance:
     """Validate, clamp, and stably sort the cells into good order.
 
-    Validation is ``validate_and_clamp``'s.  The cells are sorted by a
-    descending, then b descending, as one stable argsort of the int64 key
-    a*n + b (0 <= b < n keeps it lexicographic); ties keep input order, so
-    the recorded permutation is deterministic.
+    Each upper bound is clamped to n-1: degrees in a simple graph cannot
+    exceed it, so clamping b does not change realizability.  A lower bound
+    above n-1 is rejected outright (LowerExceedsMaxDegree), as are paired
+    vectors of different lengths (LengthMismatch), negative entries
+    (NegativeEntry) and a lower bound above its clamped upper bound
+    (LowerExceedsUpper).  The checks run as int64 masks over both vectors;
+    entries past int64 are decided as their Python values would be.  The
+    cells are then sorted by a descending, then b descending, as one
+    stable argsort of the int64 key a*n + b (0 <= b < n keeps it
+    lexicographic); ties keep input order, so the recorded permutation is
+    deterministic.
     """
     lo, hi = _validated_columns(a, b)
     order = np.argsort(-(lo * len(lo) + hi), kind="stable")
@@ -203,24 +176,12 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     return NormalizedInstance(pair, tuple(order.tolist()))
 
 
-def berge_sequence(d: Sequence[int]) -> DegreeSequence:
-    """Column sums of the zero-diagonal left-packed 0-1 matrix of d.
-
-    Row k carries d[k] ones in the leading columns, skipping the diagonal
-    cell (k, k).  Requires every entry <= n-1; preserves the total sum.
-    Column j is P(j+1) - P(j) for P(t) = rhs(t) + eps(t) - D_d(t) on (d; d).
-    """
-    n = len(d)
-    _check_nonnegative(d, "sequence")
-    for k, x in enumerate(d):
-        if x > n - 1:
-            raise EntryTooLarge(f"entry d[{k}] = {x} exceeds n-1 = {n - 1}")
-    return tuple(_berge_rows([d])[0].tolist())
-
-
 def _berge_rows(d) -> np.ndarray:
-    """``berge_sequence`` of every row of a (k, n) batch, entries in 0..n-1
-    unchecked: one kernel pass on the point boxes (d; d)."""
+    """The Berge sequence of every row of a (k, n) batch, entries in 0..n-1
+    unchecked: the column sums of the zero-diagonal 0-1 matrix whose row k
+    carries d[k] ones in the leading columns, skipping the diagonal cell
+    (k, k).  Column j is P(j+1) - P(j) for P(t) = rhs(t) + eps(t) - D_d(t),
+    so all rows come from one kernel pass on the point boxes (d; d)."""
     kernel = kernel_pass(d, d)
     return np.diff(kernel.rhs + kernel.eps - kernel.deficit_b, axis=1)
 
@@ -239,45 +200,6 @@ def crossing_index(d: Sequence[int]) -> int:
         if x >= i:
             g = i
     return g
-
-
-def tilde_sequence(d: Sequence[int]) -> DegreeSequence:
-    """Add 1 to the first g entries, g = crossing_index(d); input non-increasing."""
-    require_non_increasing(d)
-    return _tilde_unchecked(d)
-
-
-def _tilde_unchecked(d: Sequence[int]) -> DegreeSequence:
-    g = crossing_index(d)
-    return tuple(x + 1 if i < g else x for i, x in enumerate(d))
-
-
-def parity_support(pair: IntervalSequencePair, t: int) -> frozenset[int]:
-    """Vertices past the prefix whose upper bound exceeds t.
-
-    Returns the 0-based indices j with j >= t and b[j] >= t+1; this is
-    the support over which the parity correction is evaluated.
-    """
-    if not 0 <= t <= pair.n:
-        raise IndexOutOfRange(f"t = {t} not in [0, {pair.n}]")
-    return frozenset(j for j in range(t, pair.n) if pair.b[j] >= t + 1)
-
-
-def parity_correction(pair: IntervalSequencePair, t: int) -> int:
-    """1 iff all supported bounds are forced (a = b) and their sum has bad parity.
-
-    On the support S = parity_support(pair, t) the correction is 1 exactly
-    when a[j] = b[j] for every j in S and sum(b[j] for j in S) + t*|S| is
-    odd; the empty support gives 0.
-    """
-    if not 0 <= t <= pair.n:
-        raise IndexOutOfRange(f"t = {t} not in [0, {pair.n}]")
-    return parity_corrections(pair)[t]
-
-
-def parity_corrections(pair: IntervalSequencePair) -> tuple[int, ...]:
-    """The parity correction eps(t) for every t in 0..n: the kernel pass's eps column."""
-    return tuple(kernel_pass([pair.a], [pair.b]).eps[0].tolist())
 
 
 def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -378,14 +300,6 @@ def _reduced_range(a: Sequence[int]) -> int:
     initial run and s is found by bisection.
     """
     return bisect_left(range(len(a)), True, key=lambda i: a[i] < i)
-
-
-def crossing_indices(pair: IntervalSequencePair) -> IndexProfile:
-    """Compute s, g_a and g_b for a good-ordered pair."""
-    require_good_order(pair)
-    return IndexProfile(
-        s=_reduced_range(pair.a), g_a=crossing_index(pair.a), g_b=crossing_index(pair.b)
-    )
 
 
 def max_sum_identities_hold(p: Sequence[int], t: int) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import degreebox
 from degreebox.cli import (
@@ -53,16 +56,21 @@ class TestParseInstance:
         assert spec.a == (2, 2, 2)
 
     @pytest.mark.parametrize("payload", [
-        '{"a": [1.9, 1, "1"], "b": [2, true, 2]}',
-        '{"a": "111", "b": "222"}',
-        '{"a": [1, 1, 1], "b": [2, true, 2]}',
-        '{"a": [1.0, 1, 1], "b": [2, 2, 2]}',
-        '{"a": null, "b": [1]}',
-        '{"a": {"0": 1}, "b": [1]}',
+        b'{"a": [1.9, 1, "1"], "b": [2, true, 2]}',
+        b'{"a": "111", "b": "222"}',
+        b'{"a": [1, 1, 1], "b": [2, true, 2]}',
+        b'{"a": [1.0, 1, 1], "b": [2, 2, 2]}',
+        b'{"a": null, "b": [1]}',
+        b'{"a": {"0": 1}, "b": [1]}',
+        # not JSON text at all: bytes that are not UTF-8, arrays nested past
+        # the parser's recursion limit, an integer past int()'s digit limit
+        pytest.param(b"\xff\xfe", id="non-utf-8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000-deep"),
+        pytest.param(b'{"a": [' + b"1" * 5000 + b'], "b": [1]}', id="int-past-digit-limit"),
     ])
     def test_json_file_rejects_non_integer_arrays(self, payload, tmp_path, capsys):
         path = tmp_path / "inst.json"
-        path.write_text(payload)
+        path.write_bytes(payload)
         with pytest.raises(InstanceSyntaxError):
             parse_instance(f"@{path}")
         assert main(["check", f"@{path}"]) == 2
@@ -242,6 +250,8 @@ class TestExitCodes:
         # drawing one instance lists every cell, so sampled sizes are bounded
         "crossval 100000 --sample 1",
         "crossval 2001 --sample 1",
+        # --json reports the edges itself, so a DOT request is an error
+        "--json realize --dot 2,2,2/2,2,2",
     ])
     def test_invalid_sizes_and_counts_are_usage_errors(self, argv, capsys):
         assert main(argv.split()) == 2
@@ -429,3 +439,93 @@ def test_stdout_closed_before_the_first_write_keeps_the_verdict():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# --- a fuzz of the exit-code contract ---------------------------------------
+
+_entries = st.one_of(st.integers(-2, 9), st.sampled_from([2**63, 10**20, -(2**64)]))
+
+
+@st.composite
+def _instance_lists(draw):
+    n = draw(st.integers(0, 8))
+    a = draw(st.lists(_entries, min_size=n, max_size=n))
+    # now and then a length mismatch
+    b = draw(st.lists(_entries, min_size=n, max_size=n + draw(st.integers(0, 1))))
+    return a, b
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+    max_leaves=12,
+)
+_file_payloads = st.one_of(
+    st.binary(max_size=40),
+    _instance_lists().map(lambda ab: json.dumps({"a": ab[0], "b": ab[1]}).encode()),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+)
+# inline text that does not name a file: an @ prefix is drawn as a payload
+_inline = st.one_of(
+    _instance_lists().map(lambda ab: ",".join(map(str, ab[0])) + "/" + ",".join(map(str, ab[1]))),
+    st.text(max_size=20).filter(lambda text: not text.strip().startswith("@")),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """argv across the four subcommands and the global flags, plus an @file
+    payload (None when the argv names no file)."""
+    argv = [flag for flag in ("--json", "--quiet") if draw(st.booleans())]
+    command = draw(st.sampled_from(["check", "realize", "crossval", "identities"]))
+    argv.append(command)
+    payload = None
+    if command in ("check", "realize"):
+        if draw(st.booleans()):
+            payload = draw(_file_payloads)
+            argv.append("@{file}")
+        else:
+            argv.append(draw(_inline))
+        flag = "--oracle" if command == "check" else "--dot"
+        argv += [flag] if draw(st.booleans()) else []
+    elif command == "crossval":
+        matrix, sample = draw(st.booleans()), draw(st.none() | st.integers(-2, 50))
+        # sizes whose sweep is quick or rejected at once: sampled sweeps to
+        # n = 9, exhaustive ones and the matrix to n = 5, larger ones refused
+        quick = range(-3, 10) if sample is not None and not matrix else range(-3, 6)
+        refused = range(7 if matrix else 8, 10)
+        n = draw(st.sampled_from(list(quick) + list(refused)) | st.integers(2001, 10**30))
+        argv.append(str(n))
+        argv += ["--matrix"] if matrix else []
+        argv += [] if sample is None else ["--sample", str(sample)]
+        argv += ["--seed", str(draw(st.integers()))] if draw(st.booleans()) else []
+    else:
+        argv += ["--count", str(draw(st.integers(-2, 50)))]
+        argv += ["--seed", str(draw(st.integers()))] if draw(st.booleans()) else []
+    return argv, payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example((["--json", "check", "@{file}"], b"\xff\xfe"))
+def test_cli_exit_codes_hold_on_fuzzed_argv(fuzz_file, case):
+    """Every run exits 0, 1 or 2, and no run reports an internal error."""
+    argv, payload = case
+    if payload is not None:
+        fuzz_file.write_bytes(payload)
+        argv = [arg.replace("{file}", str(fuzz_file)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

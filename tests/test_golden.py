@@ -15,12 +15,14 @@ systems and planted bipartite systems.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 import ref_impl
 from degreebox.cli import main
+from degreebox.criteria import _lifted
 from degreebox.realize import interval_bipartite_realize
-from degreebox.sequences import _tilde_unchecked, normalize_good_order
+from degreebox.sequences import normalize_good_order
 
 
 def _check_argvs():
@@ -159,7 +161,7 @@ def _bipartite_systems():
     for k in range(60):
         a, b = ref_impl.random_box(rng, rng.randint(1, 300 if k % 7 == 0 else 60))
         pair = normalize_good_order(a, b).pair
-        system = list(zip(_tilde_unchecked(pair.a), _tilde_unchecked(pair.b)))
+        system = list(zip(*_lifted(np.array([pair.a, pair.b])).tolist()))
         yield system, system
     for k in range(40):
         ln, rn, p = rng.randint(0, 40), rng.randint(0, 40), rng.random()

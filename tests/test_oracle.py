@@ -4,14 +4,13 @@ import time
 
 import pytest
 
-from degreebox.criteria import check_cdz
-from degreebox.errors import InputError, NotGoodOrder, TooLarge, UnknownCriterion
+import ref_impl
+from degreebox.criteria import PAIR_CHECKS, check_bollobas, check_cdz, check_grunbaum
+from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
-    ALL_CRITERIA,
     SWEEP_CHUNK,
     _box_counts,
     _cells,
-    _chunks,
     _count_grid,
     _rank_chunks,
     _sample_ranks,
@@ -20,21 +19,14 @@ from degreebox.oracle import (
     enumerate_instances,
     implication_matrix,
     instance_space_size,
-    oracle_decide,
     oracle_realizable,
-    random_instances,
     sample_instances,
     unrank_instance,
 )
-from degreebox.sequences import (
-    IntervalSequencePair,
-    is_good_order,
-    normalize_good_order,
-    validate_and_clamp,
-)
+from degreebox.sequences import IntervalSequencePair, _good_order_rows, normalize_good_order
 from ref_impl import ref_unrank_cells, ref_witness_count
 
-CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
+CE = normalize_good_order((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1)).pair
 
 
 def _rows(chunks) -> list[IntervalSequencePair]:
@@ -62,29 +54,26 @@ class TestOracle:
         assert result == (False, 0)
 
     def test_triangle_unique_witness(self):
-        result = oracle_realizable(validate_and_clamp((2, 2, 2), (2, 2, 2)))
+        result = oracle_realizable(normalize_good_order((2, 2, 2), (2, 2, 2)).pair)
         assert result == (True, 1)
 
     def test_slack_two_vertex_box(self):
-        result = oracle_realizable(validate_and_clamp((0, 0), (1, 1)))
+        result = oracle_realizable(normalize_good_order((0, 0), (1, 1)).pair)
         assert result == (True, 2)
 
     def test_empty_instance(self):
-        assert oracle_realizable(validate_and_clamp((), ())) == (True, 1)
+        assert oracle_realizable(normalize_good_order((), ()).pair) == (True, 1)
 
     def test_too_large(self):
-        pair = validate_and_clamp((0,) * 8, (0,) * 8)
+        pair = normalize_good_order((0,) * 8, (0,) * 8).pair
         with pytest.raises(TooLarge):
             oracle_realizable(pair)
-        with pytest.raises(TooLarge):
-            oracle_decide(pair)
 
     def test_count_matches_reference_exhaustively(self):
         for n in range(0, 5):
             for pair in enumerate_instances(n):
                 count = ref_witness_count(pair)
                 assert oracle_realizable(pair) == (count > 0, count), pair
-                assert oracle_decide(pair) == (count > 0)
 
     @pytest.mark.parametrize("n, size", [(5, 400), (6, 40)])
     def test_count_matches_reference_sampled(self, n, size):
@@ -99,8 +88,7 @@ class TestOracle:
         scalar unranker's; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks are not
         a whole number of chunks.  One gather per chunk equals per-box
         oracle_realizable and a corner-by-corner sum over the table, boxes
-        with some a_i = 0 (lower corners outside the table) included.  The
-        explicit pairs' chunks carry the same rows."""
+        with some a_i = 0 (lower corners outside the table) included."""
         size = 2 * SWEEP_CHUNK + 37
         ranks = _sample_ranks(n, size, seed=n)
         pairs = sample_instances(n, size, seed=n)
@@ -113,9 +101,6 @@ class TestOracle:
         assert expected == [_corner_sum(pair) for pair in pairs]
         chunked = [_box_counts(n, lows, highs).tolist() for lows, highs in chunks]
         assert sum(chunked, []) == expected
-        explicit = list(_chunks(pairs))
-        assert all(0 < len(lows) <= SWEEP_CHUNK for lows, _ in explicit)
-        assert _rows(explicit) == pairs
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
@@ -130,12 +115,12 @@ class TestOracle:
     def test_box_monotonicity(self):
         rng = random.Random(4)
         for pair in sample_instances(5, 60, seed=8):
-            if not oracle_decide(pair):
+            if not oracle_realizable(pair).realizable:
                 continue
             wider_a = tuple(max(0, x - rng.randint(0, 1)) for x in pair.a)
             wider_b = tuple(min(4, x + rng.randint(0, 1)) for x in pair.b)
             wider = normalize_good_order(wider_a, wider_b).pair
-            assert oracle_decide(wider), (pair, wider)
+            assert oracle_realizable(wider).realizable, (pair, wider)
 
 
 class TestInstanceSpace:
@@ -154,7 +139,7 @@ class TestInstanceSpace:
         for n in range(1, 5):
             seen = set()
             for pair in enumerate_instances(n):
-                assert is_good_order(pair)
+                assert _good_order_rows([pair.a], [pair.b])[0]
                 assert all(0 <= lo <= hi <= n - 1 for lo, hi in zip(pair.a, pair.b))
                 seen.add((pair.a, pair.b))
             assert len(seen) == instance_space_size(n)
@@ -204,7 +189,7 @@ class TestInstanceSpace:
     def test_unrank_at_n400_is_fast(self):
         start = time.perf_counter()
         pair = unrank_instance(400, instance_space_size(400) // 3)
-        assert is_good_order(pair) and pair.n == 400
+        assert _good_order_rows([pair.a], [pair.b])[0] and pair.n == 400
         assert time.perf_counter() - start < 5.0
 
     def test_sampling_is_seeded_and_uniform_without_replacement(self):
@@ -221,16 +206,22 @@ class TestInstanceSpace:
         first = sample_instances(20, 30, seed=5)
         assert first == sample_instances(20, 30, seed=5)
         assert len({(p.a, p.b) for p in first}) == 30
-        assert all(is_good_order(p) and p.n == 20 for p in first)
+        assert _good_order_rows([p.a for p in first], [p.b for p in first]).all()
+        assert all(p.n == 20 for p in first)
 
     def test_sampling_more_than_space_returns_everything(self):
         assert len(sample_instances(2, 10_000, seed=0)) == 6
 
     def test_random_instances_deterministic(self):
-        a = list(random_instances(50, 9, seed=11))
-        b = list(random_instances(50, 9, seed=11))
+        """Seeded ref_impl.random_box draws, normalized, are reproducible and in good order."""
+        def draw(seed):
+            rng = random.Random(seed)
+            return [normalize_good_order(*ref_impl.random_box(rng, rng.randint(1, 9))).pair
+                    for _ in range(50)]
+
+        a, b = draw(11), draw(11)
         assert a == b
-        assert all(is_good_order(p) for p in a)
+        assert all(_good_order_rows([p.a], [p.b])[0] for p in a)
 
 
 class TestCrossValidate:
@@ -273,22 +264,22 @@ class TestCrossValidate:
         """A sample of 2 * SWEEP_CHUNK + 37 instances, not a whole number of
         chunks, tallied as the per-pair checkers and oracle queries say."""
         size = 2 * SWEEP_CHUNK + 37
-        report = cross_validate(n, criteria=list(ALL_CRITERIA), sample=size, seed=n)
+        report = cross_validate(n, criteria=list(PAIR_CHECKS), sample=size, seed=n)
         cells = {name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
                                       "oracle_no_holds", "oracle_no_fails"), 0)
-                 for name in ALL_CRITERIA}
-        holds_counts = dict.fromkeys(ALL_CRITERIA, 0)
+                 for name in PAIR_CHECKS}
+        holds_counts = dict.fromkeys(PAIR_CHECKS, 0)
         pairs = sample_instances(n, size, seed=n)
         for pair in pairs:
-            realizable = oracle_decide(pair)
-            for name, check in ALL_CRITERIA.items():
+            realizable = oracle_realizable(pair).realizable
+            for name, check in PAIR_CHECKS.items():
                 holds = check(pair).holds
                 holds_counts[name] += holds
                 side = "oracle_yes" if realizable else "oracle_no"
                 cells[name][f"{side}_{'holds' if holds else 'fails'}"] += 1
         assert report.instance_count == size
         assert report.cells == cells and report.holds_counts == holds_counts
-        assert report.oracle_yes == sum(map(oracle_decide, pairs))
+        assert report.oracle_yes == sum(oracle_realizable(pair).realizable for pair in pairs)
         assert report.violations == [] and report.cdz_reduced_disagreements == 0
 
     def test_large_n_sampled_runs_without_oracle(self):
@@ -322,23 +313,17 @@ class TestImplicationMatrix:
         assert matrix.cell("bollobas", "cdz") > 0
         example = matrix.example("bollobas", "cdz")
         assert example is not None
-        from degreebox.criteria import check_bollobas
-
         assert check_bollobas(example).holds
         assert not check_cdz(example).holds
 
     def test_explicit_pairs(self):
-        ones = validate_and_clamp((1, 1, 1), (1, 1, 1))
-        matrix = implication_matrix(pairs=[CE, ones])
-        assert matrix.instance_count == 2
-        assert matrix.cell("bollobas", "cdz") == 2
-        assert matrix.cell("grunbaum", "cdz") == 2
-        assert matrix.example("bollobas", "cdz") == CE
-
-    def test_explicit_pairs_must_be_in_good_order(self):
-        unordered = IntervalSequencePair((0, 1, 1), (1, 1, 1))
-        with pytest.raises(NotGoodOrder):
-            implication_matrix(pairs=[CE, unordered])
+        """The anomaly pairs CE and (1,1,1) through the per-pair checkers:
+        each counts in the bollobas->cdz and grunbaum->cdz cells of its size."""
+        ones = normalize_good_order((1, 1, 1), (1, 1, 1)).pair
+        for pair in (CE, ones):
+            assert check_bollobas(pair).holds and check_grunbaum(pair).holds
+            assert not check_cdz(pair).holds
+        assert implication_matrix(3).cell("grunbaum", "cdz") > 0
 
     def test_json_deterministic(self):
         assert implication_matrix(3).to_json() == implication_matrix(3).to_json()

@@ -11,10 +11,10 @@ import ref_impl
 from degreebox.cli import main
 from degreebox.criteria import (
     CriterionVerdict,
+    _lifted,
     check_cdz,
     check_erdos_gallai_fixed,
     check_ryser_interval,
-    ryser_interval_system,
 )
 from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
 from degreebox.oracle import enumerate_instances, sample_instances
@@ -22,21 +22,15 @@ from degreebox import realize
 from degreebox.realize import (
     BipartiteGraph,
     SimpleGraph,
-    find_graphic_in_box,
+    _havel_hakimi,
     graphic_vector_in_box,
-    havel_hakimi_realize,
     interval_bipartite_realize,
     realize_pair,
     verify_witness,
 )
-from degreebox.sequences import (
-    IntervalSequencePair,
-    normalize_good_order,
-    tilde_sequence,
-    validate_and_clamp,
-)
+from degreebox.sequences import IntervalSequencePair, normalize_good_order
 
-CE = validate_and_clamp((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1))
+CE = normalize_good_order((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1)).pair
 
 
 def non_increasing_sequences(n, max_entry):
@@ -44,48 +38,50 @@ def non_increasing_sequences(n, max_entry):
 
 
 class TestHavelHakimi:
+    """``_havel_hakimi`` on identity labels: edge columns, or None if not graphic."""
+
     def test_triangle(self):
-        g = havel_hakimi_realize((2, 2, 2))
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert SimpleGraph(3, *_havel_hakimi((2, 2, 2), range(3))).edges == frozenset(
+            {(0, 1), (0, 2), (1, 2)})
 
     def test_non_graphic(self):
-        assert havel_hakimi_realize((3, 3, 1, 1)) is None
+        assert _havel_hakimi((3, 3, 1, 1), range(4)) is None
 
     def test_single_edge(self):
-        g = havel_hakimi_realize((1, 1))
-        assert g.edges == frozenset({(0, 1)})
+        assert SimpleGraph(2, *_havel_hakimi((1, 1), range(2))).edges == frozenset({(0, 1)})
 
     def test_degrees_are_exact(self):
         for d in [(4, 3, 2, 2, 1), (3, 3, 2, 2, 2), (5, 5, 4, 4, 3, 3)]:
-            g = havel_hakimi_realize(d)
-            assert g is not None
-            assert g.degrees() == d
+            columns = _havel_hakimi(d, range(len(d)))
+            assert columns is not None
+            assert SimpleGraph(len(d), *columns).degrees() == d
 
     def test_agrees_with_erdos_gallai_small(self):
         for n in range(1, 7):
             for d in non_increasing_sequences(n, n - 1):
-                got = havel_hakimi_realize(d)
-                expect = check_erdos_gallai_fixed(d).holds
-                assert (got is not None) == expect, d
-                if got is not None:
-                    assert got.degrees() == d
+                columns = _havel_hakimi(d, range(n))
+                assert (columns is not None) == check_erdos_gallai_fixed(d).holds, d
+                if columns is not None:
+                    u, v = columns
+                    assert set(zip(u.tolist(), v.tolist())) == ref_impl.ref_havel_hakimi(
+                        enumerate(d)), d
+                    assert SimpleGraph(n, u, v).degrees() == d
 
     def test_oversized_entry_fails_cleanly(self):
-        assert havel_hakimi_realize((5, 1, 1, 1)) is None
+        assert _havel_hakimi((5, 1, 1, 1), range(4)) is None
 
 
 class TestGraphicVectorSearch:
     def test_counterexample_box_has_no_graphic_vector(self):
         assert graphic_vector_in_box(CE) is None
-        assert find_graphic_in_box(CE) is None
 
     def test_slack_box_takes_upper_bounds(self):
-        pair = validate_and_clamp((1, 1, 1), (2, 2, 2))
-        assert find_graphic_in_box(pair) == (2, 2, 2)
+        pair = normalize_good_order((1, 1, 1), (2, 2, 2)).pair
+        assert graphic_vector_in_box(pair) == (2, 2, 2)
 
     def test_point_box(self):
-        pair = validate_and_clamp((2, 2, 2), (2, 2, 2))
-        assert find_graphic_in_box(pair) == (2, 2, 2)
+        pair = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
+        assert graphic_vector_in_box(pair) == (2, 2, 2)
 
     def test_complete_against_brute_force(self):
         """Search result matches direct enumeration of every in-box vector."""
@@ -111,8 +107,8 @@ class TestGraphicVectorSearch:
         text = ",".join(map(str, a)) + "/" + ",".join(map(str, b))
         assert main(["--json", "realize", text]) == 0
         payload = json.loads(capsys.readouterr().out)
-        edges = frozenset((u - 1, v - 1) for u, v in payload["edges"])
-        assert verify_witness(SimpleGraph(1000, edges), a, b)
+        u, v = np.array(payload["edges"], dtype=np.int64).T - 1
+        assert verify_witness(SimpleGraph(1000, u, v), a, b)
 
     def test_planted_box_n600_realizes(self):
         """A box around a random graph's degrees is realizable by construction."""
@@ -133,14 +129,14 @@ class TestGraphicVectorSearch:
 
 class TestRealizePair:
     def test_triangle(self):
-        g = realize_pair(validate_and_clamp((2, 2, 2), (2, 2, 2)))
+        g = realize_pair(normalize_good_order((2, 2, 2), (2, 2, 2)).pair)
         assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_counterexample_not_realizable(self):
         assert realize_pair(CE) is None
 
     def test_empty_lower_bounds(self):
-        pair = validate_and_clamp((0, 0, 0), (2, 2, 2))
+        pair = normalize_good_order((0, 0, 0), (2, 2, 2)).pair
         g = realize_pair(pair)
         assert g is not None
         assert verify_witness(g, pair.a, pair.b)
@@ -160,59 +156,58 @@ class TestRealizePair:
 
 class TestVerifyWitness:
     def test_triangle_in_point_box(self):
-        g = SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
+        g = SimpleGraph(3, [0, 0, 1], [1, 2, 2])
         assert verify_witness(g, (2, 2, 2), (2, 2, 2))
 
     def test_empty_graph_misses_lower_bounds(self):
-        g = SimpleGraph(3, frozenset())
+        g = SimpleGraph(3, [], [])
         assert not verify_witness(g, (1, 1, 1), (2, 2, 2))
 
     def test_single_edge_in_slack_box(self):
-        g = SimpleGraph(2, frozenset({(0, 1)}))
+        g = SimpleGraph(2, [0], [1])
         assert verify_witness(g, (0, 0), (1, 1))
 
     def test_length_mismatch(self):
-        g = SimpleGraph(2, frozenset())
+        g = SimpleGraph(2, [], [])
         with pytest.raises(LengthMismatch):
             verify_witness(g, (0, 0), (0,))
 
     def test_graph_size_must_match_bounds(self):
         with pytest.raises(LengthMismatch):
-            verify_witness(SimpleGraph(3, frozenset()), (0, 0), (1, 1))
+            verify_witness(SimpleGraph(3, [], []), (0, 0), (1, 1))
 
     # each rejected graph has every degree inside the box, so only its shape fails
     def test_rejects_reversed_pair(self):
-        assert not verify_witness(SimpleGraph(2, frozenset({(1, 0)})), (0, 0), (1, 1))
+        assert not verify_witness(SimpleGraph(2, [1], [0]), (0, 0), (1, 1))
 
     def test_rejects_loop(self):
-        assert not verify_witness(SimpleGraph(2, frozenset({(1, 1)})), (0, 0), (2, 2))
+        assert not verify_witness(SimpleGraph(2, [1], [1]), (0, 0), (2, 2))
 
     def test_rejects_vertex_past_n(self):
-        assert not verify_witness(SimpleGraph(2, frozenset({(1, 2)})), (0, 0), (1, 1))
+        assert not verify_witness(SimpleGraph(2, [1], [2]), (0, 0), (1, 1))
 
     def test_rejects_negative_vertex(self):
-        assert not verify_witness(SimpleGraph(2, frozenset({(-1, 0)})), (0, 0), (1, 1))
+        assert not verify_witness(SimpleGraph(2, [-1], [0]), (0, 0), (1, 1))
 
     def test_rejects_repeated_edge(self):
-        assert verify_witness(SimpleGraph.from_columns(3, [0, 0], [1, 2]), (1, 0, 0), (2, 1, 1))
-        g = SimpleGraph.from_columns(3, [0, 0], [1, 1])
+        assert verify_witness(SimpleGraph(3, [0, 0], [1, 2]), (1, 0, 0), (2, 1, 1))
+        g = SimpleGraph(3, [0, 0], [1, 1])
         assert not verify_witness(g, (1, 0, 0), (2, 2, 1))
-        assert not verify_witness(SimpleGraph(3, [(0, 1), (0, 1)]), (1, 0, 0), (2, 2, 1))
 
     def test_rejects_rows_out_of_order(self):
-        assert not verify_witness(SimpleGraph.from_columns(3, [0, 0], [2, 1]), (1, 0, 0), (2, 1, 1))
+        assert not verify_witness(SimpleGraph(3, [0, 0], [2, 1]), (1, 0, 0), (2, 1, 1))
 
 
 class TestSerialization:
     def test_edge_list_is_one_based_and_sorted(self):
-        g = SimpleGraph(3, frozenset({(1, 2), (0, 1)}))
+        g = SimpleGraph(3, [0, 1], [1, 2])
         assert g.to_edge_list() == "1 2\n2 3\n"
 
     def test_empty_edge_list(self):
-        assert SimpleGraph(2, frozenset()).to_edge_list() == ""
+        assert SimpleGraph(2, [], []).to_edge_list() == ""
 
     def test_dot_lists_isolated_vertices(self):
-        g = SimpleGraph(3, frozenset({(0, 1)}))
+        g = SimpleGraph(3, [0], [1])
         assert g.to_dot() == "graph witness {\n  3;\n  1 -- 2;\n}\n"
 
 
@@ -242,7 +237,7 @@ def brute_bipartite_feasible(left, right):
 
 class TestIntervalBipartite:
     def test_counterexample_tilde_system_witness_degrees(self):
-        system = ryser_interval_system(CE)
+        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
         assert system == [(6, 6), (5, 6), (4, 4), (3, 3), (3, 3), (1, 1)]
         g = interval_bipartite_realize(system, system)
         assert g is not None
@@ -273,7 +268,7 @@ class TestIntervalBipartite:
                             lambda left, right: calls.append(1) or probe(left, right))
         for seed in range(400, 403):
             pair = normalize_good_order(*ref_impl.random_box(random.Random(seed), 400)).pair
-            system = ryser_interval_system(pair)
+            system = list(zip(*_lifted(np.array([pair.a, pair.b])).tolist()))
             calls.clear()
             assert interval_bipartite_realize(system, system) is not None, seed
             assert len(calls) <= 40, (seed, len(calls))
@@ -290,20 +285,20 @@ class TestIntervalBipartite:
         assert g.right_degrees() == (0,) * len(right)
 
     def test_degrees_and_edges_are_python_ints(self):
-        system = ryser_interval_system(CE)
+        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
         g = interval_bipartite_realize(system, system)
         assert g.u.dtype == g.v.dtype == np.int64
         assert all(type(d) is int for d in g.left_degrees() + g.right_degrees())
         assert all(type(i) is int and type(j) is int for i, j in g.edges)
 
     def test_equal_witnesses_compare_and_hash_equal(self):
-        system = ryser_interval_system(CE)
+        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
         g, h = (interval_bipartite_realize(system, system) for _ in range(2))
         assert g is not h and g == h and hash(g) == hash(h)
         same_edges = BipartiteGraph(g.left_n, g.right_n, g.u[::-1], g.v[::-1])
         assert same_edges == g and hash(same_edges) == hash(g)
         assert BipartiteGraph(g.left_n + 1, g.right_n, g.u, g.v) != g
-        assert BipartiteGraph(2, 2, [0], [1]) != SimpleGraph(2, [(0, 1)])
+        assert BipartiteGraph(2, 2, [0], [1]) != SimpleGraph(2, [0], [1])
         assert repr(BipartiteGraph(2, 3, [0], [1])) == (
             "BipartiteGraph(left_n=2, right_n=3, edges=1)")
 
@@ -401,12 +396,12 @@ class TestRyserInterval:
         assert check_ryser_interval(CE).holds
 
     def test_triangle(self):
-        pair = validate_and_clamp((2, 2, 2), (2, 2, 2))
-        assert tilde_sequence(pair.a) == (3, 3, 2)
+        pair = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
+        assert _lifted(np.array([pair.a])).tolist() == [[3, 3, 2]]
         assert check_ryser_interval(pair).holds
 
     def test_empty(self):
-        assert check_ryser_interval(validate_and_clamp((), ())).holds
+        assert check_ryser_interval(normalize_good_order((), ()).pair).holds
 
     def test_fixed_sequence_equivalence_with_havel_hakimi(self):
         """Degenerate intervals reproduce the classical bipartite lift test.
@@ -417,18 +412,17 @@ class TestRyserInterval:
         """
         for n in range(1, 7):
             for d in non_increasing_sequences(n, n - 1):
-                lifted = tilde_sequence(d)
-                system = [(x, x) for x in lifted]
+                system = [(x, x) for x in _lifted(np.array([d])).tolist()[0]]
                 flow = interval_bipartite_realize(system, system)
-                hh = havel_hakimi_realize(d)
+                hh = _havel_hakimi(d, range(n))
                 if sum(d) % 2 == 0:
                     assert (flow is not None) == (hh is not None), d
                 else:
                     assert hh is None, d
 
     def test_odd_sum_lift_can_be_feasible(self):
-        assert havel_hakimi_realize((1, 1, 1)) is None
-        system = [(x, x) for x in tilde_sequence((1, 1, 1))]
+        assert _havel_hakimi((1, 1, 1), range(3)) is None
+        system = [(x, x) for x in _lifted(np.array([(1, 1, 1)])).tolist()[0]]
         assert interval_bipartite_realize(system, system) is not None
 
     def test_matches_reference_flow(self):
@@ -440,7 +434,7 @@ class TestRyserInterval:
                   for _ in range(100)]
         verdicts = set()
         for pair in pairs:
-            system = ryser_interval_system(pair)
+            system = list(zip(*_lifted(np.array([pair.a, pair.b])).tolist()))
             expect = ref_impl.ref_interval_bipartite_flow(system, system) is not None
             assert check_ryser_interval(pair) == CriterionVerdict(expect), pair
             verdicts.add(expect)
@@ -631,13 +625,14 @@ def test_havel_hakimi_agrees_with_networkx():
                 for i in rng.sample(range(n), 2):
                     d[i] += 1
         d = tuple(sorted(d, reverse=True))
-        g = havel_hakimi_realize(d)
-        assert (g is not None) == nx.is_graphical(d), d
-        if g is not None:
+        columns = _havel_hakimi(d, range(n))
+        assert (columns is not None) == nx.is_graphical(d), d
+        if columns is not None:
+            edges = SimpleGraph(n, *columns).edges
             h = nx.Graph()
             h.add_nodes_from(range(n))
-            h.add_edges_from(g.edges)
-            assert h.number_of_edges() == len(g.edges) and nx.number_of_selfloops(h) == 0
+            h.add_edges_from(edges)
+            assert h.number_of_edges() == len(edges) and nx.number_of_selfloops(h) == 0
             assert tuple(deg for _, deg in sorted(h.degree())) == d, d
-        verdicts.add(g is not None)
+        verdicts.add(columns is not None)
     assert verdicts == {True, False}

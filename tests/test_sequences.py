@@ -1,104 +1,98 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import ref_impl
 
+from degreebox.criteria import _lifted
 from degreebox.errors import (
-    EntryTooLarge,
     IndexOutOfRange,
     LengthMismatch,
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
     NegativeEntry,
-    NotNonIncreasing,
 )
 from degreebox.sequences import (
     IntervalSequencePair,
-    berge_sequence,
+    _berge_rows,
+    _good_order_rows,
     conjugate_sequence,
     crossing_index,
-    crossing_indices,
-    is_good_order,
+    kernel_pass,
     max_sum_identities_hold,
     normalize_good_order,
-    parity_correction,
-    parity_support,
-    tilde_sequence,
-    validate_and_clamp,
 )
 
 CE_A = (5, 4, 3, 3, 3, 1)
 CE_B = (5, 5, 3, 3, 3, 1)
-
-
-def ref_parity_correction(pair, t):
-    """Independent evaluation straight from the definition."""
-    support = [j for j in range(pair.n) if j >= t and pair.b[j] >= t + 1]
-    if any(pair.a[j] != pair.b[j] for j in support):
-        return 0
-    return (sum(pair.b[j] for j in support) + t * len(support)) % 2
+CE = normalize_good_order(CE_A, CE_B).pair
+TRIANGLE = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
+ODD_ONES = normalize_good_order((1, 1, 1), (1, 1, 1)).pair
 
 
 class TestValidateAndClamp:
+    """Validation and clamping, which normalize_good_order runs before sorting."""
+
     def test_counterexample_accepted_unchanged(self):
-        pair = validate_and_clamp(CE_A, CE_B)
-        assert pair.a == CE_A
-        assert pair.b == CE_B
-        assert pair.n == 6
+        norm = normalize_good_order(CE_A, CE_B)
+        assert norm.pair.a == CE_A
+        assert norm.pair.b == CE_B
+        assert norm.pair.n == 6
 
     def test_upper_bounds_clamped(self):
-        pair = validate_and_clamp((0, 0), (9, 9))
-        assert pair.b == (1, 1)
+        assert normalize_good_order((0, 0), (9, 9)).pair.b == (1, 1)
 
     def test_lower_bound_above_max_degree_rejected(self):
         with pytest.raises(LowerExceedsMaxDegree):
-            validate_and_clamp((3, 0), (3, 3))
+            normalize_good_order((3, 0), (3, 3))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            validate_and_clamp((1, 2), (1,))
+            normalize_good_order((1, 2), (1,))
 
     def test_lower_exceeds_upper(self):
         with pytest.raises(LowerExceedsUpper):
-            validate_and_clamp((2, 0, 0), (1, 0, 0))
+            normalize_good_order((2, 0, 0), (1, 0, 0))
 
     def test_empty_pair(self):
-        pair = validate_and_clamp((), ())
-        assert pair.n == 0
+        assert normalize_good_order((), ()).pair.n == 0
 
     def test_first_offending_entry_is_named(self):
         # a[2] = 9 also exceeds n-1, but a[1] comes first
         message = r"^a\[1\] = 2 exceeds b\[1\] = 1 after clamping$"
         with pytest.raises(LowerExceedsUpper, match=message):
-            validate_and_clamp((0, 2, 9), (0, 1, 9))
+            normalize_good_order((0, 2, 9), (0, 1, 9))
         with pytest.raises(LowerExceedsMaxDegree, match=r"^a\[0\] = 9 exceeds n-1 = 2$"):
-            validate_and_clamp((9, 2, 0), (9, 1, 0))
+            normalize_good_order((9, 2, 0), (9, 1, 0))
         # negative entries are found before any bound comparison, lower bounds first
         with pytest.raises(NegativeEntry, match="^lower bounds contains negative entry -3$"):
-            validate_and_clamp((0, -3, -1), (-5, 1, 1))
+            normalize_good_order((0, -3, -1), (-5, 1, 1))
         with pytest.raises(NegativeEntry, match="^upper bounds contains negative entry -5$"):
-            validate_and_clamp((0, 3, 1), (1, -5, -1))
+            normalize_good_order((0, 3, 1), (1, -5, -1))
 
     @pytest.mark.parametrize("h", [2**63, 2**64, 10**20])
     def test_entries_past_int64(self, h):
-        assert validate_and_clamp((0, 1), (h, h)) == IntervalSequencePair((0, 1), (1, 1))
+        norm = normalize_good_order((1, 0), (h, h))
+        assert norm.pair == IntervalSequencePair((1, 0), (1, 1)) and norm.perm == (0, 1)
         with pytest.raises(LowerExceedsMaxDegree, match=rf"^a\[1\] = {h} exceeds n-1 = 1$"):
-            validate_and_clamp((0, h), (1, h))
+            normalize_good_order((0, h), (1, h))
         with pytest.raises(NegativeEntry, match=rf"^upper bounds contains negative entry -{h}$"):
-            validate_and_clamp((0, 0), (1, -h))
+            normalize_good_order((0, 0), (1, -h))
 
 
 class TestGoodOrder:
+    """The good-order row mask, on one row at a time."""
+
     def test_counterexample_is_good(self):
-        assert is_good_order(validate_and_clamp(CE_A, CE_B))
+        assert _good_order_rows([CE_A], [CE_B])[0]
 
     def test_increasing_lower_is_not_good(self):
-        assert not is_good_order(IntervalSequencePair((3, 4), (4, 4)))
+        assert not _good_order_rows([(3, 4)], [(4, 4)])[0]
 
     def test_equal_lower_increasing_upper_is_not_good(self):
-        assert not is_good_order(IntervalSequencePair((3, 3), (3, 4)))
+        assert not _good_order_rows([(3, 3)], [(3, 4)])[0]
 
 
 class TestNormalize:
@@ -145,18 +139,16 @@ class TestNormalize:
 
 
 class TestBergeSequence:
+    """The Berge sequence, a row of ``_berge_rows``."""
+
     def test_five_vertex_example(self):
-        assert berge_sequence((4, 2, 2, 2, 1)) == (4, 3, 2, 1, 1)
+        assert _berge_rows([(4, 2, 2, 2, 1)]).tolist() == [[4, 3, 2, 1, 1]]
 
     def test_counterexample_upper(self):
-        assert berge_sequence(CE_B) == (5, 4, 4, 3, 2, 2)
+        assert _berge_rows([CE_B]).tolist() == [[5, 4, 4, 3, 2, 2]]
 
     def test_zero_sequence(self):
-        assert berge_sequence((0, 0, 0)) == (0, 0, 0)
-
-    def test_entry_too_large(self):
-        with pytest.raises(EntryTooLarge):
-            berge_sequence((3, 0, 0))
+        assert _berge_rows([(0, 0, 0)]).tolist() == [[0, 0, 0]]
 
 
 def test_berge_sequence_matches_constructed_matrix():
@@ -170,7 +162,7 @@ def test_berge_sequence_matches_constructed_matrix():
         n = rng.randint(0, 60)
         top = rng.randrange(n) if n else 0
         d = [rng.randint(0, top) for _ in range(n)]
-        assert berge_sequence(d) == ref_impl.ref_berge(d), d
+        assert tuple(_berge_rows([d])[0].tolist()) == ref_impl.ref_berge(d), d
 
 
 class TestConjugateSequence:
@@ -185,75 +177,73 @@ class TestConjugateSequence:
 
 
 class TestTildeSequence:
+    """The tilde lift, a row of ``criteria._lifted``: 1 added to the first
+    crossing_index(d) entries."""
+
     def test_counterexample_lower(self):
-        assert tilde_sequence(CE_A) == (6, 5, 4, 3, 3, 1)
+        assert _lifted(np.array([CE_A])).tolist() == [[6, 5, 4, 3, 3, 1]]
 
     def test_counterexample_upper(self):
-        assert tilde_sequence(CE_B) == (6, 6, 4, 3, 3, 1)
+        assert _lifted(np.array([CE_B])).tolist() == [[6, 6, 4, 3, 3, 1]]
 
     def test_all_zero(self):
-        assert tilde_sequence((0, 0, 0)) == (0, 0, 0)
+        assert _lifted(np.array([(0, 0, 0)])).tolist() == [[0, 0, 0]]
 
-    def test_requires_non_increasing(self):
-        with pytest.raises(NotNonIncreasing):
-            tilde_sequence((1, 2))
+
+def cleared_by_loosening(pair, t):
+    """The cells j for which lowering a[j] by one clears eps(t) = 1: the
+    support S(t) = {j >= t : b[j] >= t+1}, all forced and nonzero there.
+    The kernel pass takes the cells in any order."""
+    assert pair.kernel.eps[0, t] == 1
+    return {j for j in range(pair.n) if pair.a[j] and kernel_pass(
+        [pair.a[:j] + (pair.a[j] - 1,) + pair.a[j + 1:]], [pair.b]).eps[0, t] == 0}
 
 
 class TestParitySupport:
+    """The support S(t) over which eps(t) is evaluated, seen through the eps column."""
+
     def test_counterexample_t2(self):
-        pair = validate_and_clamp(CE_A, CE_B)
-        assert parity_support(pair, 2) == frozenset({2, 3, 4})
+        assert cleared_by_loosening(CE, 2) == {2, 3, 4}
 
     def test_t_equals_n_is_empty(self):
-        pair = validate_and_clamp(CE_A, CE_B)
-        assert parity_support(pair, 6) == frozenset()
+        for pair in (CE, ODD_ONES, TRIANGLE):
+            assert pair.kernel.eps[0, pair.n] == ref_impl.ref_eps(pair, pair.n) == 0
 
     def test_triangle_t1(self):
-        pair = validate_and_clamp((2, 2, 2), (2, 2, 2))
-        assert parity_support(pair, 1) == frozenset({1, 2})
-
-    def test_out_of_range(self):
-        pair = validate_and_clamp((0,), (0,))
-        with pytest.raises(IndexOutOfRange):
-            parity_support(pair, 2)
+        # S(1) = {1, 2} on the triangle, with even sum 2 + 2 + 1 * 2; with
+        # b[2] = 1 below t + 1 it is {1}, with odd sum 2 + 1 * 1
+        assert TRIANGLE.kernel.eps[0, 1] == ref_impl.ref_eps(TRIANGLE, 1) == 0
+        assert cleared_by_loosening(IntervalSequencePair((2, 2, 1), (2, 2, 1)), 1) == {1}
 
 
 class TestParityCorrection:
+    """eps(t), the kernel pass's eps column."""
+
     def test_counterexample_t2_is_one(self):
-        pair = validate_and_clamp(CE_A, CE_B)
-        assert parity_correction(pair, 2) == 1
+        assert CE.kernel.eps[0, 2] == 1
 
     def test_triangle_t0_even_sum(self):
-        pair = validate_and_clamp((2, 2, 2), (2, 2, 2))
-        assert parity_correction(pair, 0) == 0
+        assert TRIANGLE.kernel.eps[0, 0] == 0
 
     def test_slack_bound_gives_zero(self):
-        pair = validate_and_clamp((0,), (1,))
-        assert parity_correction(pair, 0) == 0
+        assert normalize_good_order((0,), (1,)).pair.kernel.eps[0, 0] == 0
 
     def test_odd_forced_sum(self):
-        pair = validate_and_clamp((1, 1, 1), (1, 1, 1))
-        assert parity_correction(pair, 0) == 1
-
-    @pytest.mark.parametrize("t", [-1, 4])
-    def test_t_outside_range(self, t):
-        pair = validate_and_clamp((1, 1, 1), (1, 1, 1))
-        with pytest.raises(IndexOutOfRange):
-            parity_correction(pair, t)
+        assert ODD_ONES.kernel.eps[0, 0] == 1
 
 
 class TestCrossingIndices:
+    """s from the kernel pass, g_a and g_b from crossing_index."""
+
     def test_counterexample(self):
-        pair = validate_and_clamp(CE_A, CE_B)
-        profile = crossing_indices(pair)
-        assert profile.s == 4
-        assert profile.g_a == 3
-        assert profile.g_b == 3
+        assert CE.kernel.s.tolist() == [4] == [ref_impl.ref_s(CE)]
+        assert crossing_index(CE.a) == 3
+        assert crossing_index(CE.b) == 3
 
     def test_single_zero_vertex(self):
-        profile = crossing_indices(validate_and_clamp((0,), (0,)))
-        assert profile.s == 1
-        assert profile.g_a == 0
+        pair = normalize_good_order((0,), (0,)).pair
+        assert pair.kernel.s.tolist() == [1] == [ref_impl.ref_s(pair)]
+        assert crossing_index(pair.a) == 0
 
 
 class TestMaxSumIdentities:
@@ -281,7 +271,7 @@ bounded_degrees = st.integers(1, 9).flatmap(
 
 @given(bounded_degrees)
 def test_berge_and_conjugate_preserve_sum(d):
-    assert sum(berge_sequence(d)) == sum(d)
+    assert _berge_rows([d]).sum() == sum(d)
     assert sum(conjugate_sequence(d)) == sum(d)
 
 
@@ -298,7 +288,7 @@ def test_conjugate_involution(d):
 
 @given(bounded_degrees.map(lambda d: sorted(d, reverse=True)))
 def test_berge_conjugate_prefix_identity(d):
-    bar = berge_sequence(d)
+    bar = _berge_rows([d])[0].tolist()
     conj = conjugate_sequence(d)
     f = crossing_index(d)
     for k in range(1, f + 1):
@@ -307,7 +297,7 @@ def test_berge_conjugate_prefix_identity(d):
 
 def test_prefix_identity_documented_case():
     d = (4, 2, 2, 2, 1)
-    bar = berge_sequence(d)
+    bar = _berge_rows([d])[0].tolist()
     conj = conjugate_sequence(d)
     assert crossing_index(d) == 2
     assert (sum(bar[:1]), sum(bar[:2])) == (4, 7)
@@ -331,18 +321,16 @@ interval_pairs = st.integers(1, 8).flatmap(
 )
 
 
-@given(interval_pairs, st.data())
-def test_parity_correction_matches_reference(cells, data):
+@given(interval_pairs)
+def test_parity_correction_matches_reference(cells):
+    """The eps column against ref_impl.ref_eps at every t in 0..n."""
     cells.sort(key=lambda c: (-c[0], -c[1]))
     pair = IntervalSequencePair(
         tuple(c[0] for c in cells), tuple(c[1] for c in cells)
     )
-    t = data.draw(st.integers(0, pair.n))
-    eps = parity_correction(pair, t)
-    assert eps in (0, 1)
-    assert eps == ref_parity_correction(pair, t)
-    if any(pair.a[j] != pair.b[j] for j in parity_support(pair, t)):
-        assert eps == 0
+    eps = pair.kernel.eps[0].tolist()
+    assert eps == [ref_impl.ref_eps(pair, t) for t in range(pair.n + 1)]
+    assert set(eps) <= {0, 1}
 
 
 @given(interval_pairs)
@@ -350,7 +338,7 @@ def test_normalize_round_trip(cells):
     a = [c[0] for c in cells]
     b = [c[1] for c in cells]
     norm = normalize_good_order(a, b)
-    assert is_good_order(norm.pair)
+    assert _good_order_rows([norm.pair.a], [norm.pair.b])[0]
     assert sorted(norm.perm) == list(range(len(a)))
     for i, p in enumerate(norm.perm):
         assert a[p] == norm.pair.a[i]
@@ -366,4 +354,4 @@ def test_good_order_matches_reference(cells, data):
         i = data.draw(st.integers(0, len(cells) - 2))
         cells[i], cells[i + 1] = cells[i + 1], cells[i]
     pair = IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
-    assert is_good_order(pair) == ref_impl.ref_good_order(pair)
+    assert _good_order_rows([pair.a], [pair.b])[0] == ref_impl.ref_good_order(pair)
