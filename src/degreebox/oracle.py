@@ -8,14 +8,15 @@ box's 2^n corners.  The oracle never consults the criteria module, which
 is what makes the agreement sweeps meaningful.
 
 A sweep (``cross_validate``) and the implication matrix over a size n
-read their instances as ranks: every rank of the space, or a sorted
-seeded sample of them.  Each run of up to SWEEP_CHUNK ranks is unranked
-at once into two (k, n) bound arrays (``_rank_chunks``), with no
-per-instance Python object.  Each chunk makes one oracle gather over its
-boxes and one kernel pass, every ``criteria.CRITERIA`` row is evaluated
-over the whole chunk, and the tallies are counts over the boolean
-verdict columns; a pair is built only for a violation or a matrix
-example, from its row.
+read their instances, every one or a seeded sample in rank order, as
+chunks of up to SWEEP_CHUNK rows: two (k, n) bound arrays each, with no
+per-instance Python object.  Up to 2^62 instances (n <= 14) each run of
+ranks is unranked at once; past that, instances are drawn in O(n) by
+stars and bars (``_sample_chunks``).  Each chunk makes one oracle gather
+over its boxes and one kernel pass, every ``criteria.CRITERIA`` row is
+evaluated over the whole chunk, and the tallies are counts over the
+boolean verdict columns; a pair is built only for a violation or a
+matrix example, from its row.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .errors import InputError, TooLarge, UnknownCriterion
 from .sequences import IntervalSequencePair, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
-# A draw lists all n(n+1)/2 cells and takes binomials of numbers thousands of
-# digits long: one draw at n = 2000 took 32 s and 385 MB on 2 cores
+# The sweep's chunk sets this limit, not the draw: at n = 2000 one
+# SWEEP_CHUNK-row chunk takes about 0.25 s in its kernel pass and 2.5 to 2.9 s
+# in the O(n^2) Fulkerson row on 2 cores, and peaks at 224 MB RSS; the pass's
+# memory grows with k * n
 MAX_SAMPLE_N = 2000
 MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
@@ -126,25 +129,26 @@ def _cells(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``unrank_instance``'s binomials as an int64 table, and the cells'
-    bounds as two arrays: row r holds -comb(L - x + r, r + 1) for every
-    cell x of the L cells, increasing in x.  Its largest magnitude is the
-    size of the space, so it fits where that is at most 2^62 (n <= 14)."""
-    cells = _cells(n)
-    size = len(cells)
+    """The rank route's binomials as an int64 table, and the cells' bounds
+    as two arrays: row r holds -comb(L - x + r, r + 1) for every cell x of
+    the L cells, increasing in x.  Its largest magnitude is the size of the
+    space, so it fits where that is at most 2^62 (n <= 14)."""
+    size = n * (n + 1) // 2
     table = np.array([[-comb(size - x + r, r + 1) for x in range(size)] for r in range(n)],
                      dtype=np.int64).reshape(n, size)
-    bounds = np.array(cells, dtype=np.int64).reshape(size, 2)
-    table.flags.writeable = bounds.flags.writeable = False  # shared by every caller
-    return table, bounds[:, 0], bounds[:, 1]
+    lows, highs = _cell_bounds(n, np.arange(size))
+    for array in (table, lows, highs):
+        array.flags.writeable = False  # shared by every caller
+    return table, lows, highs
 
 
 def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``unrank_instance`` gives at ranks, as (k, n) lower and
+    """The pairs of enumerate_instances(n) at ranks, as (k, n) lower and
     upper bound arrays; for spaces of at most 2^62 instances.
 
-    Each position makes the scalar route's choice for every rank at once:
-    the cell is the largest x with comb(L - x + r, r + 1) >= target, one
+    With L cells and r more to place after position pos, comb(L-x+r, r+1)
+    multisets fill positions pos.. from cell x on.  The cell at pos is the
+    largest x with comb(L-x+r, r+1) >= target, for every rank at once: one
     searchsorted in row r of ``_unrank_table``, whose entries up to the
     current cell all pass since fit >= target.
     """
@@ -165,10 +169,16 @@ def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
     return cell_lows[cell], cell_highs[cell]
 
 
-def _bounds(pairs: Sequence[IntervalSequencePair], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of pairs of size n as (k, n) int64 arrays."""
-    return (np.array([p.a for p in pairs], dtype=np.int64).reshape(len(pairs), n),
-            np.array([p.b for p in pairs], dtype=np.int64).reshape(len(pairs), n))
+def _cell_bounds(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (a, b) of the cells at indices x of ``_cells(n)``, elementwise:
+    the cells with a = n-1-k run from index k(k+1)/2 with b falling from
+    n-1, so k is the root with k(k+1)/2 <= x < (k+1)(k+2)/2."""
+    x = np.asarray(x, dtype=np.int64)
+    k = ((np.sqrt(8 * x + 1) - 1) // 2).astype(np.int64)
+    # a rounded root is at most one off
+    k -= k * (k + 1) // 2 > x
+    k += (k + 1) * (k + 2) // 2 <= x
+    return n - 1 - k, n - 1 - x + k * (k + 1) // 2
 
 
 def _pair_of_row(lows: np.ndarray, highs: np.ndarray, i: int) -> IntervalSequencePair:
@@ -202,80 +212,64 @@ def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
         yield _pair_of(combo)
 
 
-def unrank_instance(n: int, rank: int) -> IntervalSequencePair:
-    """The rank-th pair of enumerate_instances(n), computed directly.
-
-    With L cells and r more to place after position pos, comb(L-x+r, r+1)
-    multisets fill positions pos.. from cell x on (the hockey-stick
-    identity), so choosing cell x instead of c skips comb(L-c+r, r+1) -
-    comb(L-x+r, r+1) of them.  The cell at pos is the largest x whose skip
-    fits in the rank, found by an exponential search from c and then
-    bisection: O(log L) binomials per position rather than one per cell.
-    """
-    cells = _cells(n)
-    total = instance_space_size(n)
-    if not 0 <= rank < total:
-        raise IndexError(f"rank {rank} not in [0, {total})")
-    size = len(cells)
-    combo = []
-    c = 0
-    fit = total  # comb(size - c + r, r + 1): multisets filling positions pos.. from cell c on
-    for pos in range(n):
-        r = n - pos - 1
-        target = fit - rank  # cell x fits iff comb(size - x + r, r + 1) >= target
-        step = 1
-        while c + step < size and (above := comb(size - c - step + r, r + 1)) >= target:
-            c, fit, step = c + step, above, 2 * step
-        bad = min(c + step, size)
-        while bad - c > 1:
-            mid = (c + bad) // 2
-            if (above := comb(size - mid + r, r + 1)) >= target:
-                c, fit = mid, above
-            else:
-                bad = mid
-        rank = fit - target
-        combo.append(cells[c])
-        fit = fit * (r + 1) // (size - c + r)  # comb(size - c + r - 1, r), for position pos + 1
-    return _pair_of(combo)
+def _draw_cells(rng: random.Random, n: int) -> tuple[int, ...]:
+    """The cell indices, non-decreasing, of one uniform instance of size n:
+    by stars and bars, x_i = s_i - i maps the n-subsets s_0 < ... < s_{n-1}
+    of range(L + n - 1) one to one onto the multisets of n of the L cells."""
+    subset = sorted(rng.sample(range(n * (n + 1) // 2 + n - 1), n))
+    return tuple(s - i for i, s in enumerate(subset))
 
 
 def _sample_ranks(n: int, count: int, seed: int) -> Sequence[int]:
-    """Sorted ranks of a uniform sample without replacement: every rank
-    when count covers the space."""
-    if n > MAX_SAMPLE_N:
-        raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
-    _require_size(n)
+    """Sorted ranks of a uniform sample without replacement, for spaces of
+    at most 2^62 instances: every rank when count covers the space."""
     total = instance_space_size(n)
     if count >= total:
         return range(total)
+    return sorted(random.Random(seed).sample(range(total), count))
+
+
+def _sample_cells(n: int, count: int, seed: int) -> np.ndarray:
+    """Cell index rows of a seeded sample without replacement of count
+    instances (fewer than the space holds, or this never ends): a draw
+    that repeats one already taken is dropped.  The rows are sorted
+    lexicographically, which is rank order."""
     rng = random.Random(seed)
-    if total <= 1 << 62:
-        return sorted(rng.sample(range(total), count))
-    # len() of a huge range overflows; fall back to rejection sampling
-    picked: set[int] = set()
+    picked: set[tuple[int, ...]] = set()
     while len(picked) < count:
-        picked.add(rng.randrange(total))
-    return sorted(picked)
+        picked.add(_draw_cells(rng, n))
+    return np.array(sorted(picked), dtype=np.int64).reshape(count, n)
 
 
 def _rank_chunks(n: int, ranks: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs at ranks, in order, as runs of up to SWEEP_CHUNK rows:
-    (k, n) lower and upper bound arrays.  Spaces of at most 2^62
-    instances are unranked a chunk at once; past that, ranks are Python
-    ints and each row comes from ``unrank_instance``."""
-    batch = instance_space_size(n) <= 1 << 62
+    (k, n) lower and upper bound arrays, each run unranked at once."""
     for start in range(0, len(ranks), SWEEP_CHUNK):
-        part = ranks[start:start + SWEEP_CHUNK]
-        if batch:
-            yield _unrank_rows(n, part)
-        else:
-            yield _bounds([unrank_instance(n, rank) for rank in part], n)
+        yield _unrank_rows(n, ranks[start:start + SWEEP_CHUNK])
+
+
+def _sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A seeded uniform sample without replacement, in rank order, as
+    ``_rank_chunks`` gives it: sampled as ranks in spaces of at most 2^62
+    instances (n <= 14), and past that drawn by ``_sample_cells`` and
+    decoded by ``_cell_bounds`` a chunk at a time."""
+    if n > MAX_SAMPLE_N:
+        raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
+    _require_size(n)
+    if count < 0:
+        raise InputError(f"sample size must be >= 0, got {count}")
+    if instance_space_size(n) <= 1 << 62:
+        return _rank_chunks(n, _sample_ranks(n, count, seed))
+    cells = _sample_cells(n, count, seed)
+    return (_cell_bounds(n, cells[start:start + SWEEP_CHUNK])
+            for start in range(0, count, SWEEP_CHUNK))
 
 
 def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
-    """Uniform sample without replacement from the good-ordered instance space."""
+    """Uniform sample without replacement from the good-ordered instance
+    space, in rank order."""
     return [IntervalSequencePair(tuple(a), tuple(b))
-            for lows, highs in _rank_chunks(n, _sample_ranks(n, count, seed))
+            for lows, highs in _sample_chunks(n, count, seed)
             for a, b in zip(lows.tolist(), highs.tolist())]
 
 
@@ -391,10 +385,10 @@ def cross_validate(
             raise TooLarge(
                 f"exhaustive sweep supports n <= {MAX_EXHAUSTIVE_N}; pass sample="
             )
-        ranks: Sequence[int] = range(instance_space_size(n))
+        chunks = _rank_chunks(n, range(instance_space_size(n)))
         report = SweepReport(n=n, mode="exhaustive", sample_size=None, seed=None, criteria=names)
     else:
-        ranks = _sample_ranks(n, sample, seed)
+        chunks = _sample_chunks(n, sample, seed)
         report = SweepReport(n=n, mode="sample", sample_size=sample, seed=seed, criteria=names)
     report.oracle_used = n <= MAX_EXHAUSTIVE_N
     report.cells = {
@@ -413,7 +407,7 @@ def cross_validate(
 
     start = time.perf_counter()
     index = 0
-    for lows, highs in _rank_chunks(n, ranks):
+    for lows, highs in chunks:
         kernel = kernel_pass(lows, highs)
         verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
         flagged = []  # (offset in chunk, 0 or 1 + position in names, criterion, arrow)

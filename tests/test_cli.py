@@ -156,8 +156,8 @@ class TestExitCodes:
     def test_crossval_large_with_sample(self):
         assert main(["--quiet", "crossval", "9", "--sample", "30"]) == 0
 
-    def test_crossval_past_rejection_sampling_threshold(self, capsys):
-        # 2.75e28 instances at n = 20, so the sample is drawn by rejection
+    def test_crossval_samples_past_2_to_62_instances(self, capsys):
+        # 2.75e28 instances at n = 20, so the sample is drawn by stars and bars, not unranked
         assert main(["--json", "crossval", "20", "--sample", "3", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["oracle_used"] is False and report["instance_count"] == 3
@@ -247,7 +247,7 @@ class TestExitCodes:
         "--json crossval --matrix 3 --seed 0",
         # an exhaustive sweep draws nothing, so a seed alone is an error too
         "crossval 3 --seed 5",
-        # drawing one instance lists every cell, so sampled sizes are bounded
+        # a sweep's chunk at n = 2000 takes seconds and over 200 MB, so sampled sizes are bounded
         "crossval 100000 --sample 1",
         "crossval 2001 --sample 1",
         # --json reports the edges itself, so a DOT request is an error
@@ -492,8 +492,10 @@ def _argvs(draw):
     elif command == "crossval":
         matrix, sample = draw(st.booleans()), draw(st.none() | st.integers(-2, 50))
         # sizes whose sweep is quick or rejected at once: sampled sweeps to
-        # n = 9, exhaustive ones and the matrix to n = 5, larger ones refused
-        quick = range(-3, 10) if sample is not None and not matrix else range(-3, 6)
+        # n = 9 and drawn ones at n = 15 to 40, exhaustive ones and the
+        # matrix to n = 5, larger ones refused
+        sampled = sample is not None and not matrix
+        quick = [*range(-3, 10), *range(15, 41)] if sampled else range(-3, 6)
         refused = range(7 if matrix else 8, 10)
         n = draw(st.sampled_from(list(quick) + list(refused)) | st.integers(2001, 10**30))
         argv.append(str(n))

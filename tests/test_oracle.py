@@ -1,7 +1,8 @@
+import collections
 import itertools
 import random
-import time
 
+import numpy as np
 import pytest
 
 import ref_impl
@@ -10,9 +11,13 @@ from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
     SWEEP_CHUNK,
     _box_counts,
+    _cell_bounds,
     _cells,
     _count_grid,
+    _draw_cells,
     _rank_chunks,
+    _sample_cells,
+    _sample_chunks,
     _sample_ranks,
     _unrank_rows,
     cross_validate,
@@ -21,7 +26,6 @@ from degreebox.oracle import (
     instance_space_size,
     oracle_realizable,
     sample_instances,
-    unrank_instance,
 )
 from degreebox.sequences import IntervalSequencePair, _good_order_rows, normalize_good_order
 from ref_impl import ref_unrank_cells, ref_witness_count
@@ -84,15 +88,15 @@ class TestOracle:
     @pytest.mark.parametrize("n", range(8))
     def test_batched_counts_match_per_box_queries(self, n):
         """A sweep's rank chunks hold at most SWEEP_CHUNK rows each, and
-        their rows are sample_instances' pairs, in order, which are the
-        scalar unranker's; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks are not
-        a whole number of chunks.  One gather per chunk equals per-box
+        their rows are sample_instances' pairs, in order, which are its
+        ranks unranked at once; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks
+        are not a whole number of chunks.  One gather per chunk equals per-box
         oracle_realizable and a corner-by-corner sum over the table, boxes
         with some a_i = 0 (lower corners outside the table) included."""
         size = 2 * SWEEP_CHUNK + 37
         ranks = _sample_ranks(n, size, seed=n)
         pairs = sample_instances(n, size, seed=n)
-        assert pairs == [unrank_instance(n, rank) for rank in ranks]
+        assert pairs == _rows([_unrank_rows(n, ranks)])
         assert n == 0 or any(0 in pair.a for pair in pairs)
         chunks = list(_rank_chunks(n, ranks))
         assert all(0 < len(lows) <= SWEEP_CHUNK for lows, _ in chunks)
@@ -145,25 +149,22 @@ class TestInstanceSpace:
             assert len(seen) == instance_space_size(n)
 
     def test_unrank_matches_enumeration(self):
-        instances = list(enumerate_instances(3))
-        for rank, pair in enumerate(instances):
-            assert unrank_instance(3, rank) == pair
+        assert _rows([_unrank_rows(3, range(56))]) == list(enumerate_instances(3))
 
     def test_unrank_spot_checks_at_n5(self):
         instances = list(enumerate_instances(5))
-        for rank in (0, 1, 777, 11627):
-            assert unrank_instance(5, rank) == instances[rank]
+        ranks = (0, 1, 777, 11627)
+        assert _rows([_unrank_rows(5, ranks)]) == [instances[rank] for rank in ranks]
 
     def test_unrank_bisection_matches_linear_walk(self):
-        """Both unrankers against the cell-by-cell walk of the reference:
+        """The batch unranker against the cell-by-cell walk of the reference:
         every rank with n <= 5, and 196 seeded ranks plus ranks 0, 1,
-        total - 2 and total - 1 at each larger n.  The scalar unranker runs
-        at n = 7, 9, 14, 20 and 60; the batch one wherever its int64 table
-        applies, up to n = 14, whose table entries come nearest to overflow."""
+        total - 2 and total - 1 at n = 7, 9 and 14, whose int64 table
+        entries come nearest to overflow."""
         assert instance_space_size(14) <= 1 << 62 < instance_space_size(15)
         rng = random.Random(20261018)
         ranks = {n: list(range(instance_space_size(n))) for n in range(6)}
-        for n in (7, 9, 14, 20, 60):
+        for n in (7, 9, 14):
             total = instance_space_size(n)
             ranks[n] = [rng.randrange(total) for _ in range(196)] + [0, 1, total - 2, total - 1]
         for n, some in ranks.items():
@@ -172,25 +173,66 @@ class TestInstanceSpace:
                 cells = ref_unrank_cells(_cells(n), n, rank)
                 expected.append(IntervalSequencePair(tuple(c[0] for c in cells),
                                                      tuple(c[1] for c in cells)))
-            assert [unrank_instance(n, rank) for rank in some] == expected, n
-            if n <= 14:
-                assert _rows([_unrank_rows(n, some)]) == expected, n
+            assert _rows([_unrank_rows(n, some)]) == expected, n
+
+    def test_cell_decode_matches_cells(self):
+        """_cell_bounds lists _cells(n) for n <= 14, and at n = 2000 the
+        cells built run by run: lower bound a = n-1, n-2, ..., 0, each with
+        upper bounds b = n-1 down to a."""
+        for n in range(1, 15):
+            lows, highs = _cell_bounds(n, np.arange(n * (n + 1) // 2))
+            assert list(zip(lows.tolist(), highs.tolist())) == list(_cells(n)), n
+        n = 2000
+        lows, highs = _cell_bounds(n, np.arange(n * (n + 1) // 2))
+        runs = range(n - 1, -1, -1)
+        assert np.array_equal(lows, np.concatenate([np.full(n - a, a) for a in runs]))
+        assert np.array_equal(highs, np.concatenate([np.arange(n - 1, a - 1, -1) for a in runs]))
+
+    def test_draws_are_uniform_at_n3(self):
+        """56,000 seeded draws hit all 56 instances, with a chi-square
+        below 93.2, its 0.999 quantile on 55 degrees of freedom."""
+        index = {cells: rank for rank, cells in
+                 enumerate(itertools.combinations_with_replacement(range(6), 3))}
+        rng = random.Random(20261019)
+        hits = collections.Counter(index[_draw_cells(rng, 3)] for _ in range(56_000))
+        assert sorted(hits) == list(range(56))
+        assert sum((hit - 1000) ** 2 / 1000 for hit in hits.values()) < 93.2
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_drawn_samples_are_distinct_in_rank_order(self, n):
+        """The draws that sample spaces past 2^62 instances, here at n <= 5,
+        where draws often repeat one already taken (a sample of 5 of the 6
+        instances at n = 2): distinct instances in increasing enumeration index."""
+        index = {pair: rank for rank, pair in enumerate(enumerate_instances(n))}
+        count = min(instance_space_size(n) - 1, 300)
+        pairs = _rows([_cell_bounds(n, _sample_cells(n, count, seed=n))])
+        ranks = [index[pair] for pair in pairs]
+        assert len(ranks) == count and all(x < y for x, y in zip(ranks, ranks[1:]))
 
     @pytest.mark.parametrize("n", [15, 20])
-    def test_rank_chunks_past_2_to_62_unrank_one_rank_at_a_time(self, n):
-        """Past 2^62 instances the sweep's chunk stream takes Python-int
-        ranks through unrank_instance, in order and chunk by chunk."""
-        rng = random.Random(n)
-        ranks = sorted(rng.randrange(instance_space_size(n)) for _ in range(SWEEP_CHUNK + 3))
-        chunks = list(_rank_chunks(n, ranks))
+    def test_sample_chunks_past_2_to_62_are_drawn_in_rank_order(self, n):
+        """Past 2^62 instances the sample's chunk stream is drawn, not
+        unranked: SWEEP_CHUNK + 3 draws come in chunks of SWEEP_CHUNK and 3,
+        good-ordered, clamped and distinct, reproducible by seed, and in
+        rank order, which lists each pair's cells (a, b) largest first."""
+        assert instance_space_size(n) > 1 << 62
+        chunks = list(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n))
         assert [len(lows) for lows, _ in chunks] == [SWEEP_CHUNK, 3]
-        assert _rows(chunks) == [unrank_instance(n, rank) for rank in ranks]
+        lows, highs = np.vstack([c[0] for c in chunks]), np.vstack([c[1] for c in chunks])
+        assert _good_order_rows(lows, highs).all()
+        assert (0 <= lows).all() and (lows <= highs).all() and (highs <= n - 1).all()
+        keys = [[(-a, -b) for a, b in zip(row_a, row_b)]
+                for row_a, row_b in zip(lows.tolist(), highs.tolist())]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert _rows(chunks) == _rows(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n))
+        assert _rows(chunks) != _rows(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n + 1))
 
-    def test_unrank_at_n400_is_fast(self):
-        start = time.perf_counter()
-        pair = unrank_instance(400, instance_space_size(400) // 3)
-        assert _good_order_rows([pair.a], [pair.b])[0] and pair.n == 400
-        assert time.perf_counter() - start < 5.0
+    def test_draw_at_n10000_gives_a_valid_pair(self):
+        n = 10**4
+        lows, highs = _cell_bounds(n, np.array([_draw_cells(random.Random(1), n)]))
+        assert lows.shape == highs.shape == (1, n)
+        assert _good_order_rows(lows, highs)[0]
+        assert (0 <= lows).all() and (lows <= highs).all() and (highs <= n - 1).all()
 
     def test_sampling_is_seeded_and_uniform_without_replacement(self):
         first = sample_instances(6, 100, seed=42)
@@ -201,7 +243,7 @@ class TestInstanceSpace:
         assert other != first
 
     def test_sampling_past_2_to_62_instances(self):
-        """Spaces too large for range() are sampled by rejection, still seeded."""
+        """Spaces too large for the rank route are drawn by stars and bars, still seeded."""
         assert instance_space_size(20) > 1 << 62
         first = sample_instances(20, 30, seed=5)
         assert first == sample_instances(20, 30, seed=5)
@@ -211,6 +253,13 @@ class TestInstanceSpace:
 
     def test_sampling_more_than_space_returns_everything(self):
         assert len(sample_instances(2, 10_000, seed=0)) == 6
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_negative_sample_size_is_an_input_error(self, n):
+        """One check on both sides of 2^62 instances; a zero count draws nothing."""
+        with pytest.raises(InputError):
+            sample_instances(n, -1, seed=1)
+        assert sample_instances(n, 0, seed=1) == []
 
     def test_random_instances_deterministic(self):
         """Seeded ref_impl.random_box draws, normalized, are reproducible and in good order."""
