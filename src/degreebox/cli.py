@@ -33,10 +33,6 @@ class InstanceSpec:
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def canonical_json(self) -> str:
-        return json.dumps({"a": list(self.a), "b": list(self.b)},
-                          sort_keys=True, separators=(",", ":"))
-
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     # int() alone would take '1_0', '+2' and non-ASCII digits; '-1' parses and fails validation

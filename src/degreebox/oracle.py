@@ -7,16 +7,17 @@ table).  A box query is then an exact inclusion-exclusion sum over the
 box's 2^n corners.  The oracle never consults the criteria module, which
 is what makes the agreement sweeps meaningful.
 
-A sweep (``cross_validate``) and the implication matrix over a size n
-read their instances, every one or a seeded sample in rank order, as
-chunks of up to SWEEP_CHUNK rows: two (k, n) bound arrays each, with no
-per-instance Python object.  Up to 2^62 instances (n <= 14) each run of
-ranks is unranked at once; past that, instances are drawn in O(n) by
-stars and bars (``_sample_chunks``).  Each chunk makes one oracle gather
-over its boxes and one kernel pass, every ``criteria.CRITERIA`` row is
-evaluated over the whole chunk, and the tallies are counts over the
-boolean verdict columns; a pair is built only for a violation or a
-matrix example, from its row.
+Every reader of the instance space (``enumerate_instances``,
+``sample_instances``, a sweep ``cross_validate`` and the implication
+matrix) reads one stream, ``_chunks``: every instance or a seeded
+sample, in rank order, as chunks of up to SWEEP_CHUNK rows, two (k, n)
+bound arrays each, with no per-instance Python object.  Up to 2^62
+instances (n <= 14) each run of ranks is unranked at once; past that,
+instances are drawn in O(n) by stars and bars.  Each sweep chunk makes
+one oracle gather over its boxes and one kernel pass, every
+``criteria.CRITERIA`` row is evaluated over the whole chunk, and the
+tallies are counts over the boolean verdict columns; a pair is built
+only for a violation or a matrix example, from its row.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ MAX_EXHAUSTIVE_N = 7
 # in the O(n^2) Fulkerson row on 2 cores, and peaks at 224 MB RSS; the pass's
 # memory grows with k * n
 MAX_SAMPLE_N = 2000
+# A sample holds at most this many cells (instances times n), counted
+# before the draw: its ranks or cell rows are held whole.  Drawn and
+# decoded at the bound it peaks at 138 to 146 MB RSS at n = 8 and 14,
+# 248 MB (19.5 s) at n = 15 and 487 MB at n = 2000 on 2 cores
+MAX_SAMPLE_CELLS = 10**7
 MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
 SWEEP_CHUNK = 256
@@ -116,17 +122,6 @@ def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
     return OracleResult(count > 0, count)
 
 
-def _require_size(n: int) -> None:
-    if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
-
-
-@lru_cache(maxsize=None)
-def _cells(n: int) -> tuple[tuple[int, int], ...]:
-    """All bound cells (a, b) with 0 <= a <= b <= n-1, largest first."""
-    return tuple(sorted(((a, b) for b in range(n) for a in range(b + 1)), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rank route's binomials as an int64 table, and the cells' bounds
@@ -143,8 +138,10 @@ def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of enumerate_instances(n) at ranks, as (k, n) lower and
-    upper bound arrays; for spaces of at most 2^62 instances.
+    """The instances at ranks, as (k, n) lower and upper bound arrays; for
+    spaces of at most 2^62 instances.  Rank order lists the multisets of
+    n cells in lexicographic order over the cells listed largest first
+    (``_cell_bounds``), so each instance's cells come good-ordered.
 
     With L cells and r more to place after position pos, comb(L-x+r, r+1)
     multisets fill positions pos.. from cell x on.  The cell at pos is the
@@ -170,9 +167,10 @@ def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_bounds(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (a, b) of the cells at indices x of ``_cells(n)``, elementwise:
-    the cells with a = n-1-k run from index k(k+1)/2 with b falling from
-    n-1, so k is the root with k(k+1)/2 <= x < (k+1)(k+2)/2."""
+    """Bounds (a, b) of the cells at indices x, elementwise, in the cell
+    order of rank order: all cells (a, b) with 0 <= a <= b <= n-1, largest
+    first.  The cells with a = n-1-k run from index k(k+1)/2 with b falling
+    from n-1, so k is the root with k(k+1)/2 <= x < (k+1)(k+2)/2."""
     x = np.asarray(x, dtype=np.int64)
     k = ((np.sqrt(8 * x + 1) - 1) // 2).astype(np.int64)
     # a rounded root is at most one off
@@ -186,30 +184,11 @@ def _pair_of_row(lows: np.ndarray, highs: np.ndarray, i: int) -> IntervalSequenc
     return IntervalSequencePair(tuple(lows[i].tolist()), tuple(highs[i].tolist()))
 
 
-def _pair_of(cells: Sequence[tuple[int, int]]) -> IntervalSequencePair:
-    """The pair whose i-th cell (a[i], b[i]) is cells[i]."""
-    return IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
-
-
 def instance_space_size(n: int) -> int:
     """Number of good-ordered pairs on n vertices: multisets of bound cells."""
     if n <= 0:
         return 1 if n == 0 else 0
     return comb(n * (n + 1) // 2 + n - 1, n)
-
-
-def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
-    """Every good-ordered pair with clamped bounds, each exactly once.
-
-    Order is deterministic: cell multisets in lexicographic order over
-    cells listed largest-first, so within each instance the cells are
-    already good-ordered.
-    """
-    _require_size(n)
-    if n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"exhaustive instance space supports n <= {MAX_EXHAUSTIVE_N}")
-    for combo in itertools.combinations_with_replacement(_cells(n), n):
-        yield _pair_of(combo)
 
 
 def _draw_cells(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -241,36 +220,60 @@ def _sample_cells(n: int, count: int, seed: int) -> np.ndarray:
     return np.array(sorted(picked), dtype=np.int64).reshape(count, n)
 
 
-def _rank_chunks(n: int, ranks: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs at ranks, in order, as runs of up to SWEEP_CHUNK rows:
-    (k, n) lower and upper bound arrays, each run unranked at once."""
+def _chunks(n: int, sample: Optional[int] = None,
+            seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The instance stream: every instance of size n (sample None) or a
+    seeded uniform sample of that many without replacement, in rank order,
+    as (k, n) lower and upper bound arrays of up to SWEEP_CHUNK rows.
+
+    Ranks, all or sampled, are unranked a chunk at a time in spaces of at
+    most 2^62 instances (n <= 14); past that, a sample is drawn by
+    ``_sample_cells`` and decoded by ``_cell_bounds``.  A sample asking
+    for more than the space holds is the whole space.  Every reader
+    relies on it to check n and the sample size, before anything is drawn.
+    """
+    if n < 0:
+        raise InputError(f"n must be >= 0, got {n}")
+    if sample is None:
+        if n > MAX_EXHAUSTIVE_N:
+            raise TooLarge(f"exhaustive sweep supports n <= {MAX_EXHAUSTIVE_N}, got {n}; "
+                           "pass a sample size")
+        ranks = range(instance_space_size(n))
+    else:
+        if n > MAX_SAMPLE_N:
+            raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
+        if sample < 0:
+            raise InputError(f"sample size must be >= 0, got {sample}")
+        if min(sample, instance_space_size(n)) * n > MAX_SAMPLE_CELLS:
+            raise InputError(f"a sample at n = {n} holds at most "
+                             f"{MAX_SAMPLE_CELLS // n:,} instances, got {sample:,}")
+        if instance_space_size(n) > 1 << 62:
+            cells = _sample_cells(n, sample, seed)
+            for start in range(0, sample, SWEEP_CHUNK):
+                yield _cell_bounds(n, cells[start:start + SWEEP_CHUNK])
+            return
+        ranks = _sample_ranks(n, sample, seed)
     for start in range(0, len(ranks), SWEEP_CHUNK):
         yield _unrank_rows(n, ranks[start:start + SWEEP_CHUNK])
 
 
-def _sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A seeded uniform sample without replacement, in rank order, as
-    ``_rank_chunks`` gives it: sampled as ranks in spaces of at most 2^62
-    instances (n <= 14), and past that drawn by ``_sample_cells`` and
-    decoded by ``_cell_bounds`` a chunk at a time."""
-    if n > MAX_SAMPLE_N:
-        raise TooLarge(f"sampling supports n <= {MAX_SAMPLE_N}, got {n}")
-    _require_size(n)
-    if count < 0:
-        raise InputError(f"sample size must be >= 0, got {count}")
-    if instance_space_size(n) <= 1 << 62:
-        return _rank_chunks(n, _sample_ranks(n, count, seed))
-    cells = _sample_cells(n, count, seed)
-    return (_cell_bounds(n, cells[start:start + SWEEP_CHUNK])
-            for start in range(0, count, SWEEP_CHUNK))
+def _pairs(chunks) -> Iterator[IntervalSequencePair]:
+    """One pair per row of the chunks, in order."""
+    for lows, highs in chunks:
+        for a, b in zip(lows.tolist(), highs.tolist()):
+            yield IntervalSequencePair(tuple(a), tuple(b))
+
+
+def enumerate_instances(n: int) -> Iterator[IntervalSequencePair]:
+    """Every good-ordered pair with clamped bounds, each exactly once, in
+    rank order; n <= MAX_EXHAUSTIVE_N."""
+    yield from _pairs(_chunks(n))
 
 
 def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair]:
     """Uniform sample without replacement from the good-ordered instance
     space, in rank order."""
-    return [IntervalSequencePair(tuple(a), tuple(b))
-            for lows, highs in _sample_chunks(n, count, seed)
-            for a, b in zip(lows.tolist(), highs.tolist())]
+    return list(_pairs(_chunks(n, count, seed)))
 
 
 def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:
@@ -374,40 +377,29 @@ def cross_validate(
     tallies are reported).  Reports are deterministic given (n, criteria,
     sample, seed).
     """
-    _require_size(n)
     if sample is not None and sample < 1:
         raise InputError(f"sample must be >= 1, got {sample}")
     names = _resolve_criteria(criteria)
     if "cdz" not in names:
         names = ("cdz",) + names
-    if sample is None:
-        if n > MAX_EXHAUSTIVE_N:
-            raise TooLarge(
-                f"exhaustive sweep supports n <= {MAX_EXHAUSTIVE_N}; pass sample="
-            )
-        chunks = _rank_chunks(n, range(instance_space_size(n)))
-        report = SweepReport(n=n, mode="exhaustive", sample_size=None, seed=None, criteria=names)
-    else:
-        chunks = _sample_chunks(n, sample, seed)
-        report = SweepReport(n=n, mode="sample", sample_size=sample, seed=seed, criteria=names)
-    report.oracle_used = n <= MAX_EXHAUSTIVE_N
-    report.cells = {
-        name: {
-            "oracle_yes_holds": 0,
-            "oracle_yes_fails": 0,
-            "oracle_no_holds": 0,
-            "oracle_no_fails": 0,
-        }
-        for name in names
-    }
-    report.holds_counts = dict.fromkeys(names, 0)
     track_reduced = "cdz_reduced" in names
-    if track_reduced:
-        report.cdz_reduced_disagreements = 0
+    report = SweepReport(
+        n=n,
+        mode="exhaustive" if sample is None else "sample",
+        sample_size=sample,
+        seed=None if sample is None else seed,
+        criteria=names,
+        oracle_used=n <= MAX_EXHAUSTIVE_N,
+        cells={name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
+                                    "oracle_no_holds", "oracle_no_fails"), 0)
+               for name in names},
+        holds_counts=dict.fromkeys(names, 0),
+        cdz_reduced_disagreements=0 if track_reduced else None,
+    )
 
     start = time.perf_counter()
     index = 0
-    for lows, highs in chunks:
+    for lows, highs in _chunks(n, sample, seed):
         kernel = kernel_pass(lows, highs)
         verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
         flagged = []  # (offset in chunk, 0 or 1 + position in names, criterion, arrow)
@@ -523,13 +515,12 @@ class ImplicationMatrix:
 def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n."""
     names = _resolve_criteria(criteria)
-    _require_size(n)
     if n > MAX_MATRIX_N:
         raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
-    for lows, highs in _rank_chunks(n, range(instance_space_size(n))):
+    for lows, highs in _chunks(n):
         total += len(lows)
         kernel = kernel_pass(lows, highs)
         holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}

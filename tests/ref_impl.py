@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 from degreebox.criteria import CriterionVerdict
-from degreebox.sequences import _cdz_terms
+from degreebox.sequences import IntervalSequencePair, _cdz_terms
 
 
 def ref_cdz_stream(pair):
@@ -205,6 +205,19 @@ def ref_graphic_vector_in_box(pair, decide):
                 top = mid - 1
         cells[i] = (lo, lo)
     return tuple(lo for lo, _ in cells)
+
+
+def ref_cells(n):
+    """All bound cells (a, b) with 0 <= a <= b <= n-1, largest first."""
+    return sorted(((a, b) for b in range(n) for a in range(b + 1)), reverse=True)
+
+
+def ref_instances(n):
+    """Every good-ordered pair on n vertices in rank order: the size-n
+    multisets of ``ref_cells(n)`` in itertools' lexicographic order, so
+    each pair's cells come largest first."""
+    for combo in itertools.combinations_with_replacement(ref_cells(n), n):
+        yield IntervalSequencePair(tuple(c[0] for c in combo), tuple(c[1] for c in combo))
 
 
 def ref_unrank_cells(cells, n, rank):

@@ -106,13 +106,6 @@ class TestParseInstance:
         with pytest.raises(InstanceSyntaxError):
             parse_instance("@/no/such/file.json")
 
-    def test_canonical_json_round_trips(self):
-        spec = parse_instance("5,4/5,5")
-        blob = spec.canonical_json()
-        payload = json.loads(blob)
-        again = InstanceSpec(tuple(payload["a"]), tuple(payload["b"]))
-        assert again.canonical_json() == blob
-
 
 class TestExitCodes:
     def test_check_failing_instance(self, capsys):
@@ -155,6 +148,11 @@ class TestExitCodes:
 
     def test_crossval_large_with_sample(self):
         assert main(["--quiet", "crossval", "9", "--sample", "30"]) == 0
+
+    def test_crossval_sample_larger_than_the_space_sweeps_it_all(self, capsys):
+        assert main(["--json", "crossval", "5", "--sample", "1000000000"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "sample" and report["instance_count"] == 11628
 
     def test_crossval_samples_past_2_to_62_instances(self, capsys):
         # 2.75e28 instances at n = 20, so the sample is drawn by stars and bars, not unranked
@@ -250,6 +248,9 @@ class TestExitCodes:
         # a sweep's chunk at n = 2000 takes seconds and over 200 MB, so sampled sizes are bounded
         "crossval 100000 --sample 1",
         "crossval 2001 --sample 1",
+        # a sample holds at most 10^7 cells (instances times n), checked before drawing
+        "crossval 14 --sample 100000000000",
+        "crossval 15 --sample 100000000",
         # --json reports the edges itself, so a DOT request is an error
         "--json realize --dot 2,2,2/2,2,2",
     ])
@@ -490,14 +491,19 @@ def _argvs(draw):
         flag = "--oracle" if command == "check" else "--dot"
         argv += [flag] if draw(st.booleans()) else []
     elif command == "crossval":
-        matrix, sample = draw(st.booleans()), draw(st.none() | st.integers(-2, 50))
-        # sizes whose sweep is quick or rejected at once: sampled sweeps to
-        # n = 9 and drawn ones at n = 15 to 40, exhaustive ones and the
-        # matrix to n = 5, larger ones refused
-        sampled = sample is not None and not matrix
-        quick = [*range(-3, 10), *range(15, 41)] if sampled else range(-3, 6)
-        refused = range(7 if matrix else 8, 10)
-        n = draw(st.sampled_from(list(quick) + list(refused)) | st.integers(2001, 10**30))
+        matrix = draw(st.booleans())
+        sample = draw(st.none() | st.integers(-2, 50) | st.integers(10**7, 10**12))
+        if sample is not None and sample >= 10**7:
+            # past the sample bound at every such n, so refused before drawing
+            n = draw(st.integers(8, 40))
+        else:
+            # sizes whose sweep is quick or rejected at once: sampled sweeps
+            # to n = 9 and drawn ones at n = 15 to 40, exhaustive ones and
+            # the matrix to n = 5, larger ones refused
+            sampled = sample is not None and not matrix
+            quick = [*range(-3, 10), *range(15, 41)] if sampled else range(-3, 6)
+            refused = range(7 if matrix else 8, 10)
+            n = draw(st.sampled_from(list(quick) + list(refused)) | st.integers(2001, 10**30))
         argv.append(str(n))
         argv += ["--matrix"] if matrix else []
         argv += [] if sample is None else ["--sample", str(sample)]
@@ -517,7 +523,8 @@ def fuzz_file(tmp_path_factory):
 @given(_argvs())
 @example((["--json", "check", "@{file}"], b"\xff\xfe"))
 def test_cli_exit_codes_hold_on_fuzzed_argv(fuzz_file, case):
-    """Every run exits 0, 1 or 2, and no run reports an internal error."""
+    """Every run exits 0, 1 or 2, and no run reports an internal error; a
+    sample of 10^7 or more at n = 8 to 40 exits 2."""
     argv, payload = case
     if payload is not None:
         fuzz_file.write_bytes(payload)
@@ -529,5 +536,7 @@ def test_cli_exit_codes_hold_on_fuzzed_argv(fuzz_file, case):
         except SystemExit as exc:  # argparse's own usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if "--sample" in argv and int(argv[argv.index("--sample") + 1]) >= 10**7:
+        assert code == 2, (argv, code)
     assert "internal error" not in err.getvalue(), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

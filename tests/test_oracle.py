@@ -9,15 +9,14 @@ import ref_impl
 from degreebox.criteria import PAIR_CHECKS, check_bollobas, check_cdz, check_grunbaum
 from degreebox.errors import InputError, TooLarge, UnknownCriterion
 from degreebox.oracle import (
+    MAX_SAMPLE_CELLS,
     SWEEP_CHUNK,
     _box_counts,
     _cell_bounds,
-    _cells,
+    _chunks,
     _count_grid,
     _draw_cells,
-    _rank_chunks,
     _sample_cells,
-    _sample_chunks,
     _sample_ranks,
     _unrank_rows,
     cross_validate,
@@ -28,7 +27,7 @@ from degreebox.oracle import (
     sample_instances,
 )
 from degreebox.sequences import IntervalSequencePair, _good_order_rows, normalize_good_order
-from ref_impl import ref_unrank_cells, ref_witness_count
+from ref_impl import ref_cells, ref_instances, ref_unrank_cells, ref_witness_count
 
 CE = normalize_good_order((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1)).pair
 
@@ -87,9 +86,9 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", range(8))
     def test_batched_counts_match_per_box_queries(self, n):
-        """A sweep's rank chunks hold at most SWEEP_CHUNK rows each, and
-        their rows are sample_instances' pairs, in order, which are its
-        ranks unranked at once; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks
+        """A sample's chunks hold at most SWEEP_CHUNK rows each, and their
+        rows are sample_instances' pairs, in order, which are its ranks
+        unranked at once; past n = 3 the 2 * SWEEP_CHUNK + 37 ranks
         are not a whole number of chunks.  One gather per chunk equals per-box
         oracle_realizable and a corner-by-corner sum over the table, boxes
         with some a_i = 0 (lower corners outside the table) included."""
@@ -98,7 +97,7 @@ class TestOracle:
         pairs = sample_instances(n, size, seed=n)
         assert pairs == _rows([_unrank_rows(n, ranks)])
         assert n == 0 or any(0 in pair.a for pair in pairs)
-        chunks = list(_rank_chunks(n, ranks))
+        chunks = list(_chunks(n, size, seed=n))
         assert all(0 < len(lows) <= SWEEP_CHUNK for lows, _ in chunks)
         assert _rows(chunks) == pairs
         expected = [oracle_realizable(pair).witness_count for pair in pairs]
@@ -148,11 +147,26 @@ class TestInstanceSpace:
                 seen.add((pair.a, pair.b))
             assert len(seen) == instance_space_size(n)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_enumeration_matches_reference(self, n):
+        """The stream's exhaustive pairs are the itertools reference's, in
+        order: 230,230 of them at n = 6."""
+        assert list(enumerate_instances(n)) == list(ref_instances(n))
+
+    def test_exhaustive_chunks_are_full_but_the_last(self):
+        sizes = [len(lows) for lows, _ in _chunks(6)]
+        assert sum(sizes) == instance_space_size(6)
+        assert set(sizes[:-1]) == {SWEEP_CHUNK} and 0 < sizes[-1] <= SWEEP_CHUNK
+
+    def test_enumeration_past_the_oracle_is_too_large(self):
+        with pytest.raises(TooLarge, match="sample"):
+            next(enumerate_instances(8))
+
     def test_unrank_matches_enumeration(self):
-        assert _rows([_unrank_rows(3, range(56))]) == list(enumerate_instances(3))
+        assert _rows([_unrank_rows(3, range(56))]) == list(ref_instances(3))
 
     def test_unrank_spot_checks_at_n5(self):
-        instances = list(enumerate_instances(5))
+        instances = list(ref_instances(5))
         ranks = (0, 1, 777, 11627)
         assert _rows([_unrank_rows(5, ranks)]) == [instances[rank] for rank in ranks]
 
@@ -170,18 +184,18 @@ class TestInstanceSpace:
         for n, some in ranks.items():
             expected = []
             for rank in some:
-                cells = ref_unrank_cells(_cells(n), n, rank)
+                cells = ref_unrank_cells(ref_cells(n), n, rank)
                 expected.append(IntervalSequencePair(tuple(c[0] for c in cells),
                                                      tuple(c[1] for c in cells)))
             assert _rows([_unrank_rows(n, some)]) == expected, n
 
     def test_cell_decode_matches_cells(self):
-        """_cell_bounds lists _cells(n) for n <= 14, and at n = 2000 the
+        """_cell_bounds lists ref_cells(n) for n <= 14, and at n = 2000 the
         cells built run by run: lower bound a = n-1, n-2, ..., 0, each with
         upper bounds b = n-1 down to a."""
         for n in range(1, 15):
             lows, highs = _cell_bounds(n, np.arange(n * (n + 1) // 2))
-            assert list(zip(lows.tolist(), highs.tolist())) == list(_cells(n)), n
+            assert list(zip(lows.tolist(), highs.tolist())) == ref_cells(n), n
         n = 2000
         lows, highs = _cell_bounds(n, np.arange(n * (n + 1) // 2))
         runs = range(n - 1, -1, -1)
@@ -216,7 +230,7 @@ class TestInstanceSpace:
         good-ordered, clamped and distinct, reproducible by seed, and in
         rank order, which lists each pair's cells (a, b) largest first."""
         assert instance_space_size(n) > 1 << 62
-        chunks = list(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n))
+        chunks = list(_chunks(n, SWEEP_CHUNK + 3, seed=n))
         assert [len(lows) for lows, _ in chunks] == [SWEEP_CHUNK, 3]
         lows, highs = np.vstack([c[0] for c in chunks]), np.vstack([c[1] for c in chunks])
         assert _good_order_rows(lows, highs).all()
@@ -224,8 +238,8 @@ class TestInstanceSpace:
         keys = [[(-a, -b) for a, b in zip(row_a, row_b)]
                 for row_a, row_b in zip(lows.tolist(), highs.tolist())]
         assert all(x < y for x, y in zip(keys, keys[1:]))
-        assert _rows(chunks) == _rows(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n))
-        assert _rows(chunks) != _rows(_sample_chunks(n, SWEEP_CHUNK + 3, seed=n + 1))
+        assert _rows(chunks) == _rows(_chunks(n, SWEEP_CHUNK + 3, seed=n))
+        assert _rows(chunks) != _rows(_chunks(n, SWEEP_CHUNK + 3, seed=n + 1))
 
     def test_draw_at_n10000_gives_a_valid_pair(self):
         n = 10**4
@@ -253,6 +267,14 @@ class TestInstanceSpace:
 
     def test_sampling_more_than_space_returns_everything(self):
         assert len(sample_instances(2, 10_000, seed=0)) == 6
+
+    @pytest.mark.parametrize("n, count", [(15, 10**8), (14, MAX_SAMPLE_CELLS // 14 + 1),
+                                          (8, 10**12), (2000, MAX_SAMPLE_CELLS // 2000 + 1)])
+    def test_sample_past_the_cell_bound_is_refused_before_drawing(self, n, count):
+        """Over MAX_SAMPLE_CELLS cells (instances times n) a sample is an
+        input error, raised before any rank or cell is drawn."""
+        with pytest.raises(InputError, match="holds at most"):
+            sample_instances(n, count, seed=1)
 
     @pytest.mark.parametrize("n", [5, 20])
     def test_negative_sample_size_is_an_input_error(self, n):
@@ -380,3 +402,7 @@ class TestImplicationMatrix:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             implication_matrix(7)
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(InputError):
+            implication_matrix(-1)
