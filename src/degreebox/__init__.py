@@ -34,6 +34,7 @@ from .errors import (
     NotNonIncreasing,
     TooLarge,
     UnknownCriterion,
+    UpperExceedsMaxDegree,
 )
 from .oracle import (
     cross_validate,

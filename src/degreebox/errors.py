@@ -21,6 +21,10 @@ class LowerExceedsMaxDegree(InputError):
     """Some lower bound exceeds n-1, which no simple graph can meet."""
 
 
+class UpperExceedsMaxDegree(InputError):
+    """Some upper bound of a pair built directly exceeds n-1; normalize_good_order clamps it."""
+
+
 class NotNonIncreasing(InputError):
     """The operation requires a non-increasing sequence."""
 

@@ -15,9 +15,9 @@ bound arrays each, with no per-instance Python object.  Up to 2^62
 instances (n <= 14) each run of ranks is unranked at once; past that,
 instances are drawn in O(n) by stars and bars.  Each sweep chunk makes
 one oracle gather over its boxes and one kernel pass, every
-``criteria.CRITERIA`` row is evaluated over the whole chunk, and the
-tallies are counts over the boolean verdict columns; a pair is built
-only for a violation or a matrix example, from its row.
+``criteria.CRITERIA`` row is evaluated over the whole chunk, and a
+sweep's tallies are row sums of one stacked table of the holds columns;
+a pair is built only for a violation or a matrix example, from its row.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def _box_counts(n: int, lows, highs) -> np.ndarray:
 
 def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
     """Exhaustive decision plus the number of witnessing edge subsets: the
-    one-box case of ``_box_counts``."""
+    one-box case of ``_box_counts``, over the pair's checked rows."""
     if pair.n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
-    count = int(_box_counts(pair.n, [pair.a], [pair.b])[0])
+    count = int(_box_counts(pair.n, *pair._rows)[0])
     return OracleResult(count > 0, count)
 
 
@@ -376,6 +376,12 @@ def cross_validate(
     (where the oracle is unavailable and only criterion-vs-criterion
     tallies are reported).  Reports are deterministic given (n, criteria,
     sample, seed).
+
+    Each chunk's holds columns make one (C, k) table.  A criterion's four
+    cells follow from its row sum, its row sum over realizable instances
+    and the count of those, summed over chunks; the violations are one
+    ``np.nonzero`` over a (C+1, k) mask of broken arrows, row 0
+    cdz_reduced against cdz, read in (instance, row) order.
     """
     if sample is not None and sample < 1:
         raise InputError(f"sample must be >= 1, got {sample}")
@@ -397,40 +403,46 @@ def cross_validate(
         cdz_reduced_disagreements=0 if track_reduced else None,
     )
 
+    # a row's gated arrows, as (C, 1) columns against the chunk's (C, k) holds
+    necessity, sufficiency = (np.array([[arrow in _criteria.CRITERIA[name].gated] for name in names])
+                              for arrow in ("necessity", "sufficiency"))
+    held = np.zeros(len(names), dtype=np.int64)
+    realizable_held = np.zeros(len(names), dtype=np.int64)
     start = time.perf_counter()
     index = 0
     for lows, highs in _chunks(n, sample, seed):
         kernel = kernel_pass(lows, highs)
         verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
-        flagged = []  # (offset in chunk, 0 or 1 + position in names, criterion, arrow)
+        holds = np.stack([verdicts[name].holds for name in names])
+        held += holds.sum(axis=1)
+        broken = np.zeros((len(names) + 1, len(lows)), dtype=bool)
         if track_reduced:
-            differ = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
-            report.cdz_reduced_disagreements += int(differ.sum())
-            flagged += [(i, 0, "cdz_reduced", "reduced-vs-full")
-                        for i in np.flatnonzero(differ).tolist()]
-        for name in names:
-            report.holds_counts[name] += int(verdicts[name].holds.sum())
+            broken[0] = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
+            report.cdz_reduced_disagreements += int(broken[0].sum())
         if report.oracle_used:
             realizable = _box_counts(n, lows, highs) > 0
             report.oracle_yes += int(realizable.sum())
-            for slot, name in enumerate(names, 1):
-                holds = verdicts[name].holds
-                cell = report.cells[name]
-                cell["oracle_yes_holds"] += int((realizable & holds).sum())
-                cell["oracle_yes_fails"] += int((realizable & ~holds).sum())
-                cell["oracle_no_holds"] += int((~realizable & holds).sum())
-                cell["oracle_no_fails"] += int((~realizable & ~holds).sum())
-                # the arrow a disagreement breaks
-                for arrow, broken in (("necessity", realizable & ~holds),
-                                      ("sufficiency", ~realizable & holds)):
-                    if arrow in _criteria.CRITERIA[name].gated:
-                        flagged += [(i, slot, name, arrow) for i in np.flatnonzero(broken).tolist()]
-        for i, _, name, arrow in sorted(flagged):
+            realizable_held += (holds & realizable).sum(axis=1)
+            broken[1:] = np.where(realizable, necessity & ~holds, sufficiency & holds)
+        # transposed, the flags come in (instance, row) order
+        for i, row in zip(*(axis.tolist() for axis in np.nonzero(broken.T))):
+            if row == 0:
+                name, arrow = "cdz_reduced", "reduced-vs-full"
+            else:
+                name, arrow = names[row - 1], "necessity" if realizable[i] else "sufficiency"
             report.violations.append(_violation(
                 index + i, _pair_of_row(lows, highs, i), name, arrow, verdicts[name].verdict(i)))
         index += len(lows)
     report.instance_count = index
     report.elapsed = time.perf_counter() - start
+    for name, h, yes_h in zip(names, held.tolist(), realizable_held.tolist()):
+        report.holds_counts[name] += h
+        if report.oracle_used:
+            cell = report.cells[name]
+            cell["oracle_yes_holds"] += yes_h
+            cell["oracle_yes_fails"] += report.oracle_yes - yes_h
+            cell["oracle_no_holds"] += h - yes_h
+            cell["oracle_no_fails"] += index - report.oracle_yes - h + yes_h
     if report.oracle_used:
         cdz = report.cells["cdz"]
         report.cdz_oracle_disagreements = cdz["oracle_yes_fails"] + cdz["oracle_no_holds"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .errors import (
     NegativeEntry,
     NotGoodOrder,
     NotNonIncreasing,
+    UpperExceedsMaxDegree,
 )
 
 DegreeSequence = tuple[int, ...]
 
 
-class KernelPass(NamedTuple):
+class KernelPass:
     """The CDZ kernel's columns over a batch of k pairs of equal size n.
 
     a and b are the (k, n) bound arrays.  Column t of each (k, n+1) array
@@ -42,17 +43,43 @@ class KernelPass(NamedTuple):
     the head deficits D_a(t), D_b(t), with D_x(t) = sum(max(0, t-1-x[k])
     for k < t).  s[i] = #{j : a[i, j] >= j}, which is max{t : a[t-1] >= t-1}
     when row i is in good order.  Every criterion is read off these columns.
+    ``kernel_pass`` builds lhs, rhs, eps and tail, all the exact decision
+    reads; D_a and D_b are built together, and s alone, on first read.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    eps: np.ndarray
-    tail: np.ndarray
-    deficit_a: np.ndarray
-    deficit_b: np.ndarray
-    s: np.ndarray
+    def __init__(self, a, b, lhs, rhs, eps, tail):
+        self.a, self.b, self.lhs, self.rhs, self.eps, self.tail = a, b, lhs, rhs, eps, tail
+
+    @cached_property
+    def _deficits(self) -> np.ndarray:
+        """D_a and D_b as one (2, k, n+1) array.
+
+        Head j adds t - 1 - x[j] to D_x(t) from t = max(j + 1, x[j] + 2)
+        on, so D_x(t) is t * #{heads started} - sum(1 + x[j] over them):
+        for x = a and x = b, two histograms of the start summed from the
+        bottom up, all four one bincount over the stacked (a, b).
+        """
+        x = np.stack((self.a, self.b))
+        _, k, n = x.shape
+        t = np.arange(n + 1)
+        start = np.maximum(t[1:], x + 2)
+        weights = np.ones((4, k, n))
+        weights[2:] = x + 1
+        hist = _row_histogram(np.concatenate((start, start)).reshape(4 * k, n), n + 2, weights)
+        started, offset = np.cumsum(hist.reshape(2, 2, k, n + 2)[..., :-1], axis=3)
+        return t * started - offset
+
+    @property
+    def deficit_a(self) -> np.ndarray:
+        return self._deficits[0]
+
+    @property
+    def deficit_b(self) -> np.ndarray:
+        return self._deficits[1]
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return (self.a >= np.arange(self.a.shape[1])).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -62,18 +89,40 @@ class IntervalSequencePair:
     a: tuple[int, ...]
     b: tuple[int, ...]
 
+    @classmethod
+    def _of_rows(cls, a: np.ndarray, b: np.ndarray) -> IntervalSequencePair:
+        """The pair whose bounds are the checked (1, n) int64 rows a, b,
+        which it keeps as its ``_rows``."""
+        pair = cls(tuple(a[0].tolist()), tuple(b[0].tolist()))
+        pair.__dict__["_rows"] = a, b
+        return pair
+
     @property
     def n(self) -> int:
         return len(self.a)
 
     @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """a and b as (1, n) int64 rows, built on first use and checked as
+        masks: a pair ``normalize_good_order`` rejects raises what it
+        raises, and an upper bound above n-1, which it clamps,
+        UpperExceedsMaxDegree; a pair that fails caches nothing.  A
+        normalized pair comes with the rows it was sorted from."""
+        lo, hi = _validated_columns(self.a, self.b)
+        above = hi > self.n - 1
+        if above.any():
+            i = int(above.argmax())
+            raise UpperExceedsMaxDegree(f"b[{i}] = {self.b[i]} exceeds n-1 = {self.n - 1}")
+        return lo[None], hi[None]
+
+    @cached_property
     def kernel(self) -> KernelPass:
-        """This pair's kernel pass, a batch of one, built on first use after
-        the good-order check (which raises NotGoodOrder, and caches nothing,
-        on unordered input); every later read returns the same pass."""
-        a, b = np.array([self.a], dtype=np.int64), np.array([self.b], dtype=np.int64)
-        _require_good_order_rows(a, b)
-        return kernel_pass(a, b)
+        """This pair's kernel pass, a batch of one over its checked rows,
+        built on first use after the good-order check (which raises
+        NotGoodOrder, and caches nothing, on unordered input); every
+        later read returns the same pass."""
+        require_good_order(self)
+        return kernel_pass(*self._rows)
 
 
 @dataclass(frozen=True)
@@ -114,7 +163,7 @@ def _int64_column(seq: Sequence[int]) -> np.ndarray:
 
 
 def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as int64 columns, b clamped to n-1, checked as masks.
+    """a and b as int64 columns, checked as masks, b not yet clamped.
 
     Raises what ``normalize_good_order`` documents, naming the first
     offending entry.  A lower bound above n-1 also exceeds its clamped
@@ -128,22 +177,23 @@ def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
         negative = column < 0
         if negative.any():
             raise NegativeEntry(f"{name} contains negative entry {seq[int(negative.argmax())]}")
-    hi = np.minimum(hi, n - 1)
-    above = lo > hi
+    clamped = np.minimum(hi, n - 1)
+    above = lo > clamped
     if above.any():
         i = int(above.argmax())
         if lo[i] > n - 1:
             raise LowerExceedsMaxDegree(f"a[{i}] = {a[i]} exceeds n-1 = {n - 1}")
-        raise LowerExceedsUpper(f"a[{i}] = {a[i]} exceeds b[{i}] = {hi[i]} after clamping")
+        raise LowerExceedsUpper(f"a[{i}] = {a[i]} exceeds b[{i}] = {clamped[i]} after clamping")
     return lo, hi
 
 
 def _good_order_rows(a, b) -> np.ndarray:
     """Row i of the (k, n) bounds a, b is in good order: no cell (a, b) is
-    lexicographically above the one before it."""
-    rise_a = np.diff(np.asarray(a, dtype=np.int64), axis=1)
-    rise_b = np.diff(np.asarray(b, dtype=np.int64), axis=1)
-    return ~((rise_a > 0) | ((rise_a == 0) & (rise_b > 0))).any(axis=1)
+    lexicographically above the one before it.  With b in 0..n-1 the key
+    a*n + b orders the cells lexicographically, so no key may rise."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    key = a * a.shape[1] + b
+    return (key[:, 1:] <= key[:, :-1]).all(axis=1)
 
 
 def _require_good_order_rows(a, b) -> None:
@@ -152,7 +202,8 @@ def _require_good_order_rows(a, b) -> None:
 
 
 def require_good_order(pair: IntervalSequencePair) -> None:
-    _require_good_order_rows([pair.a], [pair.b])
+    """Raise unless the pair's checked rows are in good order."""
+    _require_good_order_rows(*pair._rows)
 
 
 def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstance:
@@ -171,8 +222,9 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     deterministic.
     """
     lo, hi = _validated_columns(a, b)
+    hi = np.minimum(hi, len(hi) - 1)
     order = np.argsort(-(lo * len(lo) + hi), kind="stable")
-    pair = IntervalSequencePair(tuple(lo[order].tolist()), tuple(hi[order].tolist()))
+    pair = IntervalSequencePair._of_rows(lo[None, order], hi[None, order])
     return NormalizedInstance(pair, tuple(order.tolist()))
 
 
@@ -243,41 +295,38 @@ def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, i
 
 
 def kernel_pass(a, b) -> KernelPass:
-    """The kernel's columns for a (k, n) batch of bounds a, b, in O(kn).
+    """The kernel pass of a (k, n) batch of bounds a, b, in O(kn).
 
-    Every column is a per-row histogram of a threshold, summed up to t.
-    Cell j lies in S(t) = {j >= t : b[j] > t} iff t < min(j, b[j] - 1) + 1,
-    so |S(t)|, the b-sum over S(t) and its unforced (a < b) cells, like
-    sum(b[t:]), are histograms summed from the top down.  Head k adds
-    t - 1 - x[k] to D_x(t) from t = max(k + 1, x[k] + 2) on, so D_x(t) is
-    t * #{heads started} - sum(1 + x[k] over them), and these, like
-    sum(a[:t]), are histograms summed from the bottom up.  All nine
-    histograms are one bincount, in float64, which is exact while each
-    row's weights (at most n per cell) sum below 2^53.  Any order of the
-    cells works; entries of b must lie in 0..n-1.
+    It builds the columns the exact decision reads.  lhs and tail are
+    prefix and suffix sums of a and b.  Cell j lies in
+    S(t) = {j >= t : b[j] > t} iff t < min(j + 1, b[j]), so |S(t)|, the
+    b-sum over S(t) and its unforced (a < b) cells are histograms of that
+    threshold summed from the top down, all three one bincount, in
+    float64, which is exact while each row's weights (at most n per cell)
+    sum below 2^53.  The b-sum less t|S(t)| is what the cells of S(t)
+    lose to the clip at t, so rhs is t(t-1) + tail less that, less eps,
+    and eps is its parity where S(t) has no unforced cell.  The head
+    deficits and s wait for their first read (``KernelPass``).  Any order
+    of the cells works; entries of b must lie in 0..n-1.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     k, n = a.shape
     t = np.arange(n + 1)
-    index = np.empty((9, k, n), dtype=np.int64)
-    weights = np.ones((9, k, n))
-    index[:3] = np.minimum(t[:-1], b - 1) + 1  # |S(t)|, its b-sum, its unforced cells
-    weights[1], weights[2] = b, a < b
-    index[3:5] = t[1:]  # sum(b[t:]), sum(a[:t])
-    weights[3], weights[4] = b, a
-    index[5:7] = np.maximum(t[1:], a + 2)  # heads started in D_a, their 1 + a[k]
-    weights[6] = a + 1
-    index[7:] = np.maximum(t[1:], b + 2)  # the same for D_b
-    weights[8] = b + 1
-    hist = _row_histogram(index.reshape(9 * k, n), n + 2, weights).reshape(9, k, n + 2)
+    lhs = np.zeros((k, n + 1), dtype=np.int64)
+    tail = np.zeros((k, n + 1), dtype=np.int64)
+    np.cumsum(a, axis=1, out=lhs[:, 1:])
+    np.cumsum(b[:, ::-1], axis=1, out=tail[:, -2::-1])
+    index = np.minimum(t[1:], b)
+    weights = np.empty((3, k, n))
+    weights[0], weights[1], weights[2] = 1, b, a < b
+    hist = _row_histogram(np.concatenate((index, index, index)), n + 2, weights)
     # summed from the top, column c counts entries >= c: the value at t is column t + 1
-    size, total, loose, tail = np.cumsum(hist[:4, :, :0:-1], axis=2)[:, :, ::-1]
-    lhs, started_a, offset_a, started_b, offset_b = np.cumsum(hist[4:, :, :-1], axis=2)
-    eps = np.where(loose == 0, (total + t * size) % 2, 0)
-    rhs = t * (t - 1) + tail - total + t * size - eps
-    return KernelPass(a, b, lhs, rhs, eps, tail, t * started_a - offset_a,
-                      t * started_b - offset_b, (a >= t[:-1]).sum(axis=1))
+    size, total, loose = np.cumsum(hist.reshape(3, k, n + 2)[:, :, :0:-1], axis=2)[:, :, ::-1]
+    clipped = total - t * size
+    eps = clipped & (loose == 0)
+    rhs = t * (t - 1) + tail - clipped - eps
+    return KernelPass(a, b, lhs, rhs, eps, tail)
 
 
 def _row_histogram(index: np.ndarray, width: int, weights=None) -> np.ndarray:

@@ -286,6 +286,19 @@ def test_rows_on_tiny_and_empty_batches(n):
         assert row.check(empty).holds.shape == (0,)
 
 
+def test_direct_pair_matches_normalized_pair():
+    """A pair built directly from a normalized pair's tuples checks and
+    builds its own rows, and its kernel columns and criteria_report equal
+    those of the normalized pair, whose rows normalize_good_order sorted."""
+    pairs = random_pairs(40, 60, 20261103) + [normalize_good_order((), ()).pair]
+    for pair in pairs:
+        direct = IntervalSequencePair(pair.a, pair.b)
+        assert direct == pair and direct._rows[0] is not pair._rows[0]
+        for name in ("a", "b", "lhs", "rhs", "eps", "tail", "deficit_a", "deficit_b", "s"):
+            assert np.array_equal(getattr(direct.kernel, name), getattr(pair.kernel, name)), name
+        assert criteria_report(direct) == criteria_report(pair)
+
+
 def test_checkers_match_reference_scan_exhaustively():
     """Every verdict equals an independent plain-scan evaluation, n <= 4."""
     for pair in _all_small_pairs():
@@ -457,8 +470,8 @@ def test_head_deficit_families_match_plain_scan_to_n_300():
     ref_impl.eval_at rebuilds the Berge matrix for every t; here berge(b),
     conj(b) and eps are built once per pair and every rhs is summed from
     its definition, so the reference stays O(n^2) and reaches the sizes
-    where the head histogram of ``_head_deficits`` holds many entries per
-    value.  Every third pair is the point box (b; b), where every cell is
+    where the head histogram of ``KernelPass._deficits`` holds many entries
+    per value.  Every third pair is the point box (b; b), where every cell is
     forced and eps(t) decides more often.  Witness t, lhs and rhs must
     all match.
     """

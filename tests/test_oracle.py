@@ -6,8 +6,28 @@ import numpy as np
 import pytest
 
 import ref_impl
-from degreebox.criteria import PAIR_CHECKS, check_bollobas, check_cdz, check_grunbaum
-from degreebox.errors import InputError, TooLarge, UnknownCriterion
+from degreebox.criteria import (
+    CRITERIA,
+    EXACT,
+    PAIR_CHECKS,
+    REPORT,
+    Criterion,
+    Verdicts,
+    check_bollobas,
+    check_cdz,
+    check_grunbaum,
+    criteria_report,
+)
+from degreebox.errors import (
+    InputError,
+    LengthMismatch,
+    LowerExceedsMaxDegree,
+    LowerExceedsUpper,
+    NegativeEntry,
+    TooLarge,
+    UnknownCriterion,
+    UpperExceedsMaxDegree,
+)
 from degreebox.oracle import (
     MAX_SAMPLE_CELLS,
     SWEEP_CHUNK,
@@ -26,6 +46,7 @@ from degreebox.oracle import (
     oracle_realizable,
     sample_instances,
 )
+from degreebox.realize import graphic_vector_in_box, realize_pair
 from degreebox.sequences import IntervalSequencePair, _good_order_rows, normalize_good_order
 from ref_impl import ref_cells, ref_instances, ref_unrank_cells, ref_witness_count
 
@@ -124,6 +145,34 @@ class TestOracle:
             wider_b = tuple(min(4, x + rng.randint(0, 1)) for x in pair.b)
             wider = normalize_good_order(wider_a, wider_b).pair
             assert oracle_realizable(wider).realizable, (pair, wider)
+
+
+# Pairs built directly, past normalize_good_order, with the error each raises
+INVALID_PAIRS = [
+    (((5,), (5,)), LowerExceedsMaxDegree),
+    (((-1,), (0,)), NegativeEntry),
+    (((1,), (2, 3)), LengthMismatch),
+    (((1, 0), (0, 0)), LowerExceedsUpper),
+    (((0, 0), (1, 2)), UpperExceedsMaxDegree),
+]
+
+
+@pytest.mark.parametrize("bounds, error", INVALID_PAIRS)
+@pytest.mark.parametrize(
+    "call", [check_cdz, criteria_report, realize_pair, graphic_vector_in_box, oracle_realizable])
+def test_directly_built_invalid_pairs_are_input_errors(bounds, error, call):
+    """Each reader of a pair checks its bounds once, as normalize_good_order
+    would, which clamps an upper bound above n-1 and rejects the rest; a
+    failed check caches nothing."""
+    pair = IntervalSequencePair(*bounds)
+    for _ in range(2):
+        with pytest.raises(error):
+            call(pair)
+    if error is UpperExceedsMaxDegree:
+        assert normalize_good_order(*bounds).pair == IntervalSequencePair((0, 0), (1, 1))
+    else:
+        with pytest.raises(error):
+            normalize_good_order(*bounds)
 
 
 class TestInstanceSpace:
@@ -352,6 +401,34 @@ class TestCrossValidate:
         assert report.cells == cells and report.holds_counts == holds_counts
         assert report.oracle_yes == sum(oracle_realizable(pair).realizable for pair in pairs)
         assert report.violations == [] and report.cdz_reduced_disagreements == 0
+
+    def test_violations_come_in_instance_then_row_order(self, monkeypatch):
+        """Planted faults break every gated arrow and cdz_reduced: the
+        violations match a per-pair scan of the same rows in enumeration
+        order, cdz_reduced against cdz first, then each criterion in turn."""
+        monkeypatch.setitem(CRITERIA, "cdz_reduced", CRITERIA["hasselbarth"]._replace(gated=EXACT))
+        monkeypatch.setitem(CRITERIA, "grunbaum", Criterion(
+            lambda kernel: Verdicts(kernel.s % 3 == 0, kernel.s, None, kernel.lhs[:, 0],
+                                    kernel.rhs[:, 0]), "Grunbaum", EXACT, REPORT))
+        names = ("cdz", "cdz_reduced", "bollobas", "grunbaum")
+        expected = []
+        for index, pair in enumerate(enumerate_instances(4)):
+            realizable = oracle_realizable(pair).realizable
+            verdicts = {name: CRITERIA[name].check(pair.kernel).verdict(0) for name in names}
+            rows = [("cdz_reduced", "reduced-vs-full", verdicts["cdz"] != verdicts["cdz_reduced"])]
+            arrow = "necessity" if realizable else "sufficiency"
+            rows += [(name, arrow, verdicts[name].holds != realizable
+                      and arrow in CRITERIA[name].gated) for name in names]
+            expected += [(index, name, arrow, verdicts[name].witness_t)
+                         for name, arrow, broken in rows if broken]
+        report = cross_validate(4, criteria=list(names))
+        assert report.instance_count > SWEEP_CHUNK
+        got = [(v["instance_index"], v["criterion"], v["direction"], v["witness_t"])
+               for v in report.violations]
+        assert got == expected
+        assert {(name, arrow) for _, name, arrow, _ in got} == {
+            ("cdz_reduced", "reduced-vs-full"), ("cdz_reduced", "sufficiency"),
+            ("grunbaum", "necessity"), ("grunbaum", "sufficiency")}
 
     def test_large_n_sampled_runs_without_oracle(self):
         report = cross_validate(9, criteria=["cdz", "cdz_reduced"], sample=40, seed=1)

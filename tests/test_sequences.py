@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import ref_impl
 
-from degreebox.criteria import _lifted
+from degreebox import sequences
+from degreebox.criteria import _lifted, check_cdz
 from degreebox.errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -355,3 +356,59 @@ def test_good_order_matches_reference(cells, data):
         cells[i], cells[i + 1] = cells[i + 1], cells[i]
     pair = IntervalSequencePair(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
     assert _good_order_rows([pair.a], [pair.b])[0] == ref_impl.ref_good_order(pair)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 30])
+def test_kernel_columns_match_plain_scans(k, n):
+    """Every column of ``kernel_pass`` over a batch of k seeded boxes, cells
+    in input order, against sums written from the definitions in the
+    ``KernelPass`` docstring.  Every second box is a point box (b; b) with
+    its last cell loosened, so eps(t) turns on whether that cell lies in
+    S(t), which it leaves as t reaches its b."""
+    rng = random.Random(100 * k + n)
+    boxes = []
+    for i in range(k):
+        lo, hi = ref_impl.random_box(rng, n) if n else ([], [])
+        if i % 2 and n:
+            lo = list(hi)
+            lo[-1] = max(0, hi[-1] - 1)
+        boxes.append((lo, hi))
+    a = np.array([lo for lo, _ in boxes], dtype=np.int64).reshape(k, n)
+    b = np.array([hi for _, hi in boxes], dtype=np.int64).reshape(k, n)
+    kernel = kernel_pass(a, b)
+    names = ("lhs", "rhs", "eps", "tail", "deficit_a", "deficit_b")
+    assert all(getattr(kernel, name).shape == (k, n + 1) for name in names)
+    assert kernel.s.shape == (k,)
+    for i, (lo, hi) in enumerate(boxes):
+        pair = IntervalSequencePair(tuple(lo), tuple(hi))
+        eps = [ref_impl.ref_eps(pair, t) for t in range(n + 1)]
+        expected = {
+            "lhs": [sum(lo[:t]) for t in range(n + 1)],
+            "rhs": [t * (t - 1) + sum(min(t, x) for x in hi[t:]) - eps[t] for t in range(n + 1)],
+            "eps": eps,
+            "tail": [sum(hi[t:]) for t in range(n + 1)],
+            "deficit_a": [sum(max(0, t - 1 - x) for x in lo[:t]) for t in range(n + 1)],
+            "deficit_b": [sum(max(0, t - 1 - x) for x in hi[:t]) for t in range(n + 1)],
+        }
+        for name, column in expected.items():
+            assert getattr(kernel, name)[i].tolist() == column, (name, lo, hi)
+        assert kernel.s[i] == sum(x >= j for j, x in enumerate(lo)), (lo, hi)
+
+
+def test_decision_reads_normalized_rows_and_builds_no_deficits(monkeypatch):
+    """check_cdz on a normalized pair reads the rows normalize_good_order
+    sorted, rebuilding none from the pair's tuples, and builds neither the
+    deficit histogram nor s; the first read of one deficit builds both."""
+    norm = normalize_good_order(*ref_impl.random_box(random.Random(20261019), 40))
+
+    def rebuilt(seq):
+        raise AssertionError("an array was rebuilt from a tuple")
+
+    monkeypatch.setattr(sequences, "_int64_column", rebuilt)
+    check_cdz(norm.pair)
+    kernel = norm.pair.kernel
+    assert kernel.a is norm.pair._rows[0] and kernel.b is norm.pair._rows[1]
+    assert not {"_deficits", "s"} & vars(kernel).keys()
+    kernel.deficit_b
+    assert "_deficits" in vars(kernel) and "s" not in vars(kernel)
