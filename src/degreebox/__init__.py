@@ -30,6 +30,7 @@ from .errors import (
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
     NegativeEntry,
+    NonIntegerEntry,
     NotGoodOrder,
     NotNonIncreasing,
     TooLarge,

@@ -13,6 +13,10 @@ class NegativeEntry(InputError):
     """A sequence entry is negative."""
 
 
+class NonIntegerEntry(InputError):
+    """A bound is not an integer (a float, a string, ...)."""
+
+
 class LowerExceedsUpper(InputError):
     """Some lower bound exceeds its upper bound (after clamping)."""
 

@@ -14,8 +14,9 @@ of leading entries, not element indices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
+import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
     NegativeEntry,
+    NonIntegerEntry,
     NotGoodOrder,
     NotNonIncreasing,
     UpperExceedsMaxDegree,
@@ -82,32 +84,78 @@ class KernelPass:
         return (self.a >= np.arange(self.a.shape[1])).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class IntervalSequencePair:
-    """Per-vertex degree bounds a[i] <= b[i] for a simple graph on n vertices."""
+class _Record:
+    """A frozen record whose fields may be built on first read.
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    Equality, hashing and repr read the fields named in ``_fields``, as a
+    frozen dataclass's would; an instance's state lives in its ``__dict__``,
+    so a field built on first read is a ``cached_property``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class IntervalSequencePair(_Record):
+    """Per-vertex degree bounds a[i] <= b[i] for a simple graph on n vertices.
+
+    The pair's state is its checked (1, n) int64 rows ``_rows``.  A pair
+    built directly keeps the a and b it was given and makes the rows on
+    first use; a pair ``normalize_good_order`` builds keeps the rows it
+    sorted, and makes a and b, tuples of Python ints, on first read.
+    Equality, hashing and repr compare and show the tuples, whichever way
+    the pair was built.
+    """
+
+    _fields = ("a", "b")
+    # a pair normalize_good_order builds is in good order by construction
+    _in_good_order = False
+
+    def __init__(self, a: Sequence[int], b: Sequence[int]):
+        vars(self).update(a=a, b=b, n=len(a))
 
     @classmethod
     def _of_rows(cls, a: np.ndarray, b: np.ndarray) -> IntervalSequencePair:
-        """The pair whose bounds are the checked (1, n) int64 rows a, b,
-        which it keeps as its ``_rows``."""
-        pair = cls(tuple(a[0].tolist()), tuple(b[0].tolist()))
-        pair.__dict__["_rows"] = a, b
+        """The pair whose bounds are the checked (1, n) int64 rows a, b, in
+        good order, which it keeps as its ``_rows``."""
+        pair = cls.__new__(cls)
+        vars(pair).update(_rows=(a, b), n=a.shape[1], _in_good_order=True)
         return pair
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
+    @cached_property
+    def a(self) -> tuple[int, ...]:
+        return tuple(self._rows[0][0].tolist())
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        return tuple(self._rows[1][0].tolist())
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """a and b as (1, n) int64 rows, built on first use and checked as
         masks: a pair ``normalize_good_order`` rejects raises what it
         raises, and an upper bound above n-1, which it clamps,
-        UpperExceedsMaxDegree; a pair that fails caches nothing.  A
-        normalized pair comes with the rows it was sorted from."""
+        UpperExceedsMaxDegree; a pair that fails caches nothing."""
         lo, hi = _validated_columns(self.a, self.b)
         above = hi > self.n - 1
         if above.any():
@@ -119,22 +167,36 @@ class IntervalSequencePair:
     def kernel(self) -> KernelPass:
         """This pair's kernel pass, a batch of one over its checked rows,
         built on first use after the good-order check (which raises
-        NotGoodOrder, and caches nothing, on unordered input); every
-        later read returns the same pass."""
-        require_good_order(self)
+        NotGoodOrder, and caches nothing, on unordered input; a normalized
+        pair skips it); every later read returns the same pass."""
+        if not self._in_good_order:
+            require_good_order(self)
         return kernel_pass(*self._rows)
 
 
-@dataclass(frozen=True)
-class NormalizedInstance:
+class NormalizedInstance(_Record):
     """A good-ordered pair plus the permutation back to the input labeling.
 
     ``perm[i]`` is the original position of normalized position i, so
-    ``original_a[perm[i]] == pair.a[i]`` (and likewise for b).
+    ``original_a[perm[i]] == pair.a[i]`` (and likewise for b).  An instance
+    ``normalize_good_order`` builds keeps the sort order as an array and
+    makes ``perm``, a tuple of Python ints, on first read.
     """
 
-    pair: IntervalSequencePair
-    perm: tuple[int, ...]
+    _fields = ("pair", "perm")
+
+    def __init__(self, pair: IntervalSequencePair, perm: Sequence[int]):
+        vars(self).update(pair=pair, perm=perm)
+
+    @classmethod
+    def _of_order(cls, pair: IntervalSequencePair, order: np.ndarray) -> NormalizedInstance:
+        instance = cls.__new__(cls)
+        vars(instance).update(pair=pair, _order=order)
+        return instance
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        return tuple(self._order.tolist())
 
 
 def _check_nonnegative(seq: Sequence[int], name: str) -> None:
@@ -162,29 +224,47 @@ def _int64_column(seq: Sequence[int]) -> np.ndarray:
         return np.fromiter((min(max(x, info.min), info.max) for x in seq), np.int64, len(seq))
 
 
+def _require_integers(seq: Sequence[int], name: str) -> None:
+    """Raise NonIntegerEntry, naming the first, unless every entry of seq is
+    an integer.  An int plus a float is a float and a str raises, so one
+    sum decides the usual case; only a failure (or a numpy integer that
+    cannot take a Python int past its range) scans for the entry."""
+    try:
+        if isinstance(sum(seq), numbers.Integral):
+            return
+    except (TypeError, OverflowError):
+        pass
+    for i, x in enumerate(seq):
+        if not isinstance(x, (numbers.Integral, np.bool_)):
+            raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer")
+
+
 def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """a and b as int64 columns, checked as masks, b not yet clamped.
 
     Raises what ``normalize_good_order`` documents, naming the first
-    offending entry.  A lower bound above n-1 also exceeds its clamped
-    upper bound, so one mask finds the first index of either error.
+    offending entry.  Valid bounds pass one fused mask,
+    0 <= a[i] <= min(b[i], n-1); only when it fails do the scans below run
+    to tell the errors apart.  A lower bound above n-1 also exceeds its
+    clamped upper bound, so one mask finds the first index of either.
     """
     if len(a) != len(b):
         raise LengthMismatch(f"lower has length {len(a)}, upper has length {len(b)}")
     n = len(a)
+    _require_integers(a, "a")
+    _require_integers(b, "b")
     lo, hi = _int64_column(a), _int64_column(b)
+    clamped = np.minimum(hi, n - 1)
+    if ((lo >= 0) & (lo <= clamped)).all():
+        return lo, hi
     for column, seq, name in ((lo, a, "lower bounds"), (hi, b, "upper bounds")):
         negative = column < 0
         if negative.any():
             raise NegativeEntry(f"{name} contains negative entry {seq[int(negative.argmax())]}")
-    clamped = np.minimum(hi, n - 1)
-    above = lo > clamped
-    if above.any():
-        i = int(above.argmax())
-        if lo[i] > n - 1:
-            raise LowerExceedsMaxDegree(f"a[{i}] = {a[i]} exceeds n-1 = {n - 1}")
-        raise LowerExceedsUpper(f"a[{i}] = {a[i]} exceeds b[{i}] = {clamped[i]} after clamping")
-    return lo, hi
+    i = int((lo > clamped).argmax())
+    if lo[i] > n - 1:
+        raise LowerExceedsMaxDegree(f"a[{i}] = {a[i]} exceeds n-1 = {n - 1}")
+    raise LowerExceedsUpper(f"a[{i}] = {a[i]} exceeds b[{i}] = {clamped[i]} after clamping")
 
 
 def _good_order_rows(a, b) -> np.ndarray:
@@ -212,20 +292,29 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     Each upper bound is clamped to n-1: degrees in a simple graph cannot
     exceed it, so clamping b does not change realizability.  A lower bound
     above n-1 is rejected outright (LowerExceedsMaxDegree), as are paired
-    vectors of different lengths (LengthMismatch), negative entries
-    (NegativeEntry) and a lower bound above its clamped upper bound
-    (LowerExceedsUpper).  The checks run as int64 masks over both vectors;
-    entries past int64 are decided as their Python values would be.  The
-    cells are then sorted by a descending, then b descending, as one
-    stable argsort of the int64 key a*n + b (0 <= b < n keeps it
-    lexicographic); ties keep input order, so the recorded permutation is
-    deterministic.
+    vectors of different lengths (LengthMismatch), entries that are not
+    integers (NonIntegerEntry), negative entries (NegativeEntry) and a
+    lower bound above its clamped upper bound (LowerExceedsUpper).  The
+    checks run as int64 masks over both vectors; entries past int64 are
+    decided as their Python values would be.
+
+    The cells are sorted by a descending, then b descending, ties in input
+    order, so the recorded permutation is deterministic: a plain sort of
+    the distinct int64 keys ((n-1-a)*n + (n-1-b))*n + i, whose residues
+    mod n are the order.  Those keys reach n^3 - 1, so past n = 2,097,151
+    (n^3 >= 2^63) a stable argsort of a*n + b sorts instead.  The pair
+    keeps the sorted rows and the instance the order; the tuples
+    ``pair.a``, ``pair.b`` and ``perm`` are built on first read.
     """
     lo, hi = _validated_columns(a, b)
-    hi = np.minimum(hi, len(hi) - 1)
-    order = np.argsort(-(lo * len(lo) + hi), kind="stable")
+    n = len(lo)
+    hi = np.minimum(hi, n - 1)
+    if n ** 3 < 2 ** 63:
+        order = np.sort(((n - 1 - lo) * n + (n - 1 - hi)) * n + np.arange(n)) % n
+    else:
+        order = np.argsort(-(lo * n + hi), kind="stable")
     pair = IntervalSequencePair._of_rows(lo[None, order], hi[None, order])
-    return NormalizedInstance(pair, tuple(order.tolist()))
+    return NormalizedInstance._of_order(pair, order)
 
 
 def _berge_rows(d) -> np.ndarray:

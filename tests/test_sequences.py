@@ -1,8 +1,11 @@
+import json
 import random
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ref_impl
 
@@ -14,9 +17,11 @@ from degreebox.errors import (
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
     NegativeEntry,
+    NonIntegerEntry,
 )
 from degreebox.sequences import (
     IntervalSequencePair,
+    NormalizedInstance,
     _berge_rows,
     _good_order_rows,
     conjugate_sequence,
@@ -81,6 +86,31 @@ class TestValidateAndClamp:
             normalize_good_order((0, h), (1, h))
         with pytest.raises(NegativeEntry, match=rf"^upper bounds contains negative entry -{h}$"):
             normalize_good_order((0, 0), (1, -h))
+
+    def test_non_integer_entries_rejected(self):
+        """Before any other bound check, naming the first such entry; a
+        float, a string or a Fraction would otherwise truncate or convert."""
+        with pytest.raises(NonIntegerEntry, match=r"^a\[0\] = 1\.5 is not an integer$"):
+            normalize_good_order((1.5, 1), (1.9, 1))
+        with pytest.raises(NonIntegerEntry, match=r"^a\[1\] = '3' is not an integer$"):
+            normalize_good_order((0, "3", 9), (1, 1, 1))
+        with pytest.raises(NonIntegerEntry, match=r"^b\[2\] = 1\.0 is not an integer$"):
+            normalize_good_order((-1, 0, 0), (1, 1, 1.0))
+        with pytest.raises(NonIntegerEntry, match=r"^b\[0\] = Fraction\(1, 1\) is not an integer$"):
+            normalize_good_order((0,), (Fraction(1),))
+        with pytest.raises(NonIntegerEntry, match=r"^a\[1\] = None is not an integer$"):
+            normalize_good_order((np.True_, None), (1, 1))
+        # a pair built directly raises the same on its row check
+        pair = IntervalSequencePair((1.5, 1), (1.9, 1))
+        with pytest.raises(NonIntegerEntry):
+            pair.kernel
+        with pytest.raises(NonIntegerEntry):
+            check_cdz(pair)
+
+    def test_integer_kinds_accepted(self):
+        """bool, numpy integers and Python ints past int64 are integers."""
+        norm = normalize_good_order((True, np.int64(0), np.True_), (2**64, np.uint8(1), 1))
+        assert (norm.pair.a, norm.pair.b, norm.perm) == ((1, 1, 0), (2, 1, 1), (0, 2, 1))
 
 
 class TestGoodOrder:
@@ -412,3 +442,69 @@ def test_decision_reads_normalized_rows_and_builds_no_deficits(monkeypatch):
     assert not {"_deficits", "s"} & vars(kernel).keys()
     kernel.deficit_b
     assert "_deficits" in vars(kernel) and "s" not in vars(kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1000), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_normalized_order_matches_reference(n, distinct, rnd):
+    """perm and the sorted rows against the reference: input positions
+    sorted by (-a, -b), ties by position.  The cells tie heavily: the lower
+    bounds take at most four values and each upper bound is a[i] plus 0,
+    1 or n, clamped to n-1."""
+    values = rnd.sample(range(n), min(n, distinct))
+    a = [rnd.choice(values) for _ in range(n)]
+    b = [x + rnd.choice((0, 0, 1, n)) for x in a]
+    norm = normalize_good_order(a, b)
+    ref_a, ref_b, ref_perm = ref_impl.ref_normalize(a, b)
+    assert norm.perm == ref_perm
+    lo, hi = norm.pair._rows
+    assert lo.shape == hi.shape == (1, n)
+    assert (lo[0].tolist(), hi[0].tolist()) == (list(ref_a), list(ref_b))
+
+
+def test_normalized_order_past_the_key_sort(monkeypatch):
+    """Past n = 2,097,151 the keys ((n-1-a)*n + (n-1-b))*n + i would pass
+    int64, so normalization falls back to a stable argsort: the order then
+    equals two stable passes, by upper and then by lower bound."""
+    n = 2_097_152
+    rng = np.random.default_rng(20261019)
+    lo = rng.integers(0, 4, n)
+    hi = lo + rng.integers(0, 3, n)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the key sort ran past its bound")
+
+    monkeypatch.setattr(sequences.np, "sort", unused)
+    norm = normalize_good_order(lo.tolist(), hi.tolist())
+    monkeypatch.undo()
+    by_b = np.argsort(-hi, kind="stable")
+    order = by_b[np.argsort(-lo[by_b], kind="stable")]
+    assert np.array_equal(norm._order, order)
+    assert np.array_equal(norm.pair._rows[0][0], lo[order])
+    assert np.array_equal(norm.pair._rows[1][0], hi[order])
+
+
+def test_normalized_pair_builds_tuples_on_demand():
+    """A normalized pair equals the pair built directly from its tuples, by
+    ==, hash, repr and n; its tuples and perm are tuples of Python ints,
+    built once, on first read, which a decision never makes."""
+    a, b = ref_impl.random_box(random.Random(20261021), 60)
+    norm = normalize_good_order(a, b)
+    check_cdz(norm.pair)
+    assert not {"a", "b"} & vars(norm.pair).keys() and "perm" not in vars(norm)
+    ref_a, ref_b, ref_perm = ref_impl.ref_normalize(a, b)
+    direct = IntervalSequencePair(ref_a, ref_b)
+    assert norm.pair == direct and direct == norm.pair
+    assert hash(norm.pair) == hash(direct)
+    assert repr(norm.pair) == repr(direct) == f"IntervalSequencePair(a={ref_a!r}, b={ref_b!r})"
+    assert norm.pair.n == direct.n == 60
+    assert norm == NormalizedInstance(direct, ref_perm)
+    for value in (norm.pair.a, norm.pair.b, norm.perm):
+        assert type(value) is tuple and all(type(x) is int for x in value)
+    assert norm.pair.a is norm.pair.a and norm.pair.b is norm.pair.b and norm.perm is norm.perm
+    assert json.dumps([norm.pair.a, norm.perm]) == json.dumps([ref_a, ref_perm])
+    assert norm.pair != IntervalSequencePair(ref_a, ref_a) and norm.pair != (ref_a, ref_b)
+    with pytest.raises(FrozenInstanceError):
+        norm.pair.a = ref_a
+    with pytest.raises(FrozenInstanceError):
+        norm.perm = ref_perm
