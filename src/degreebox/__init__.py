@@ -17,14 +17,12 @@ from .criteria import (
     check_cdz_reduced,
     check_erdos_gallai_fixed,
     check_fulkerson,
-    check_fulkerson_exists,
     check_grunbaum,
     check_hasselbarth,
     check_ryser_interval,
     criteria_report,
 )
 from .errors import (
-    IndexOutOfRange,
     InputError,
     LengthMismatch,
     LowerExceedsMaxDegree,
@@ -56,9 +54,6 @@ from .realize import (
 from .sequences import (
     IntervalSequencePair,
     NormalizedInstance,
-    conjugate_sequence,
-    crossing_index,
-    max_sum_identities_hold,
     normalize_good_order,
 )
 

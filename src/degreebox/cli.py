@@ -1,4 +1,4 @@
-"""Command-line front end: check, realize, crossval, identities.
+"""Command-line front end: check, realize, crossval.
 
 Exit codes are uniform across subcommands: 0 for an affirmative verdict,
 1 for a negative one, 2 for usage or input errors, 3 for an internal
@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys
 from dataclasses import dataclass
@@ -122,8 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # raises TooLarge past the oracle's size instead of skipping the cross-check
     oracle_result = _oracle.oracle_realizable(pair) if args.oracle else None
     report = _criteria.criteria_report(pair)
-    verdicts = dict(report.verdicts)
-    verdicts["ryser_interval"] = _criteria.check_ryser_interval(pair)
+    verdicts = report.verdicts
     if args.json:
         _emit_json({
             "schema": "degreebox.check/1",
@@ -201,86 +199,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-_IDENTITY_BLOCK = 2048
-
-
-def run_identity_suite(count: int, seed: int) -> list[dict]:
-    """Randomized identity checks; returns the (expected-empty) failure list.
-
-    Per round: the two max-sum truncation identities on a random prefix,
-    sum preservation of both matrix transforms, prefix agreement between
-    the zero-diagonal column sums and the shifted conjugate, and the
-    conjugate involution.  Rounds are drawn and checked in blocks of
-    ``_IDENTITY_BLOCK``, so memory stays flat in count; the Berge
-    sequences of a block's rounds of one length come from one kernel pass.
-    """
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
-    rng = random.Random(seed)
-    failures: list[dict] = []
-
-    def record(kind, **data):
-        failures.append({"kind": kind, **data})
-
-    for start in range(0, count, _IDENTITY_BLOCK):
-        rounds = []
-        for _ in range(min(_IDENTITY_BLOCK, count - start)):
-            n = rng.randint(1, 12)
-            p = [rng.randint(0, 12) for _ in range(n)]
-            t = rng.randint(1, n)
-            d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
-            rounds.append((p, t, d))
-        by_length: dict[int, list[list[int]]] = {}
-        for _, _, d in rounds:
-            by_length.setdefault(len(d), []).append(d)
-        berge_rows = {n: iter(_sequences._berge_rows(ds).tolist()) for n, ds in by_length.items()}
-        for p, t, d in rounds:
-            if not _sequences.max_sum_identities_hold(p, t):
-                record("max_sum_identities", p=p, t=t)
-
-            berge = next(berge_rows[len(d)])
-            conj = _sequences.conjugate_sequence(d)
-            if sum(berge) != sum(d) or sum(conj) != sum(d):
-                record("sum_preservation", d=d, berge=berge, conjugate=list(conj))
-            f = _sequences.crossing_index(d)
-            bp = cp = 0
-            for k in range(f):
-                bp += berge[k]
-                cp += conj[k] - 1
-                if bp != cp:
-                    record("berge_conjugate_prefix", d=d, k=k + 1, berge_prefix=bp,
-                           conjugate_prefix=cp)
-                    break
-
-            twice = _sequences.conjugate_sequence(conj)
-            if _strip_zeros(twice) != _strip_zeros(d):
-                record("conjugate_involution", d=d, twice=list(twice))
-    return failures
-
-
-def _strip_zeros(seq) -> tuple[int, ...]:
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def cmd_identities(args: argparse.Namespace) -> int:
-    failures = run_identity_suite(args.count, args.seed)
-    if args.json:
-        _emit_json({
-            "schema": "degreebox.identities/1",
-            "count": args.count,
-            "seed": args.seed,
-            "failures": failures,
-        })
-    elif not args.quiet:
-        for f in failures[:20]:
-            _write(f"FAIL {f}\n")
-        _write(f"{args.count} rounds, {len(failures)} failures\n")
-    return 0 if not failures else 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
@@ -311,11 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="store_true",
                    help="print the pairwise implication matrix instead")
     p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("identities", help="randomized sequence-identity checks")
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_identities)
     return parser
 
 

@@ -5,21 +5,21 @@ kernel pass, ``sequences.kernel_pass``, and is written once, as a row
 check that maps a whole batch of k pairs of equal size n to verdict
 columns: holds, and the smallest failing witness t (and tail length m
 for Fulkerson) with both sides of the inequality.  The smallest failing
-t is a masked argmax over the (k, n+1) comparison; the Fulkerson rows
-scan t and compare all tail lengths m at once; the Ryser interval row is
+t is a masked argmax over the (k, n+1) comparison; the Fulkerson row
+scans t and compares all tail lengths m at once; the Ryser interval row is
 one Gale-Ryser pass over the tilde system, whose bound rows ``_lifted``
 builds, the pass the bipartite witness route probes as well.  Sweeps
 evaluate each row over a chunk of instances at once.  The per-pair
-checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``,
-``PAIR_CHECKS``) are the k = 1 view of the rows, read off the pair's cached
+checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``) are
+the k = 1 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
 and ``criteria_report`` on one pair share one pass;
 ``check_erdos_gallai_fixed`` reads the pass on the point box (d; d).
 Verdicts are reproducible and can be re-verified by direct evaluation.
 Checkers never re-sort their input; callers normalize first.
 
-``CRITERIA`` declares each criterion once; the registries the report,
-the sweeps and the CLI read are derived from it.
+``CRITERIA`` declares each criterion once, and is the one registry the
+report, the sweeps and the CLI read; ``CHECKERS`` is its per-pair view.
 """
 
 from __future__ import annotations
@@ -127,13 +127,14 @@ def _berge_sufficient(kernel: KernelPass) -> Verdicts:
     return _failure_columns(kernel.lhs, kernel.rhs - kernel.deficit_b)
 
 
-def _fulkerson_scan(kernel: KernelPass, first_failing: bool) -> Verdicts:
-    """Smallest t at which a witness tail length m exists, row by row.
+def _fulkerson(kernel: KernelPass) -> Verdicts:
+    """Tail-sum family quantified over every admissible tail length m.
 
-    At t the right-hand side over m in 0..n-t is t(n-m-1) + sum(b[n-m:]) -
-    eps(t), one (k, n-t+1) array.  The witness m is the first failing one
-    if ``first_failing``, else the first of largest right-hand side, which
-    is a witness only if it fails.
+    Holds iff for all t in 0..n and all m in 0..n-t:
+        sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
+    Reports the lexicographically smallest failing (t, m): t is scanned
+    while some row holds, and at t the right-hand side over m is one
+    (k, n-t+1) array whose first failing m is a masked argmax.
     """
     k, width = kernel.lhs.shape
     n = width - 1
@@ -147,36 +148,13 @@ def _fulkerson_scan(kernel: KernelPass, first_failing: bool) -> Verdicts:
         m = np.arange(n - t + 1)
         rhs = t * (n - m - 1) + tails[:, :n - t + 1] - kernel.eps[:, t, None]
         lhs = kernel.lhs[:, t]
-        if first_failing:
-            fails = lhs[:, None] > rhs
-            pick = fails.argmax(axis=1)
-            hit = holds & fails[rows, pick]
-        else:
-            pick = rhs.argmax(axis=1)
-            hit = holds & (lhs > rhs[rows, pick])
+        fails = lhs[:, None] > rhs
+        pick = fails.argmax(axis=1)
+        hit = holds & fails[rows, pick]
         t_col[hit], m_col[hit] = t, pick[hit]
         lhs_col[hit], rhs_col[hit] = lhs[hit], rhs[rows, pick][hit]
         holds &= ~hit
     return Verdicts(holds, t_col, m_col, lhs_col, rhs_col)
-
-
-def _fulkerson(kernel: KernelPass) -> Verdicts:
-    """Tail-sum family quantified over every admissible tail length m.
-
-    Holds iff for all t in 0..n and all m in 0..n-t:
-        sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
-    Reports the lexicographically smallest failing (t, m).
-    """
-    return _fulkerson_scan(kernel, first_failing=True)
-
-
-def _fulkerson_exists(kernel: KernelPass) -> Verdicts:
-    """Weaker tail-sum variant: each t only needs one admissible m to work.
-
-    Kept for side-by-side comparison with check_fulkerson in sweeps; the
-    reported witness carries the m with the largest right-hand side.
-    """
-    return _fulkerson_scan(kernel, first_failing=False)
 
 
 def _bollobas_rhs(kernel: KernelPass) -> np.ndarray:
@@ -277,12 +255,11 @@ def _ryser_interval(kernel: KernelPass) -> Verdicts:
     return Verdicts(_gale_ryser(_lifted(kernel.a), _lifted(kernel.b)))
 
 
-REPORT, SWEEP, NAMED = "report", "sweep", "named"
 EXACT, NECESSARY, SUFFICIENT = ("necessity", "sufficiency"), ("necessity",), ("sufficiency",)
 
 
 class Criterion(NamedTuple):
-    """One criterion: its row check, display name, gated arrows and scope.
+    """One criterion: its row check, display name and gated arrows.
 
     ``check`` maps a kernel pass over k pairs to the criterion's verdict
     columns; sweeps and the implication matrix call it once per chunk.
@@ -291,30 +268,27 @@ class Criterion(NamedTuple):
     "necessity" flags an oracle-realizable instance the criterion fails,
     "sufficiency" a criterion-holding instance the oracle rejects.
     An exact criterion gates both, a necessary or sufficient one only its
-    own.  ``scope`` is REPORT (run by criteria_report and every default
-    sweep), SWEEP (the default sweep only) or NAMED (only a sweep naming it).
+    own.
     """
 
     check: Callable[[KernelPass], Verdicts]
     display: str
     gated: tuple[str, ...]
-    scope: str
 
 
 # Only the necessity of the classical-style interval generalizations is
 # gated: their sufficiency is empirically false on some inputs (see the
 # sweep harness), so none of them is a decision procedure here.
 CRITERIA: dict[str, Criterion] = {
-    "cdz": Criterion(_cdz, "CDZ", EXACT, REPORT),
-    "cdz_reduced": Criterion(_cdz_reduced, "CDZ-reduced", EXACT, REPORT),
-    "berge_necessary": Criterion(_berge_necessary, "Berge-necessary", NECESSARY, REPORT),
-    "berge_sufficient": Criterion(_berge_sufficient, "Berge-sufficient", SUFFICIENT, REPORT),
-    "fulkerson": Criterion(_fulkerson, "Fulkerson", NECESSARY, REPORT),
-    "bollobas": Criterion(_bollobas, "Bollobas", NECESSARY, REPORT),
-    "grunbaum": Criterion(_grunbaum, "Grunbaum", NECESSARY, REPORT),
-    "hasselbarth": Criterion(_hasselbarth, "Hasselbarth", NECESSARY, REPORT),
-    "ryser_interval": Criterion(_ryser_interval, "Ryser-interval", NECESSARY, SWEEP),
-    "fulkerson_exists": Criterion(_fulkerson_exists, "Fulkerson-exists", NECESSARY, NAMED),
+    "cdz": Criterion(_cdz, "CDZ", EXACT),
+    "cdz_reduced": Criterion(_cdz_reduced, "CDZ-reduced", EXACT),
+    "berge_necessary": Criterion(_berge_necessary, "Berge-necessary", NECESSARY),
+    "berge_sufficient": Criterion(_berge_sufficient, "Berge-sufficient", SUFFICIENT),
+    "fulkerson": Criterion(_fulkerson, "Fulkerson", NECESSARY),
+    "bollobas": Criterion(_bollobas, "Bollobas", NECESSARY),
+    "grunbaum": Criterion(_grunbaum, "Grunbaum", NECESSARY),
+    "hasselbarth": Criterion(_hasselbarth, "Hasselbarth", NECESSARY),
+    "ryser_interval": Criterion(_ryser_interval, "Ryser-interval", NECESSARY),
 }
 
 
@@ -330,20 +304,18 @@ def _pair_view(name: str) -> Callable[[IntervalSequencePair], CriterionVerdict]:
     return check
 
 
-PAIR_CHECKS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
+CHECKERS: dict[str, Callable[[IntervalSequencePair], CriterionVerdict]] = {
     name: _pair_view(name) for name in CRITERIA
 }
-CHECKERS = {name: PAIR_CHECKS[name] for name, row in CRITERIA.items() if row.scope == REPORT}
-check_cdz = PAIR_CHECKS["cdz"]
-check_cdz_reduced = PAIR_CHECKS["cdz_reduced"]
-check_berge_necessary = PAIR_CHECKS["berge_necessary"]
-check_berge_sufficient = PAIR_CHECKS["berge_sufficient"]
-check_fulkerson = PAIR_CHECKS["fulkerson"]
-check_fulkerson_exists = PAIR_CHECKS["fulkerson_exists"]
-check_bollobas = PAIR_CHECKS["bollobas"]
-check_grunbaum = PAIR_CHECKS["grunbaum"]
-check_hasselbarth = PAIR_CHECKS["hasselbarth"]
-check_ryser_interval = PAIR_CHECKS["ryser_interval"]
+check_cdz = CHECKERS["cdz"]
+check_cdz_reduced = CHECKERS["cdz_reduced"]
+check_berge_necessary = CHECKERS["berge_necessary"]
+check_berge_sufficient = CHECKERS["berge_sufficient"]
+check_fulkerson = CHECKERS["fulkerson"]
+check_bollobas = CHECKERS["bollobas"]
+check_grunbaum = CHECKERS["grunbaum"]
+check_hasselbarth = CHECKERS["hasselbarth"]
+check_ryser_interval = CHECKERS["ryser_interval"]
 
 
 @dataclass(frozen=True)
@@ -355,8 +327,8 @@ class CriteriaReport:
 
 
 def criteria_report(pair: IntervalSequencePair) -> CriteriaReport:
-    """Run every registered checker, all off the pair's one kernel pass, and
-    flag cdz/cdz_reduced disagreement.
+    """Run every ``CRITERIA`` row's checker, all off the pair's one kernel
+    pass, and flag cdz/cdz_reduced disagreement.
 
     The flag must never be False; it exists so a regression cannot pass
     silently through aggregated reports.

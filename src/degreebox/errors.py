@@ -37,10 +37,6 @@ class NotGoodOrder(InputError):
     """The operation requires a bound pair in good order."""
 
 
-class IndexOutOfRange(InputError):
-    """A prefix length or index argument is outside its valid range."""
-
-
 class TooLarge(InputError):
     """Instance size exceeds what exhaustive enumeration supports."""
 

@@ -52,10 +52,6 @@ MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
 SWEEP_CHUNK = 256
 
-DEFAULT_SWEEP_CRITERIA = tuple(
-    name for name, row in _criteria.CRITERIA.items() if row.scope != _criteria.NAMED
-)
-
 
 class OracleResult(NamedTuple):
     realizable: bool
@@ -277,14 +273,19 @@ def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair
 
 
 def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:
+    """The named criteria, or every ``criteria.CRITERIA`` row for None; a
+    name that is not a row, or is named twice, is refused."""
     if names is None:
-        return DEFAULT_SWEEP_CRITERIA
-    for name in names:
+        return tuple(_criteria.CRITERIA)
+    names = tuple(names)
+    for i, name in enumerate(names):
         if name not in _criteria.CRITERIA:
             raise UnknownCriterion(
                 f"unknown criterion {name!r}; available: {', '.join(sorted(_criteria.CRITERIA))}"
             )
-    return tuple(names)
+        if name in names[:i]:
+            raise InputError(f"criterion {name!r} is named twice")
+    return names
 
 
 @dataclass
@@ -527,6 +528,8 @@ class ImplicationMatrix:
 def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n."""
     names = _resolve_criteria(criteria)
+    if not names:
+        raise InputError("the implication matrix needs at least one criterion")
     if n > MAX_MATRIX_N:
         raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
     counts = {(x, y): 0 for x in names for y in names if x != y}

@@ -26,6 +26,7 @@ from .sequences import (
     IntervalSequencePair,
     _cdz_terms,
     _reduced_range,
+    _require_integers,
     require_good_order,
 )
 
@@ -345,9 +346,11 @@ def interval_bipartite_realize(
     self-reduction fixed, it always finds them.  The taken vertices are the v
     column, and u repeats each left vertex by its degree.  Bounds beyond the
     opposite part size make the system infeasible (a lower bound) or slack (an
-    upper bound).
+    upper bound).  A bound that is not an integer raises NonIntegerEntry.
     """
     for side, bounds in (("left", left), ("right", right)):
+        _require_integers([lo for lo, _ in bounds], f"{side} lower bound")
+        _require_integers([hi for _, hi in bounds], f"{side} upper bound")
         for i, (lo, hi) in enumerate(bounds):
             if lo < 0:
                 raise NegativeEntry(f"{side}[{i}] lower bound {lo} is negative")

@@ -22,7 +22,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     LengthMismatch,
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
@@ -32,8 +31,6 @@ from .errors import (
     NotNonIncreasing,
     UpperExceedsMaxDegree,
 )
-
-DegreeSequence = tuple[int, ...]
 
 
 class KernelPass:
@@ -317,32 +314,6 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     return NormalizedInstance._of_order(pair, order)
 
 
-def _berge_rows(d) -> np.ndarray:
-    """The Berge sequence of every row of a (k, n) batch, entries in 0..n-1
-    unchecked: the column sums of the zero-diagonal 0-1 matrix whose row k
-    carries d[k] ones in the leading columns, skipping the diagonal cell
-    (k, k).  Column j is P(j+1) - P(j) for P(t) = rhs(t) + eps(t) - D_d(t),
-    so all rows come from one kernel pass on the point boxes (d; d)."""
-    kernel = kernel_pass(d, d)
-    return np.diff(kernel.rhs + kernel.eps - kernel.deficit_b, axis=1)
-
-
-def conjugate_sequence(d: Sequence[int]) -> DegreeSequence:
-    """Ferrers conjugate: entry j counts the entries of d that are >= j+1."""
-    n = len(d)
-    _check_nonnegative(d, "sequence")
-    return tuple(sum(1 for x in d if x >= j + 1) for j in range(n))
-
-
-def crossing_index(d: Sequence[int]) -> int:
-    """Largest i (1-based position, i.e. prefix length) with d[i-1] >= i; 0 if none."""
-    g = 0
-    for i, x in enumerate(d, start=1):
-        if x >= i:
-            g = i
-    return g
-
-
 def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """Yield (lhs, rhs, eps) of the CDZ inequality for t = 0, 1, ..., n.
 
@@ -439,24 +410,3 @@ def _reduced_range(a: Sequence[int]) -> int:
     """
     return bisect_left(range(len(a)), True, key=lambda i: a[i] < i)
 
-
-def max_sum_identities_hold(p: Sequence[int], t: int) -> bool:
-    """Check two truncation identities on the length-t prefix of p.
-
-    Both rewrite the clipped prefix sum: with q[i] = p[i] for i < t,
-
-        sum q[i] + sum max(-t+1, -q[i])
-            == sum max(0, q[i] - t + 1)
-            == sum (max(t-1, q[i]) - (t-1)).
-
-    These hold for every nonnegative p; a failure indicates a bug in the
-    caller's arithmetic, not in the input.
-    """
-    if not 1 <= t <= len(p):
-        raise IndexOutOfRange(f"t = {t} not in [1, {len(p)}]")
-    _check_nonnegative(p, "sequence")
-    prefix = p[:t]
-    lhs = sum(prefix) + sum(max(-t + 1, -x) for x in prefix)
-    rhs_pos = sum(max(0, x - t + 1) for x in prefix)
-    rhs_max = sum(max(t - 1, x) - (t - 1) for x in prefix)
-    return lhs == rhs_pos == rhs_max

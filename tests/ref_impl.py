@@ -3,16 +3,20 @@
 Everything here is written directly from the inequality definitions with
 plain comprehensions, deliberately avoiding the package's prefix-sum
 bookkeeping, so a bug in the implementation cannot hide in the tests.
-The one exception is ``ref_cdz_stream``, which reads the package's scalar
-CDZ stream: it shares no code with the kernel pass the criteria rows read.
+The two exceptions read the package: ``ref_cdz_stream`` reads its scalar
+CDZ stream, which shares no code with the kernel pass the criteria rows
+read, and ``kernel_berge_rows`` reads Berge sequences off that pass, so
+that checking them against ``ref_berge`` tests the pass's columns.
 """
 
 import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from degreebox.criteria import CriterionVerdict
-from degreebox.sequences import IntervalSequencePair, _cdz_terms
+from degreebox.sequences import IntervalSequencePair, _cdz_terms, kernel_pass
 
 
 def ref_cdz_stream(pair):
@@ -46,8 +50,34 @@ def ref_berge(d):
     return tuple(sum(matrix[k][j] for k in range(n)) for j in range(n))
 
 
+def kernel_berge_rows(d):
+    """The Berge sequence of every row of a (k, n) batch d, entries in
+    0..n-1, read off the kernel pass on the point boxes (d; d): column j
+    is P(j+1) - P(j) for P(t) = rhs(t) + eps(t) - D_d(t)."""
+    kernel = kernel_pass(d, d)
+    return np.diff(kernel.rhs + kernel.eps - kernel.deficit_b, axis=1)
+
+
 def ref_conj(d):
+    """Ferrers conjugate: entry j counts the entries of d that are >= j+1."""
     return tuple(sum(1 for x in d if x >= j + 1) for j in range(len(d)))
+
+
+def ref_crossing_index(d):
+    """Largest prefix length i with d[i-1] >= i; 0 if none."""
+    return max((i for i in range(1, len(d) + 1) if d[i - 1] >= i), default=0)
+
+
+def ref_max_sum_identities_hold(p, t):
+    """The two truncation identities on the length-t prefix q of p, 1 <= t <= len(p):
+
+        sum q[i] + sum max(-t+1, -q[i])
+            == sum max(0, q[i] - t + 1)
+            == sum (max(t-1, q[i]) - (t-1)).
+    """
+    q = p[:t]
+    lhs = sum(q) + sum(max(-t + 1, -x) for x in q)
+    return lhs == sum(max(0, x - t + 1) for x in q) == sum(max(t - 1, x) - (t - 1) for x in q)
 
 
 def ref_good_order(pair):

@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,22 @@ from degreebox.cli import (
     InstanceSyntaxError,
     main,
     parse_instance,
-    run_identity_suite,
 )
-from degreebox import cli, criteria
+from degreebox import criteria
 from degreebox.errors import LengthMismatch
-from degreebox.oracle import DEFAULT_SWEEP_CRITERIA, enumerate_instances
+from degreebox.oracle import enumerate_instances
+from degreebox.sequences import normalize_good_order
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _exit_code(argv):
+    """main's exit code, or the one argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestParseInstance:
@@ -187,10 +197,10 @@ class TestExitCodes:
         # every nonzero cell x->y, with the first instance in enumeration
         # order on which the (patched) row x holds and y fails
         holds = [{name: bool(criteria.CRITERIA[name].check(pair.kernel).holds[0])
-                  for name in DEFAULT_SWEEP_CRITERIA} for pair in instances]
+                  for name in criteria.CRITERIA} for pair in instances]
         cells, examples = {}, {}
-        for x in DEFAULT_SWEEP_CRITERIA:
-            for y in DEFAULT_SWEEP_CRITERIA:
+        for x in criteria.CRITERIA:
+            for y in criteria.CRITERIA:
                 cases = [i for i, h in enumerate(holds) if h[x] and not h[y]]
                 if x != y and cases:
                     cells[f"{x}->{y}"] = len(cases)
@@ -200,41 +210,20 @@ class TestExitCodes:
         assert matrix["cells"] == cells and matrix["examples"] == examples
 
     def test_identities(self, capsys):
-        assert main(["identities", "--count", "500", "--seed", "7"]) == 0
-        assert "0 failures" in capsys.readouterr().out
-
-    def test_identities_blocks_keep_the_rounds(self, monkeypatch):
-        """Blocks change no round: with a conjugate that breaks sum
-        preservation every round fails, and the failure lists of one block,
-        of 1,000-round blocks and of the default blocks are the same."""
-        conjugate = degreebox.sequences.conjugate_sequence
-        monkeypatch.setattr(degreebox.sequences, "conjugate_sequence",
-                            lambda d: tuple(x + 1 for x in conjugate(d)))
-        runs = []
-        for block in (3000, 1000, cli._IDENTITY_BLOCK):
-            monkeypatch.setattr(cli, "_IDENTITY_BLOCK", block)
-            runs.append(run_identity_suite(3000, 11))
-        assert len(runs[0]) >= 3000 and runs[1] == runs[0] and runs[2] == runs[0]
-
-    def test_identities_memory_stays_flat_in_count(self):
-        """Rounds are drawn and checked in blocks: 12,000 rounds peak near 3 MB
-        of traced allocations, where drawing them all first takes near 10 MB."""
-        run_identity_suite(10, 0)  # imports and first-call caches outside the trace
-        tracemalloc.start()
-        try:
-            assert run_identity_suite(12_000, 3) == []
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6e6, peak
+        """The identities subcommand is gone (its checks are a test, gate a4):
+        argparse refuses it as a usage error, exit 2, not an internal error."""
+        assert _exit_code(["identities", "--count", "500", "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'identities'" in captured.err
+        proc = _run_module("degreebox", ["identities"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "internal error" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         "crossval -1",
         "crossval --matrix -1",
         "crossval 7 --sample 0",
         "crossval 9 --sample 0",
-        "identities --count -5",
-        "identities --count 0",
         "--json check --oracle 1,1,1,1,1,1,1,1/1,1,1,1,1,1,1,1",
         # an instance opening with a negative entry is not an option
         "check -1,1/1,1",
@@ -366,8 +355,37 @@ class TestJsonOutput:
         assert payload["edges"] == [[1, 2], [1, 3], [2, 3]]
 
 
-def test_identity_suite_clean_run():
-    assert run_identity_suite(2000, seed=123) == []
+def test_one_registry_reaches_every_report(capsys):
+    """check --json, criteria_report and crossval --json each report every
+    CRITERIA row, once."""
+    rows = sorted(criteria.CRITERIA)
+    assert main(["--json", "check", CE_TEXT]) == 1
+    assert sorted(json.loads(capsys.readouterr().out)["criteria"]) == rows
+    spec = parse_instance(CE_TEXT)
+    pair = normalize_good_order(spec.a, spec.b).pair
+    assert sorted(criteria.criteria_report(pair).verdicts) == rows
+    assert main(["--json", "crossval", "3"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)["criteria"]) == rows
+
+
+def _readme_cli_lines():
+    """The lines of the README's CLI block, each a degreebox command."""
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+    return block.group(1).splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, capsys):
+    """Each README example runs through cli.main to a verdict, exit 0 or 1,
+    and to the exit code its comment states, if it states one."""
+    words = shlex.split(line, comments=True)
+    assert "degreebox" in words, line
+    code = _exit_code(words[words.index("degreebox") + 1:])
+    assert code in (0, 1), (line, capsys.readouterr().err)
+    stated = re.search(r"#.*\bexit (\d)", line)
+    if stated:
+        assert code == int(stated.group(1)), line
 
 
 def _module_env():
@@ -476,10 +494,10 @@ _inline = st.one_of(
 
 @st.composite
 def _argvs(draw):
-    """argv across the four subcommands and the global flags, plus an @file
+    """argv across the three subcommands and the global flags, plus an @file
     payload (None when the argv names no file)."""
     argv = [flag for flag in ("--json", "--quiet") if draw(st.booleans())]
-    command = draw(st.sampled_from(["check", "realize", "crossval", "identities"]))
+    command = draw(st.sampled_from(["check", "realize", "crossval"]))
     argv.append(command)
     payload = None
     if command in ("check", "realize"):
@@ -490,7 +508,7 @@ def _argvs(draw):
             argv.append(draw(_inline))
         flag = "--oracle" if command == "check" else "--dot"
         argv += [flag] if draw(st.booleans()) else []
-    elif command == "crossval":
+    else:
         matrix = draw(st.booleans())
         sample = draw(st.none() | st.integers(-2, 50) | st.integers(10**7, 10**12))
         if sample is not None and sample >= 10**7:
@@ -507,9 +525,6 @@ def _argvs(draw):
         argv.append(str(n))
         argv += ["--matrix"] if matrix else []
         argv += [] if sample is None else ["--sample", str(sample)]
-        argv += ["--seed", str(draw(st.integers()))] if draw(st.booleans()) else []
-    else:
-        argv += ["--count", str(draw(st.integers(-2, 50)))]
         argv += ["--seed", str(draw(st.integers()))] if draw(st.booleans()) else []
     return argv, payload
 
@@ -531,10 +546,7 @@ def test_cli_exit_codes_hold_on_fuzzed_argv(fuzz_file, case):
         argv = [arg.replace("{file}", str(fuzz_file)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors and --help
-            code = exc.code
+        code = _exit_code(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     if "--sample" in argv and int(argv[argv.index("--sample") + 1]) >= 10**7:
         assert code == 2, (argv, code)

@@ -9,7 +9,7 @@ import ref_impl
 from degreebox.criteria import (
     CHECKERS,
     CRITERIA,
-    PAIR_CHECKS,
+    CriterionVerdict,
     check_berge_necessary,
     check_berge_sufficient,
     check_bollobas,
@@ -17,7 +17,6 @@ from degreebox.criteria import (
     check_cdz_reduced,
     check_erdos_gallai_fixed,
     check_fulkerson,
-    check_fulkerson_exists,
     check_grunbaum,
     check_hasselbarth,
     check_ryser_interval,
@@ -30,6 +29,9 @@ from degreebox.sequences import IntervalSequencePair, kernel_pass, normalize_goo
 CE = normalize_good_order((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1)).pair
 TRIANGLE = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
 ODD_ONES = normalize_good_order((1, 1, 1), (1, 1, 1)).pair
+# the rows with a witness t, which the plain scans of ref_impl reproduce;
+# ryser_interval reports none, and tests/test_realization.py checks it
+SCANNED = tuple(name for name in CHECKERS if name != "ryser_interval")
 
 
 def fixed(d):
@@ -198,7 +200,9 @@ class TestCriteriaReport:
             "bollobas": (True, None, None),
             "grunbaum": (True, None, None),
             "hasselbarth": (False, 2, None),
+            "ryser_interval": (True, None, None),
         }
+        assert list(report.verdicts) == list(CRITERIA)
         assert report.cdz_consistent
 
     def test_triangle_all_hold(self):
@@ -218,7 +222,7 @@ def _all_small_pairs():
 
 @pytest.mark.parametrize("check", [
     check_cdz, check_cdz_reduced, check_berge_necessary, check_berge_sufficient,
-    check_fulkerson, check_fulkerson_exists, check_bollobas, check_grunbaum,
+    check_fulkerson, check_bollobas, check_grunbaum,
     check_hasselbarth, check_ryser_interval, criteria_report,
 ], ids=lambda f: f.__name__)
 def test_public_checkers_reject_unordered_input(check):
@@ -246,16 +250,18 @@ def _batch_verdicts(pairs):
 
 
 def test_one_pass_rows_match_per_checker_verdicts():
-    """Every PAIR_CHECKS checker, all on one pair object and so all off one
+    """Every CHECKERS checker, all on one pair object and so all off one
     kernel pass, and every CRITERIA row over batches, against a pinned digest.
 
     The digest covers holds, witness t and m, lhs and rhs of every row on
     every good-ordered pair with n <= 4 and on 60 seeded boxes (every
     fourth up to n = 300, the rest up to 60, every third the point box
     (b; b)).  It was pinned when each checker ran its own kernel and
-    head-deficit passes.  The batch digest evaluates each equal-n group
-    of those pairs as one batch.  The scalar CDZ stream must agree with
-    the cdz row read off the pass.
+    head-deficit passes, and when the table had a tenth row,
+    fulkerson_exists, whose entries now come from ``_ref_fulkerson_exists``.
+    The batch digest evaluates each equal-n group of those pairs as one
+    batch.  The scalar CDZ stream must agree with the cdz row read off
+    the pass.
     """
     rng = random.Random(20261021)
     boxes = []
@@ -266,10 +272,13 @@ def test_one_pass_rows_match_per_checker_verdicts():
     batched = _batch_verdicts(pairs)
     per_pair, batch = hashlib.sha256(), hashlib.sha256()
     for pair, row_verdicts in zip(pairs, batched):
-        for name, check in PAIR_CHECKS.items():
-            for out, v in ((per_pair, check(pair)), (batch, row_verdicts[name])):
+        exists = _ref_fulkerson_exists(pair)
+        exists = CriterionVerdict(True) if exists is None else CriterionVerdict(False, *exists)
+        entries = [(name, check(pair), row_verdicts[name]) for name, check in CHECKERS.items()]
+        for name, *verdicts in entries + [("fulkerson_exists", exists, exists)]:
+            for out, v in zip((per_pair, batch), verdicts):
                 out.update(repr((name, v.holds, v.witness_t, v.witness_m, v.lhs, v.rhs)).encode())
-        assert ref_impl.ref_cdz_stream(pair) == PAIR_CHECKS["cdz"](pair), pair
+        assert ref_impl.ref_cdz_stream(pair) == check_cdz(pair), pair
     assert per_pair.hexdigest() == PINNED_VERDICTS
     assert batch.hexdigest() == PINNED_VERDICTS
 
@@ -280,7 +289,7 @@ def test_rows_on_tiny_and_empty_batches(n):
     the per-pair checkers."""
     pairs = list(enumerate_instances(n)) * 3
     for i, verdicts in enumerate(_batch_verdicts(pairs)):
-        assert verdicts == {name: check(pairs[i]) for name, check in PAIR_CHECKS.items()}
+        assert verdicts == {name: check(pairs[i]) for name, check in CHECKERS.items()}
     empty = kernel_pass(np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64))
     for row in CRITERIA.values():
         assert row.check(empty).holds.shape == (0,)
@@ -302,8 +311,8 @@ def test_direct_pair_matches_normalized_pair():
 def test_checkers_match_reference_scan_exhaustively():
     """Every verdict equals an independent plain-scan evaluation, n <= 4."""
     for pair in _all_small_pairs():
-        for name, checker in CHECKERS.items():
-            verdict = checker(pair)
+        for name in SCANNED:
+            verdict = CHECKERS[name](pair)
             expected = ref_impl.smallest_failure(name, pair)
             if expected is None:
                 assert verdict.holds, (name, pair)
@@ -315,7 +324,7 @@ def test_checkers_match_reference_scan_exhaustively():
 
 def test_checkers_match_reference_on_random_instances():
     for pair in random_pairs(400, 10, seed=7):
-        for name in CHECKERS:
+        for name in SCANNED:
             verdict = CHECKERS[name](pair)
             expected = ref_impl.smallest_failure(name, pair)
             if expected is None:
@@ -326,8 +335,8 @@ def test_checkers_match_reference_on_random_instances():
 
 def test_failure_witnesses_reverify():
     for pair in random_pairs(300, 9, seed=13):
-        for name, checker in CHECKERS.items():
-            v = checker(pair)
+        for name in SCANNED:
+            v = CHECKERS[name](pair)
             if v.holds:
                 continue
             lhs, rhs = ref_impl.eval_at(name, pair, v.witness_t, v.witness_m)
@@ -342,40 +351,27 @@ def test_cdz_with_degenerate_box_matches_erdos_gallai():
             assert check_cdz(fixed(d)).holds == check_erdos_gallai_fixed(d).holds, d
 
 
-def test_fulkerson_exists_variant_is_strictly_weaker():
-    """Per-t existential tail choice passes instances the universal form rejects."""
-    assert not check_fulkerson(CE).holds
-    assert check_fulkerson_exists(CE).holds  # m=0 satisfies every t here
-    for pair in _all_small_pairs():
-        if check_fulkerson(pair).holds:
-            assert check_fulkerson_exists(pair).holds, pair
-
-
 def _ref_fulkerson_exists(pair):
-    """First t whose every tail length m fails, with the first m of largest rhs."""
-    for t in range(pair.n + 1):
-        rows = [ref_impl.eval_at("fulkerson", pair, t, m) for m in range(pair.n - t + 1)]
-        if all(lhs > rhs for lhs, rhs in rows):
-            lhs, rhs = max(rows, key=lambda row: row[1])
-            return t, rows.index((lhs, rhs)), lhs, rhs
+    """The weaker tail-sum variant, in which each t needs only one admissible
+    m to hold: the first t whose every tail length m fails the Fulkerson
+    inequality, with the first m of largest right-hand side, as
+    (t, m, lhs, rhs); None when it holds."""
+    a, b, n = pair.a, pair.b, pair.n
+    for t in range(n + 1):
+        lhs, eps = sum(a[:t]), ref_impl.ref_eps(pair, t)
+        rhs = [t * (n - m - 1) + sum(b[n - m:]) - eps for m in range(n - t + 1)]
+        if all(lhs > r for r in rhs):
+            return t, rhs.index(max(rhs)), lhs, max(rhs)
     return None
 
 
-def test_fulkerson_exists_matches_plain_scan():
-    """Witness (t, m) and both sides against the definition, n <= 4 and up to 40."""
-    rng = random.Random(20261018)
-    boxes = [normalize_good_order(*ref_impl.random_box(rng, rng.randint(1, 40))).pair
-             for _ in range(100)]
-    failures = 0
-    for pair in itertools.chain(_all_small_pairs(), boxes):
-        v = check_fulkerson_exists(pair)
-        expected = _ref_fulkerson_exists(pair)
-        if expected is None:
-            assert v.holds, pair
-        else:
-            failures += 1
-            assert (v.witness_t, v.witness_m, v.lhs, v.rhs) == expected, pair
-    assert failures
+def test_fulkerson_exists_variant_is_strictly_weaker():
+    """Per-t existential tail choice passes instances the universal form rejects."""
+    assert not check_fulkerson(CE).holds
+    assert _ref_fulkerson_exists(CE) is None  # m=0 satisfies every t here
+    for pair in _all_small_pairs():
+        if check_fulkerson(pair).holds:
+            assert _ref_fulkerson_exists(pair) is None, pair
 
 
 def test_bollobas_and_grunbaum_are_the_same_family():
@@ -402,14 +398,14 @@ def test_cdz_kernel_matches_reference_scan_past_the_oracle():
     the O(n^3) reference Berge and Fulkerson scans stay fast.
     """
     rng = random.Random(20261018)
-    verdicts = {name: set() for name in CHECKERS}
+    verdicts = {name: set() for name in SCANNED}
     for _ in range(300):
         a, b = ref_impl.random_box(rng, rng.randint(1, 60))
         pair = normalize_good_order(a, b).pair
         assert pair.kernel.eps[0].tolist() == [
             ref_impl.ref_eps(pair, t) for t in range(pair.n + 1)
         ], pair
-        names = CHECKERS if pair.n <= 40 else ("cdz", "cdz_reduced")
+        names = SCANNED if pair.n <= 40 else ("cdz", "cdz_reduced")
         for name in names:
             verdict = CHECKERS[name](pair)
             expected = ref_impl.smallest_failure(name, pair)

@@ -7,10 +7,9 @@ import pytest
 
 import ref_impl
 from degreebox.criteria import (
+    CHECKERS,
     CRITERIA,
     EXACT,
-    PAIR_CHECKS,
-    REPORT,
     Criterion,
     Verdicts,
     check_bollobas,
@@ -384,15 +383,15 @@ class TestCrossValidate:
         """A sample of 2 * SWEEP_CHUNK + 37 instances, not a whole number of
         chunks, tallied as the per-pair checkers and oracle queries say."""
         size = 2 * SWEEP_CHUNK + 37
-        report = cross_validate(n, criteria=list(PAIR_CHECKS), sample=size, seed=n)
+        report = cross_validate(n, sample=size, seed=n)
         cells = {name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
                                       "oracle_no_holds", "oracle_no_fails"), 0)
-                 for name in PAIR_CHECKS}
-        holds_counts = dict.fromkeys(PAIR_CHECKS, 0)
+                 for name in CHECKERS}
+        holds_counts = dict.fromkeys(CHECKERS, 0)
         pairs = sample_instances(n, size, seed=n)
         for pair in pairs:
             realizable = oracle_realizable(pair).realizable
-            for name, check in PAIR_CHECKS.items():
+            for name, check in CHECKERS.items():
                 holds = check(pair).holds
                 holds_counts[name] += holds
                 side = "oracle_yes" if realizable else "oracle_no"
@@ -409,7 +408,7 @@ class TestCrossValidate:
         monkeypatch.setitem(CRITERIA, "cdz_reduced", CRITERIA["hasselbarth"]._replace(gated=EXACT))
         monkeypatch.setitem(CRITERIA, "grunbaum", Criterion(
             lambda kernel: Verdicts(kernel.s % 3 == 0, kernel.s, None, kernel.lhs[:, 0],
-                                    kernel.rhs[:, 0]), "Grunbaum", EXACT, REPORT))
+                                    kernel.rhs[:, 0]), "Grunbaum", EXACT))
         names = ("cdz", "cdz_reduced", "bollobas", "grunbaum")
         expected = []
         for index, pair in enumerate(enumerate_instances(4)):
@@ -440,6 +439,18 @@ class TestCrossValidate:
     def test_unknown_criterion(self):
         with pytest.raises(UnknownCriterion):
             cross_validate(3, criteria=["nonsense"])
+
+    def test_repeated_criterion_is_refused(self):
+        """A name given twice would be tallied twice: 1,208 holds of cdz
+        over the 715 instances at n = 4, where 604 are realizable."""
+        for names in (["cdz", "cdz"], ["bollobas", "cdz", "bollobas"]):
+            with pytest.raises(InputError, match="named twice"):
+                cross_validate(4, criteria=names)
+            with pytest.raises(InputError, match="named twice"):
+                implication_matrix(3, criteria=names)
+        report = cross_validate(4, criteria=["cdz"])
+        assert report.instance_count == 715 and report.holds_counts == {"cdz": 604}
+        assert report.cells["cdz"]["oracle_no_fails"] == 111
 
     def test_rejects_negative_size(self):
         with pytest.raises(InputError):
@@ -483,3 +494,11 @@ class TestImplicationMatrix:
     def test_rejects_negative_size(self):
         with pytest.raises(InputError):
             implication_matrix(-1)
+
+    def test_empty_criteria_list_is_refused(self):
+        """A matrix of no criteria has no rows to print; one criterion prints
+        its single cell."""
+        with pytest.raises(InputError, match="at least one criterion"):
+            implication_matrix(3, criteria=[])
+        assert implication_matrix(3, criteria=["cdz"]).to_text().splitlines()[-1].split() == [
+            "cdz", "-"]

@@ -17,7 +17,7 @@ from degreebox.criteria import (
     check_erdos_gallai_fixed,
     check_ryser_interval,
 )
-from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
+from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry, NonIntegerEntry
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
@@ -276,6 +276,19 @@ class TestIntervalBipartite:
     def test_negative_lower_bound_rejected(self):
         with pytest.raises(NegativeEntry):
             interval_bipartite_realize([(0, 1)], [(-1, 1)])
+
+    @pytest.mark.parametrize("left, right, message", [
+        ([(0.5, 0.9)], [(0, 1)], "left lower bound[0] = 0.5 is not an integer"),
+        ([(1.5, 1.5)], [(1, 1)], "left lower bound[0] = 1.5 is not an integer"),
+        ([(1, 1)], [(1, 1), (0, "1")], "right upper bound[1] = '1' is not an integer"),
+        ([(np.int64(1), True)], [(1, 1.0)], "right upper bound[0] = 1.0 is not an integer"),
+    ])
+    def test_non_integer_bound_rejected(self, left, right, message):
+        """A bound that is not an integer is refused before any other check;
+        numpy integers and bools are integers."""
+        with pytest.raises(NonIntegerEntry) as exc:
+            interval_bipartite_realize(left, right)
+        assert str(exc.value) == message
 
     def test_self_reduction_probes_per_run_not_per_cell(self, monkeypatch):
         """Runs of cells at their upper bounds cost O(log n) probes each."""
