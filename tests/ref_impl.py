@@ -11,6 +11,7 @@ that checking them against ``ref_berge`` tests the pass's columns.
 
 import itertools
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -78,6 +79,65 @@ def ref_max_sum_identities_hold(p, t):
     q = p[:t]
     lhs = sum(q) + sum(max(-t + 1, -x) for x in q)
     return lhs == sum(max(0, x - t + 1) for x in q) == sum(max(t - 1, x) - (t - 1) for x in q)
+
+
+def identity_failures(count, seed):
+    """Randomized identity checks; returns the (expected-empty) failure list.
+
+    Per round: the two max-sum truncation identities on a random prefix,
+    sum preservation of both matrix transforms, prefix agreement between
+    the zero-diagonal column sums and the shifted conjugate, and the
+    conjugate involution.  Rounds are drawn and checked in blocks of 2048;
+    the Berge sequences of a block's rounds of one length come from one
+    kernel pass, so the rounds test the pass's columns.
+    """
+    rng = random.Random(seed)
+    failures = []
+
+    def record(kind, **data):
+        failures.append({"kind": kind, **data})
+
+    def strip_zeros(seq):
+        out = list(seq)
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    for start in range(0, count, 2048):
+        rounds = []
+        for _ in range(min(2048, count - start)):
+            n = rng.randint(1, 12)
+            p = [rng.randint(0, 12) for _ in range(n)]
+            t = rng.randint(1, n)
+            d = sorted((rng.randint(0, n - 1) for _ in range(n)), reverse=True)
+            rounds.append((p, t, d))
+        by_length = {}
+        for _, _, d in rounds:
+            by_length.setdefault(len(d), []).append(d)
+        berge_rows = {n: iter(kernel_berge_rows(ds).tolist())
+                      for n, ds in by_length.items()}
+        for p, t, d in rounds:
+            if not ref_max_sum_identities_hold(p, t):
+                record("max_sum_identities", p=p, t=t)
+
+            berge = next(berge_rows[len(d)])
+            conj = ref_conj(d)
+            if sum(berge) != sum(d) or sum(conj) != sum(d):
+                record("sum_preservation", d=d, berge=berge, conjugate=list(conj))
+            f = ref_crossing_index(d)
+            bp = cp = 0
+            for k in range(f):
+                bp += berge[k]
+                cp += conj[k] - 1
+                if bp != cp:
+                    record("berge_conjugate_prefix", d=d, k=k + 1, berge_prefix=bp,
+                           conjugate_prefix=cp)
+                    break
+
+            twice = ref_conj(conj)
+            if strip_zeros(twice) != strip_zeros(d):
+                record("conjugate_involution", d=d, twice=list(twice))
+    return failures
 
 
 def ref_good_order(pair):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import degreebox
+import ref_impl
 from degreebox.cli import (
     InstanceSpec,
     InstanceSyntaxError,
@@ -386,6 +387,10 @@ def test_readme_cli_examples_run(line, capsys):
     stated = re.search(r"#.*\bexit (\d)", line)
     if stated:
         assert code == int(stated.group(1)), line
+
+
+def test_identity_suite_clean_run():
+    assert ref_impl.identity_failures(2000, seed=123) == []
 
 
 def _module_env():
