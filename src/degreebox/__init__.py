@@ -44,10 +44,8 @@ from .oracle import (
     sample_instances,
 )
 from .realize import (
-    BipartiteGraph,
     SimpleGraph,
     graphic_vector_in_box,
-    interval_bipartite_realize,
     realize_pair,
     verify_witness,
 )

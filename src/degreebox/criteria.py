@@ -8,8 +8,8 @@ for Fulkerson) with both sides of the inequality.  The smallest failing
 t is a masked argmax over the (k, n+1) comparison; the Fulkerson row
 scans t and compares all tail lengths m at once; the Ryser interval row is
 one Gale-Ryser pass over the tilde system, whose bound rows ``_lifted``
-builds, the pass the bipartite witness route probes as well.  Sweeps
-evaluate each row over a chunk of instances at once.  The per-pair
+builds; it is the package's only Gale-Ryser code.  Sweeps evaluate
+each row over a chunk of instances at once.  The per-pair
 checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``) are
 the k = 1 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
@@ -33,6 +33,7 @@ from .sequences import (
     IntervalSequencePair,
     KernelPass,
     _check_nonnegative,
+    _require_integers,
     _row_histogram,
     kernel_pass,
     require_non_increasing,
@@ -206,14 +207,18 @@ def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
     check_cdz, so witness re-verification stays uniform.  The scan is the
     kernel pass on the point box (d; d), parity correction added back
     (its k = 0 term is 0 <= 0).  A d[0] past n-1 fails at k = 1, against
-    the count of other positive entries, before the pass sees it.
+    the count of other positive entries, before the pass sees it.  An entry
+    that is not an integer raises NonIntegerEntry; a numpy integer array
+    gives the verdict of the equal tuple.
     """
+    _require_integers(d, "sequence")
     require_non_increasing(d)
     _check_nonnegative(d, "sequence")
     if sum(d) % 2 == 1:
         return CriterionVerdict(False, witness_t=0, lhs=0, rhs=-1)
-    if d and d[0] > len(d) - 1:
-        return CriterionVerdict(False, witness_t=1, lhs=d[0], rhs=sum(x > 0 for x in d[1:]))
+    if len(d) and d[0] > len(d) - 1:
+        rhs = int(sum(x > 0 for x in d[1:]))
+        return CriterionVerdict(False, witness_t=1, lhs=int(d[0]), rhs=rhs)
     kernel = kernel_pass([d], [d])
     return _failure_columns(kernel.lhs, kernel.rhs + kernel.eps).verdict(0)
 

@@ -1,16 +1,12 @@
-"""Witness construction: simple graphs meeting bound pairs, bipartite interval graphs.
+"""Witness construction: a simple graph meeting a bound pair.
 
-Both witnesses hold their edges as two int64 columns, so neither route
-builds a Python object per edge.  The simple-graph route fixes an in-box
-graphic degree vector by decision self-reduction through the CDZ kernel,
-each search run from both ends of its bracket, and realizes it with a
-bucketed Havel-Hakimi, whose sorted columns
-go through ``verify_witness`` to the edge-list, DOT and JSON writers.  The
-bipartite route decides a degree-interval system by two one-sided
-Gale-Ryser passes (O(n log n) each), fixes exact degrees by self-reduction
-through them and realizes those with the constructive Gale-Ryser greedy on
-the same residual-bucket walk.  Both routes are exact and are
-cross-validated against brute-force enumeration at small sizes.
+The route fixes an in-box graphic degree vector by decision
+self-reduction through the CDZ kernel, each search run from both ends of
+its bracket, and realizes it with a bucketed Havel-Hakimi.  The witness
+holds its edges as two sorted int64 columns, so no Python object is built
+per edge; they go through ``verify_witness`` to the edge-list, DOT and
+JSON writers.  The route is exact and is cross-validated against
+brute-force enumeration at small sizes.
 """
 
 from __future__ import annotations
@@ -20,30 +16,26 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import _gale_ryser
-from .errors import LengthMismatch, LowerExceedsUpper, NegativeEntry
-from .sequences import (
-    IntervalSequencePair,
-    _cdz_terms,
-    _reduced_range,
-    _require_integers,
-    require_good_order,
-)
+from .errors import LengthMismatch
+from .sequences import IntervalSequencePair, _cdz_terms, _reduced_range, require_good_order
 
 
-class _EdgeColumns:
-    """Two int64 edge columns, row i the edge (u[i], v[i]), and ``.edges``, the
-    frozenset of row pairs as Python ints, built on first use.  Graphs of one
-    class compare and hash by ``.edges`` and their sizes, a subclass's slots.
+class SimpleGraph:
+    """Undirected graph on vertices 0..n-1, held as two int64 edge columns.
+
+    ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given.  A
+    witness has u < v in every row and its rows in (u, v) order, so the
+    writers read the columns as they are: degrees are two bincounts and
+    each writer one string lookup per endpoint, O(n + m).  ``.edges``, the
+    frozenset of row pairs as Python ints, is built on first use; graphs
+    compare and hash by n and ``.edges``.
     """
 
-    __slots__ = ("u", "v", "_edges")
+    __slots__ = ("n", "u", "v", "_edges")
 
-    def __init__(self, u, v):
-        self.u, self.v, self._edges = np.asarray(u, np.int64), np.asarray(v, np.int64), None
-
-    def _sizes(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
+    def __init__(self, n: int, u, v):
+        self.n, self._edges = n, None
+        self.u, self.v = np.asarray(u, np.int64), np.asarray(v, np.int64)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -54,31 +46,13 @@ class _EdgeColumns:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._sizes() == other._sizes() and self.edges == other.edges
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self._sizes(), self.edges))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        sizes = "".join(f"{k}={x}, " for k, x in zip(type(self).__slots__, self._sizes()))
-        return f"{type(self).__name__}({sizes}edges={len(self.u)})"
-
-
-class SimpleGraph(_EdgeColumns):
-    """Undirected graph on vertices 0..n-1, held as two integer edge columns.
-
-    ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given, as
-    ``BipartiteGraph`` does.  A witness has u < v in every row and its rows
-    in (u, v) order, so the writers read the columns as they are: degrees
-    are two bincounts and each writer one string lookup per endpoint,
-    O(n + m).
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int, u, v):
-        self.n = n
-        super().__init__(u, v)
+        return f"SimpleGraph(n={self.n}, edges={len(self.u)})"
 
     def degrees(self) -> tuple[int, ...]:
         deg = np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
@@ -107,32 +81,16 @@ class SimpleGraph(_EdgeColumns):
         return "graph witness {\n" + isolated + self._join("  {} -- ", "{};\n") + "}\n"
 
 
-class BipartiteGraph(_EdgeColumns):
-    """Bipartite graph: row i is the edge from left vertex u[i] to right vertex v[i], 0-based."""
-
-    __slots__ = ("left_n", "right_n")
-
-    def __init__(self, left_n: int, right_n: int, u, v):
-        self.left_n, self.right_n = left_n, right_n
-        super().__init__(u, v)
-
-    def left_degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.u, minlength=self.left_n).tolist())
-
-    def right_degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.v, minlength=self.right_n).tolist())
-
-
-def _take_largest(buckets: list[list[int]], need: int, top: int) -> Optional[list[int]]:
-    """Take the need vertices of largest residual, ties to the smallest index,
-    each one bucket down; None if fewer than need have a positive residual.
+def _take_largest(buckets: list[list[int]], top: int) -> Optional[list[int]]:
+    """Take the top vertices of largest residual, ties to the smallest index,
+    each one bucket down; None if fewer than top have a positive residual.
 
     buckets[r] holds the vertices of residual r in index order, none above
     top.  A taken prefix, decremented, is merged into the bucket below, so
     nothing is re-sorted, but each merge copies the rest of its bucket:
-    O(need + B) per take for B the largest bucket touched.
+    O(top + B) per take for B the largest bucket touched.
     """
-    taken, moved, d = [], [], top
+    taken, moved, need, d = [], [], top, top
     while need or moved and d:
         if d == 0:
             return None
@@ -168,7 +126,7 @@ def _havel_hakimi(
         while buckets[top]:
             heads.append(buckets[top].pop(0))
             tops.append(top)
-            taken = _take_largest(buckets, top, top)
+            taken = _take_largest(buckets, top)
             if taken is None:
                 return None
             nbrs += taken
@@ -183,7 +141,8 @@ def _havel_hakimi(
 def _largest(good: int, bad: int, feasible: Callable[[int], bool]) -> int:
     """Largest x in [good, bad) with feasible(x); feasible holds at good and is monotone.
 
-    An exponential search from both ends probes good + 1, bad - 1, good + 2,
+    ``_self_reduce`` runs one such search per run of raised cells and one
+    per cell fixed below its upper bound.  An exponential search from both ends probes good + 1, bad - 1, good + 2,
     bad - 2, good + 4, ..., each off the bracket as it stands, until a probe
     from below fails or one from above holds; bisection then finishes the
     bracket left.  An answer at either end costs at most two probes, any
@@ -219,8 +178,9 @@ def _self_reduce(
 ) -> Optional[tuple[int, ...]]:
     """A value inside each cell (lo, hi) such that the point box stays feasible, or None.
 
-    ``feasible`` takes a fresh list of cells and is monotone: raising a
-    lower bound never makes an infeasible box feasible.  So each loose
+    ``feasible``, the CDZ probe of ``graphic_vector_in_box``, takes a
+    fresh list of cells and is monotone: raising a lower bound never makes
+    an infeasible box feasible.  So each loose
     cell (lo < hi), in index order, can be fixed to (v, v) for the largest
     v keeping the box feasible.  Most cells end at hi, so the walk finds
     the longest run of next loose cells that can sit at (hi, hi) at once,
@@ -318,56 +278,3 @@ def verify_witness(g: SimpleGraph, a: Sequence[int], b: Sequence[int]) -> bool:
         if not (keys[1:] > keys[:-1]).all():
             return False
     return all(lo <= d <= hi for lo, d, hi in zip(a, g.degrees(), b))
-
-
-def _interval_feasible(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]) -> bool:
-    """Some bipartite graph has every degree inside its interval.
-
-    By Hoffman's circulation theorem the cut conditions split into two
-    one-sided Gale-Ryser families, each side's lower bounds against the
-    other side's upper bounds: two one-row passes of ``_gale_ryser``.
-    """
-    left, right = (np.array(side, dtype=np.int64).reshape(1, -1, 2) for side in (left, right))
-    return bool(_gale_ryser(left[..., 0], right[..., 1])[0]
-                and _gale_ryser(right[..., 0], left[..., 1])[0])
-
-
-def interval_bipartite_realize(
-    left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]
-) -> Optional[BipartiteGraph]:
-    """Bipartite graph with each vertex degree inside its interval, or None.
-
-    Every cell, left side then right side, in index order, is fixed to (v, v)
-    for the largest v in it that keeps the system feasible, by ``_self_reduce``
-    with ``_interval_feasible`` as its probe; the constructive Gale-Ryser
-    greedy then realizes these exact degrees, each left vertex in index order
-    joining the right vertices of largest residual, ties to the smallest index,
-    by ``_take_largest`` over the right side's residual buckets; on degrees the
-    self-reduction fixed, it always finds them.  The taken vertices are the v
-    column, and u repeats each left vertex by its degree.  Bounds beyond the
-    opposite part size make the system infeasible (a lower bound) or slack (an
-    upper bound).  A bound that is not an integer raises NonIntegerEntry.
-    """
-    for side, bounds in (("left", left), ("right", right)):
-        _require_integers([lo for lo, _ in bounds], f"{side} lower bound")
-        _require_integers([hi for _, hi in bounds], f"{side} upper bound")
-        for i, (lo, hi) in enumerate(bounds):
-            if lo < 0:
-                raise NegativeEntry(f"{side}[{i}] lower bound {lo} is negative")
-            if lo > hi:
-                raise LowerExceedsUpper(f"{side}[{i}] bounds [{lo}, {hi}] are inverted")
-    ln = len(left)
-    cells = [(lo, min(hi, len(right))) for lo, hi in left] + [(lo, min(hi, ln)) for lo, hi in right]
-    degrees = _self_reduce(cells, lambda box: _interval_feasible(box[:ln], box[ln:]))
-    if degrees is None:
-        return None
-    buckets: list[list[int]] = [[] for _ in range(ln + 1)]
-    for j, r in enumerate(degrees[ln:]):
-        buckets[r].append(j)
-    top, nbrs = ln, []
-    for d in degrees[:ln]:
-        while top and not buckets[top]:  # the largest residual never grows
-            top -= 1
-        nbrs += _take_largest(buckets, d, top)
-    return BipartiteGraph(ln, len(right), np.repeat(np.arange(ln), degrees[:ln]),
-                          np.fromiter(nbrs, np.int64, len(nbrs)))

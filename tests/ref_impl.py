@@ -249,23 +249,6 @@ def ref_havel_hakimi(targets):
     return edges
 
 
-def ref_gale_ryser_greedy(left, right):
-    """Edges (i, j) of the constructive Gale-Ryser greedy on exact degrees.
-
-    Each left vertex in index order joins the right vertices of largest
-    residual, ties to the smallest index, found by re-sorting every right
-    vertex once per left vertex: the plain spec of the bipartite edge set.
-    """
-    residual = list(right)
-    edges = set()
-    for i, d in enumerate(left):
-        # a stable sort keeps ties in index order, reversed or not
-        for j in sorted(range(len(residual)), key=residual.__getitem__, reverse=True)[:d]:
-            residual[j] -= 1
-            edges.add((i, j))
-    return frozenset(edges)
-
-
 def ref_graphic_vector_in_box(pair, decide):
     """Per-cell self-reduction, kept as the spec of the in-box vector.
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,32 @@ def test_readme_cli_examples_run(line, capsys):
     stated = re.search(r"#.*\bexit (\d)", line)
     if stated:
         assert code == int(stated.group(1)), line
+
+
+PUBLIC_NAMES = (
+    "CriteriaReport", "CriterionVerdict", "check_berge_necessary", "check_berge_sufficient",
+    "check_bollobas", "check_cdz", "check_cdz_reduced", "check_erdos_gallai_fixed",
+    "check_fulkerson", "check_grunbaum", "check_hasselbarth", "check_ryser_interval",
+    "criteria_report",
+    "InputError", "LengthMismatch", "LowerExceedsMaxDegree", "LowerExceedsUpper",
+    "NegativeEntry", "NonIntegerEntry", "NotGoodOrder", "NotNonIncreasing", "TooLarge",
+    "UnknownCriterion", "UpperExceedsMaxDegree",
+    "cross_validate", "enumerate_instances", "implication_matrix", "instance_space_size",
+    "oracle_realizable", "sample_instances",
+    "SimpleGraph", "graphic_vector_in_box", "realize_pair", "verify_witness",
+    "IntervalSequencePair", "NormalizedInstance", "normalize_good_order",
+)
+
+
+def test_public_surface_is_pinned_and_documented():
+    """The package root exports exactly PUBLIC_NAMES, and README's "The
+    package root exports" paragraph names exactly those, each in backticks."""
+    exported = {name for name, value in vars(degreebox).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set(PUBLIC_NAMES)
+    paragraph = re.search(r"^The package root exports .*?(?=\n\n)",
+                          README.read_text(encoding="utf-8"), re.S | re.M).group(0)
+    assert set(re.findall(r"`([A-Za-z_]\w*)`", paragraph)) == set(PUBLIC_NAMES)
 
 
 def test_identity_suite_clean_run():

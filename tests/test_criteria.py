@@ -22,7 +22,7 @@ from degreebox.criteria import (
     check_ryser_interval,
     criteria_report,
 )
-from degreebox.errors import NegativeEntry, NotGoodOrder, NotNonIncreasing
+from degreebox.errors import NegativeEntry, NonIntegerEntry, NotGoodOrder, NotNonIncreasing
 from degreebox.oracle import enumerate_instances
 from degreebox.sequences import IntervalSequencePair, kernel_pass, normalize_good_order
 
@@ -182,6 +182,19 @@ class TestErdosGallaiFixed:
         """An even total with d[0] past int64 fails at k = 1, exactly."""
         v = check_erdos_gallai_fixed(d)
         assert (v.holds, v.witness_t, v.lhs, v.rhs) == (False, 1, d[0], rhs)
+
+    @pytest.mark.parametrize("d", [(0.9, 0.9, 0.2), (1.5, 0.5), ("1", "1")])
+    def test_rejects_non_integer_entry(self, d):
+        with pytest.raises(NonIntegerEntry) as exc:
+            check_erdos_gallai_fixed(d)
+        assert str(exc.value) == f"sequence[0] = {d[0]!r} is not an integer"
+
+    @pytest.mark.parametrize("d", [
+        (2, 2, 2), (5, 5, 3, 3, 3, 1), (5, 1, 1, 1), (3, 3, 1, 1), ()])
+    def test_numpy_array_gives_the_tuple_verdict(self, d):
+        v = check_erdos_gallai_fixed(np.array(d, dtype=np.int64))
+        assert v == check_erdos_gallai_fixed(d)
+        assert all(type(x) in (int, type(None)) for x in (v.witness_t, v.lhs, v.rhs))
 
 
 class TestCriteriaReport:

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,15 +16,13 @@ from degreebox.criteria import (
     check_erdos_gallai_fixed,
     check_ryser_interval,
 )
-from degreebox.errors import LengthMismatch, LowerExceedsUpper, NegativeEntry, NonIntegerEntry
+from degreebox.errors import LengthMismatch
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
-    BipartiteGraph,
     SimpleGraph,
     _havel_hakimi,
     graphic_vector_in_box,
-    interval_bipartite_realize,
     realize_pair,
     verify_witness,
 )
@@ -170,6 +167,19 @@ class TestRealizePair:
             for pair in enumerate_instances(n):
                 assert (realize_pair(pair) is not None) == check_cdz(pair).holds
 
+    def test_equal_witnesses_compare_and_hash_equal(self):
+        """Graphs compare and hash by n and edge set; edges are Python ints."""
+        pair = normalize_good_order(*ref_impl.random_box(random.Random(5), 30)).pair
+        g, h = realize_pair(pair), realize_pair(pair)
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert g.u.dtype == g.v.dtype == np.int64
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+        same_edges = SimpleGraph(g.n, g.u[::-1], g.v[::-1])
+        assert same_edges == g and hash(same_edges) == hash(g)
+        assert SimpleGraph(g.n + 1, g.u, g.v) != g
+        assert SimpleGraph(2, [0], [1]) != (2, frozenset({(0, 1)}))
+        assert repr(SimpleGraph(3, [0], [1])) == "SimpleGraph(n=3, edges=1)"
+
 
 class TestVerifyWitness:
     def test_triangle_in_point_box(self):
@@ -228,199 +238,6 @@ class TestSerialization:
         assert g.to_dot() == "graph witness {\n  3;\n  1 -- 2;\n}\n"
 
 
-@lru_cache(maxsize=None)
-def _bipartite_tables(ln, rn):
-    m = ln * rn
-    idx = np.arange(1 << m, dtype=np.uint32)
-    left = np.zeros((1 << m, ln), dtype=np.int8)
-    right = np.zeros((1 << m, rn), dtype=np.int8)
-    for e in range(m):
-        bit = ((idx >> e) & 1).astype(np.int8)
-        left[:, e // rn] += bit
-        right[:, e % rn] += bit
-    return left, right
-
-
-def brute_bipartite_feasible(left, right):
-    """Ground truth by enumerating every bipartite edge subset."""
-    lt, rt = _bipartite_tables(len(left), len(right))
-    ok = np.ones(lt.shape[0], dtype=bool)
-    for i, (lo, hi) in enumerate(left):
-        ok &= (lt[:, i] >= lo) & (lt[:, i] <= hi)
-    for j, (lo, hi) in enumerate(right):
-        ok &= (rt[:, j] >= lo) & (rt[:, j] <= hi)
-    return bool(ok.any())
-
-
-class TestIntervalBipartite:
-    def test_counterexample_tilde_system_witness_degrees(self):
-        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
-        assert system == [(6, 6), (5, 6), (4, 4), (3, 3), (3, 3), (1, 1)]
-        g = interval_bipartite_realize(system, system)
-        assert g is not None
-        assert g.left_degrees() == (6, 5, 4, 3, 3, 1)
-        assert g.right_degrees() == (6, 5, 4, 3, 3, 1)
-
-    def test_two_pendants_one_center(self):
-        g = interval_bipartite_realize([(1, 1), (1, 1)], [(2, 2)])
-        assert g is not None
-        assert g.edges == frozenset({(0, 0), (1, 0)})
-
-    def test_demand_without_supply(self):
-        assert interval_bipartite_realize([(2, 2)], [(0, 0)]) is None
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(LowerExceedsUpper):
-            interval_bipartite_realize([(2, 1)], [(0, 0)])
-
-    def test_negative_lower_bound_rejected(self):
-        with pytest.raises(NegativeEntry):
-            interval_bipartite_realize([(0, 1)], [(-1, 1)])
-
-    @pytest.mark.parametrize("left, right, message", [
-        ([(0.5, 0.9)], [(0, 1)], "left lower bound[0] = 0.5 is not an integer"),
-        ([(1.5, 1.5)], [(1, 1)], "left lower bound[0] = 1.5 is not an integer"),
-        ([(1, 1)], [(1, 1), (0, "1")], "right upper bound[1] = '1' is not an integer"),
-        ([(np.int64(1), True)], [(1, 1.0)], "right upper bound[0] = 1.0 is not an integer"),
-    ])
-    def test_non_integer_bound_rejected(self, left, right, message):
-        """A bound that is not an integer is refused before any other check;
-        numpy integers and bools are integers."""
-        with pytest.raises(NonIntegerEntry) as exc:
-            interval_bipartite_realize(left, right)
-        assert str(exc.value) == message
-
-    def test_self_reduction_probes_per_run_not_per_cell(self, monkeypatch):
-        """Runs of cells at their upper bounds cost O(log n) probes each."""
-        calls = []
-        probe = realize._interval_feasible
-        monkeypatch.setattr(realize, "_interval_feasible",
-                            lambda left, right: calls.append(1) or probe(left, right))
-        for seed in range(400, 403):
-            pair = normalize_good_order(*ref_impl.random_box(random.Random(seed), 400)).pair
-            system = list(zip(*_lifted(np.array([pair.a, pair.b])).tolist()))
-            calls.clear()
-            assert interval_bipartite_realize(system, system) is not None, seed
-            assert len(calls) <= 8, (seed, len(calls))
-
-    def test_empty_parts(self):
-        assert interval_bipartite_realize([], []) is not None
-
-    @pytest.mark.parametrize("left, right", [([(0, 0)], []), ([], [(0, 0), (0, 0)])])
-    def test_one_empty_part(self, left, right):
-        g = interval_bipartite_realize(left, right)
-        assert (g.left_n, g.right_n) == (len(left), len(right))
-        assert g.edges == frozenset() and len(g.u) == len(g.v) == 0
-        assert g.left_degrees() == (0,) * len(left)
-        assert g.right_degrees() == (0,) * len(right)
-
-    def test_degrees_and_edges_are_python_ints(self):
-        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
-        g = interval_bipartite_realize(system, system)
-        assert g.u.dtype == g.v.dtype == np.int64
-        assert all(type(d) is int for d in g.left_degrees() + g.right_degrees())
-        assert all(type(i) is int and type(j) is int for i, j in g.edges)
-
-    def test_equal_witnesses_compare_and_hash_equal(self):
-        system = list(zip(*_lifted(np.array([CE.a, CE.b])).tolist()))
-        g, h = (interval_bipartite_realize(system, system) for _ in range(2))
-        assert g is not h and g == h and hash(g) == hash(h)
-        same_edges = BipartiteGraph(g.left_n, g.right_n, g.u[::-1], g.v[::-1])
-        assert same_edges == g and hash(same_edges) == hash(g)
-        assert BipartiteGraph(g.left_n + 1, g.right_n, g.u, g.v) != g
-        assert BipartiteGraph(2, 2, [0], [1]) != SimpleGraph(2, [0], [1])
-        assert repr(BipartiteGraph(2, 3, [0], [1])) == (
-            "BipartiteGraph(left_n=2, right_n=3, edges=1)")
-
-    def test_against_brute_force_random_systems(self):
-        rng = random.Random(20260809)
-        for _ in range(200):
-            ln = rng.randint(1, 4)
-            rn = rng.randint(1, 4)
-            def draw(side_n, other_n):
-                out = []
-                for _ in range(side_n):
-                    hi = rng.randint(0, other_n + 1)  # allow slack past part size
-                    out.append((rng.randint(0, hi), hi))
-                return out
-            left = draw(ln, rn)
-            right = draw(rn, ln)
-            got = interval_bipartite_realize(left, right)
-            expect = brute_bipartite_feasible(left, right)
-            assert (got is not None) == expect, (left, right)
-            if got is not None:
-                ld, rd = got.left_degrees(), got.right_degrees()
-                assert all(lo <= d <= hi for d, (lo, hi) in zip(ld, left))
-                assert all(lo <= d <= hi for d, (lo, hi) in zip(rd, right))
-
-    def test_against_reference_flow_past_brute_force(self):
-        """Sides up to 12, beyond the brute force's 4, against max-flow."""
-        rng = random.Random(20261018)
-        feasible = 0
-        for _ in range(1500):
-            left, right = _planted_bipartite_system(rng, rng.randint(0, 12), rng.randint(0, 12))
-            got = interval_bipartite_realize(left, right)
-            expect = ref_impl.ref_interval_bipartite_flow(left, right)
-            assert (got is None) == (expect is None), (left, right)
-            if got is not None:
-                feasible += 1
-                assert all(0 <= i < len(left) and 0 <= j < len(right) for i, j in got.edges)
-                assert all(lo <= d <= hi for d, (lo, hi) in zip(got.left_degrees(), left))
-                assert all(lo <= d <= hi for d, (lo, hi) in zip(got.right_degrees(), right))
-        assert 700 < feasible < 1300, feasible
-
-    def test_walk_matches_resorting_greedy(self):
-        """The residual-bucket walk gives the re-sorting greedy's edges, on
-        exact-degree systems and on unequal sides with loose cells, sides up
-        to 200."""
-        rng = random.Random(20261019)
-        realized = 0
-        for k in range(60):
-            ln = rng.randint(0, 200 if k % 5 == 0 else 40)
-            rn = ln if k % 2 == 0 else rng.randint(0, 200 if k % 5 == 1 else 40)
-            if k % 3 == 0:  # the exact degrees of a random bipartite graph
-                p, ldeg, rdeg = rng.random(), [0] * ln, [0] * rn
-                for i, j in itertools.product(range(ln), range(rn)):
-                    if rng.random() < p:
-                        ldeg[i] += 1
-                        rdeg[j] += 1
-                left, right = [(d, d) for d in ldeg], [(d, d) for d in rdeg]
-            else:
-                left, right = _planted_bipartite_system(rng, ln, rn)
-            g = interval_bipartite_realize(left, right)
-            assert g is not None or k % 3, (left, right)
-            if g is not None:
-                realized += 1
-                expected = ref_impl.ref_gale_ryser_greedy(g.left_degrees(), g.right_degrees())
-                assert g.edges == expected, (left, right)
-        assert realized >= 30, realized
-
-
-def _planted_bipartite_system(rng, ln, rn):
-    """Intervals around the degrees of a random bipartite graph.
-
-    Each cell is forced or widened by up to 2 on each side (an upper bound
-    may pass the part size); half the time one cell is then forced to one
-    above its upper bound, which makes the system infeasible when no cell
-    around it has room to absorb the extra edge.
-    """
-    p, forced = rng.random(), rng.random() ** 0.5
-    edges = [(i, j) for i in range(ln) for j in range(rn) if rng.random() < p]
-    sides = []
-    for size, end in ((ln, 0), (rn, 1)):
-        deg = [0] * size
-        for e in edges:
-            deg[e[end]] += 1
-        sides.append([(d, d) if rng.random() < forced
-                      else (max(0, d - rng.randint(0, 2)), d + rng.randint(0, 2)) for d in deg])
-    left, right = sides
-    if rng.random() < 0.5 and left + right:
-        side = rng.choice([s for s in sides if s])
-        i = rng.randrange(len(side))
-        side[i] = (side[i][1] + 1,) * 2
-    return left, right
-
-
 class TestRyserInterval:
     def test_counterexample_holds_despite_unrealizability(self):
         assert check_ryser_interval(CE).holds
@@ -442,18 +259,16 @@ class TestRyserInterval:
         """
         for n in range(1, 7):
             for d in non_increasing_sequences(n, n - 1):
-                system = [(x, x) for x in _lifted(np.array([d])).tolist()[0]]
-                flow = interval_bipartite_realize(system, system)
+                lifted = check_ryser_interval(normalize_good_order(d, d).pair).holds
                 hh = _havel_hakimi(d, range(n))
                 if sum(d) % 2 == 0:
-                    assert (flow is not None) == (hh is not None), d
+                    assert lifted == (hh is not None), d
                 else:
                     assert hh is None, d
 
     def test_odd_sum_lift_can_be_feasible(self):
         assert _havel_hakimi((1, 1, 1), range(3)) is None
-        system = [(x, x) for x in _lifted(np.array([(1, 1, 1)])).tolist()[0]]
-        assert interval_bipartite_realize(system, system) is not None
+        assert check_ryser_interval(normalize_good_order((1, 1, 1), (1, 1, 1)).pair).holds
 
     def test_matches_reference_flow(self):
         """Every instance with n <= 4, samples at n = 5 and 6, random boxes to n = 60."""
