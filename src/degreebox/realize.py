@@ -26,9 +26,9 @@ class SimpleGraph:
     ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given.  A
     witness has u < v in every row and its rows in (u, v) order, so the
     writers read the columns as they are: degrees are two bincounts and
-    each writer one string lookup per endpoint, O(n + m).  ``.edges``, the
-    frozenset of row pairs as Python ints, is built on first use; graphs
-    compare and hash by n and ``.edges``.
+    each writer two gathers from per-label byte tables, O(n + m).
+    ``.edges``, the frozenset of row pairs as Python ints, is built on
+    first use; graphs compare and hash by n and ``.edges``.
     """
 
     __slots__ = ("n", "u", "v", "_edges")
@@ -59,12 +59,21 @@ class SimpleGraph:
         return tuple(deg.tolist())
 
     def _join(self, head: str, tail: str) -> str:
-        """head.format(u + 1) + tail.format(v + 1) for each row, joined, from per-label tables."""
-        labels = range(1, self.n + 1)
-        pieces = np.empty(2 * len(self.u), dtype=object)
-        pieces[0::2] = np.array([head.format(i) for i in labels], dtype=object)[self.u]
-        pieces[1::2] = np.array([tail.format(i) for i in labels], dtype=object)[self.v]
-        return "".join(pieces.tolist())
+        """head.format(u + 1) + tail.format(v + 1) for each row, joined, from per-label tables.
+
+        Each table holds its n pieces as NUL-padded bytes, widened to a
+        multiple of 8 so a gather moves whole words.  One gather per column
+        fills a row of two such words per edge, and dropping every NUL from
+        the rows' bytes leaves the text: digits and the writers' pieces
+        hold no NUL.
+        """
+        if not self.n:  # no labels, so no rows and no widest piece
+            return ""
+        heads, tails = _pieces(head, self.n), _pieces(tail, self.n)
+        rows = np.empty(len(self.u), dtype=[("u", heads.dtype), ("v", tails.dtype)])
+        rows["u"] = heads[self.u]
+        rows["v"] = tails[self.v]
+        return rows.tobytes().translate(None, b"\0").decode("ascii")
 
     def to_edge_list(self) -> str:
         """One 'u v' line per edge in row order, vertices printed 1-based."""
@@ -81,26 +90,45 @@ class SimpleGraph:
         return "graph witness {\n" + isolated + self._join("  {} -- ", "{};\n") + "}\n"
 
 
-def _take_largest(buckets: list[list[int]], top: int) -> Optional[list[int]]:
-    """Take the top vertices of largest residual, ties to the smallest index,
-    each one bucket down; None if fewer than top have a positive residual.
+def _pieces(fmt: str, n: int) -> np.ndarray:
+    """fmt.format(i) for the labels i = 1..n as NUL-padded bytes, widened to a multiple of 8.
+
+    The last piece, with the most digits, is the widest.
+    """
+    pieces = list(map(fmt.format, range(1, n + 1)))
+    return np.array(pieces, dtype=f"S{-(-len(pieces[-1]) // 8) * 8}")
+
+
+def _take_largest(buckets: list[list[int]], top: int, nbrs: list[int]) -> bool:
+    """Append to nbrs the top vertices of largest residual, ties to the smallest
+    index, each moved one bucket down; False if fewer than top have a positive
+    residual.
 
     buckets[r] holds the vertices of residual r in index order, none above
-    top.  A taken prefix, decremented, is merged into the bucket below, so
-    nothing is re-sorted, but each merge copies the rest of its bucket:
-    O(top + B) per take for B the largest bucket touched.
+    top.  A bucket taken whole is handed down by reference, and the list
+    moved into it from above takes its place.  A bucket taken in part loses
+    its prefix with one ``del`` (a memmove) and merges the list from above
+    in place: ``sort`` finds the two sorted runs and merges them.  So
+    nothing is copied per element but the taken vertices and the merges.
     """
-    taken, moved, need, d = [], [], top, top
+    moved, need, d = [], top, top
     while need or moved and d:
         if d == 0:
-            return None
+            return False
         source = buckets[d]
-        buckets[d] = sorted(source[need:] + moved)
-        moved = source[:need]
-        taken += moved
+        if need >= len(source):
+            buckets[d], moved = moved, source
+        else:
+            taken = source[:need]
+            del source[:need]
+            if moved:
+                source += moved
+                source.sort()
+            moved = taken
+        nbrs += moved
         need -= len(moved)
         d -= 1
-    return taken
+    return True
 
 
 def _havel_hakimi(
@@ -109,14 +137,17 @@ def _havel_hakimi(
     """Havel-Hakimi on degrees deg[v]: edge columns (u, v) in labels label[v], or None.
 
     Each round joins the largest residual to the next-largest ones, ties to
-    smallest v, by ``_take_largest`` over the residual buckets, so the
-    walk is O(m + n * B) for B the largest bucket.  The walk records each
-    head with its residual and one flat list of neighbours; relabelling,
+    smallest v, by ``_take_largest`` over the residual buckets.  A round
+    moves whole buckets by reference and pays per element only for its
+    top neighbours and for the one or two buckets it takes in part (a
+    memmove and a merge of two sorted runs).  The walk records each head
+    with its residual and one flat list of neighbours; relabelling,
     orienting to u < v and ordering the rows by (u, v), as one sort of the
     keys u*n + v, are then array passes, so no per-edge tuple is built.
+    An entry outside [0, n) is never graphic and gives None.
     """
     n = len(deg)
-    if any(x >= n for x in deg):
+    if any(not 0 <= x < n for x in deg):
         return None
     buckets: list[list[int]] = [[] for _ in deg]
     for v, x in enumerate(deg):
@@ -126,10 +157,8 @@ def _havel_hakimi(
         while buckets[top]:
             heads.append(buckets[top].pop(0))
             tops.append(top)
-            taken = _take_largest(buckets, top)
-            if taken is None:
+            if not _take_largest(buckets, top, nbrs):
                 return None
-            nbrs += taken
     label = np.fromiter(label, dtype=np.int64, count=n)
     u = np.repeat(label[heads], np.array(tops, dtype=np.int64))
     v = label[np.fromiter(nbrs, np.int64, len(nbrs))]

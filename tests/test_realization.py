@@ -68,6 +68,40 @@ class TestHavelHakimi:
     def test_oversized_entry_fails_cleanly(self):
         assert _havel_hakimi((5, 1, 1, 1), range(4)) is None
 
+    def test_negative_entry_fails_cleanly(self):
+        # indexing the buckets by -2 would file that entry at residual n - 2
+        assert _havel_hakimi((1, 1, -2, 0), range(4)) is None
+        assert _havel_hakimi((-1,), range(1)) is None
+
+    def test_every_small_sequence_in_any_order_matches_reference(self):
+        """All of range(n)^n for n <= 6: the spec's edge set as (u, v)-ordered rows, or None."""
+        for n in range(7):
+            for d in itertools.product(range(n), repeat=n):
+                expected = ref_impl.ref_havel_hakimi(enumerate(d))
+                columns = _havel_hakimi(d, range(n))
+                assert (columns is None) == (expected is None), d
+                if columns is not None:
+                    u, v = columns
+                    assert list(zip(u.tolist(), v.tolist())) == sorted(expected), d
+
+    @pytest.mark.parametrize("n, p", [(150, 0.3), (400, 0.46)])
+    def test_witness_sized_vectors_match_reference_through_labels(self, n, p):
+        """G(n, p) degrees at the witness benchmark's planted sizes, relabeled by a shuffle."""
+        rng = random.Random(n)
+        for k in range(3):
+            d = _gnp_degrees(rng, n, p)
+            if k == 2:  # an odd degree sum: not graphic
+                d[rng.randrange(n)] += 1 if d[0] < n - 1 else -1
+            label = list(range(n))
+            rng.shuffle(label)
+            expected = ref_impl.ref_havel_hakimi(enumerate(d))
+            columns = _havel_hakimi(d, label)
+            assert (columns is None) == (expected is None) == (k == 2)
+            if columns is not None:
+                u, v = columns
+                assert list(zip(u.tolist(), v.tolist())) == sorted(
+                    (min(label[x], label[y]), max(label[x], label[y])) for x, y in expected)
+
 
 @pytest.mark.parametrize("width", [*range(1, 65), 400, 1024])
 def test_largest_two_ended_search(width):
@@ -236,6 +270,23 @@ class TestSerialization:
     def test_dot_lists_isolated_vertices(self):
         g = SimpleGraph(3, [0], [1])
         assert g.to_dot() == "graph witness {\n  3;\n  1 -- 2;\n}\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000, 10**6])
+    def test_writers_match_plain_join(self, n):
+        """Each writer against one f-string per row, on random columns with the widest labels."""
+        rng = np.random.default_rng(n)
+        u, v = rng.integers(0, n, (2, 300 if n else 0))
+        u[:n and 3], v[:n and 3] = n - 1, [0, n - 1, n // 2][:n and 3]
+        g = SimpleGraph(n, u, v)
+        rows = list(zip((u + 1).tolist(), (v + 1).tolist()))
+        assert g.to_edge_list() == "".join(f"{x} {y}\n" for x, y in rows)
+        json_edges = "[" + ",".join(f"[{x},{y}]" for x, y in rows) + "]"
+        assert g.to_json_edges() == json_edges
+        assert json.loads(g.to_json_edges()) == [list(row) for row in rows]
+        touched = set(u.tolist()) | set(v.tolist())
+        isolated = "".join(f"  {i + 1};\n" for i in range(n) if i not in touched)
+        assert g.to_dot() == ("graph witness {\n" + isolated
+                              + "".join(f"  {x} -- {y};\n" for x, y in rows) + "}\n")
 
 
 class TestRyserInterval:
