@@ -13,7 +13,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import criteria as _criteria
 from . import oracle as _oracle
@@ -95,16 +95,6 @@ def _emit_json(payload: dict) -> None:
     _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _verdict_json(v: _criteria.CriterionVerdict) -> dict:
-    return {
-        "holds": v.holds,
-        "witness_t": v.witness_t,
-        "witness_m": v.witness_m,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-    }
-
-
 def _verdict_text(v: _criteria.CriterionVerdict) -> str:
     if v.holds:
         return "holds"
@@ -132,7 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "b": list(pair.b),
                 "perm": [p + 1 for p in norm.perm],
             },
-            "criteria": {name: _verdict_json(v) for name, v in verdicts.items()},
+            "criteria": {name: asdict(v) for name, v in verdicts.items()},
             "cdz_consistent": report.cdz_consistent,
             "oracle": None if oracle_result is None else {
                 "realizable": oracle_result.realizable,

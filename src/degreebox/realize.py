@@ -1,23 +1,23 @@
 """Witness construction: a simple graph meeting a bound pair.
 
 The route fixes an in-box graphic degree vector by decision
-self-reduction through the CDZ kernel, each search run from both ends of
-its bracket, and realizes it with a bucketed Havel-Hakimi.  The witness
-holds its edges as two sorted int64 columns, so no Python object is built
-per edge; they go through ``verify_witness`` to the edge-list, DOT and
-JSON writers.  The route is exact and is cross-validated against
-brute-force enumeration at small sizes.
+self-reduction, each search run from both ends of its bracket and each
+probe one scalar CDZ scan over t <= s (``_cdz_holds``), and realizes it
+with a bucketed Havel-Hakimi.  The witness holds its edges as two sorted
+int64 columns, so no Python object is built per edge; they go through
+``verify_witness`` to the edge-list, DOT and JSON writers.  The route is
+exact and is cross-validated against brute-force enumeration at small
+sizes.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .sequences import IntervalSequencePair, _cdz_terms, _reduced_range, require_good_order
+from .errors import InputError, LengthMismatch
+from .sequences import IntervalSequencePair, require_good_order
 
 
 class SimpleGraph:
@@ -202,14 +202,56 @@ def _largest(good: int, bad: int, feasible: Callable[[int], bool]) -> int:
     return good
 
 
-def _self_reduce(
-    cells: Iterable[tuple[int, int]], feasible: Callable[[list[tuple[int, int]]], bool]
-) -> Optional[tuple[int, ...]]:
-    """A value inside each cell (lo, hi) such that the point box stays feasible, or None.
+def _cdz_holds(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the good-ordered box (a, b) meets CDZ for t = 0..s, so is realizable.
 
-    ``feasible``, the CDZ probe of ``graphic_vector_in_box``, takes a
-    fresh list of cells and is monotone: raising a lower bound never makes
-    an infeasible box feasible.  So each loose
+    lhs = sum(a[:t]) and rhs = t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
+    With S(t) = {j >= t : b[j] > t}, the tail sum is
+    sum(b[t:]) - sum(b[S]) + t*|S|, and eps(t) needs only |S|, sum(b[S]) and
+    whether S has an unforced cell (a < b).  Histograms of b (all suffix
+    cells, and unforced ones) keep all three up to date as t advances, so
+    the scan is O(n).  It stops at the first failing t, or after t = s, the
+    first t with a[t] < t (or n): past s the family holds whenever it holds
+    up to s.  Entries of b must lie in 0..n-1.
+    """
+    n = len(a)
+    count = [0] * (n + 1)  # count[v], v > t: cells j >= t with b[j] == v
+    loose_count = [0] * (n + 1)  # the same, unforced cells only
+    for lo, hi in zip(a, b):
+        count[hi] += 1
+        loose_count[hi] += lo < hi
+    size, total, loose = n, sum(b), sum(loose_count)
+    tail = total
+    lhs = 0
+    for t in range(n + 1):
+        # raise the threshold to t: cells with b == t leave S
+        size -= count[t]
+        total -= t * count[t]
+        loose -= loose_count[t]
+        eps = (total + t * size) % 2 if loose == 0 else 0
+        if lhs > t * (t - 1) + tail - total + t * size - eps:
+            return False
+        if t == n or a[t] < t:
+            break
+        # move cell t from the suffix into the prefix
+        lo, hi = a[t], b[t]
+        lhs += lo
+        tail -= hi
+        if hi > t:
+            size -= 1
+            total -= hi
+            loose -= lo < hi
+            count[hi] -= 1
+            loose_count[hi] -= lo < hi
+    return True
+
+
+def _self_reduce(cells: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """A value inside each cell (lo, hi) such that the point box stays realizable, or None.
+
+    A probe sorts a copy of the cells, with its changes, into good order
+    and runs ``_cdz_holds``; raising a lower bound never makes an
+    infeasible box feasible, so the probe is monotone.  So each loose
     cell (lo < hi), in index order, can be fixed to (v, v) for the largest
     v keeping the box feasible.  Most cells end at hi, so the walk finds
     the longest run of next loose cells that can sit at (hi, hi) at once,
@@ -220,13 +262,13 @@ def _self_reduce(
     left two, of all but one at most five, and any run or cell O(log n).
     None is returned exactly when the cells as given are infeasible.
     """
-    cells = list(cells)
 
     def stays_feasible(changes) -> bool:
         box = cells.copy()
         for i, cell in changes:
             box[i] = cell
-        return feasible(box)
+        box.sort(reverse=True)
+        return _cdz_holds([lo for lo, _ in box], [hi for _, hi in box])
 
     if not stays_feasible(()):
         return None
@@ -248,23 +290,15 @@ def _self_reduce(
 def graphic_vector_in_box(pair: IntervalSequencePair) -> Optional[tuple[int, ...]]:
     """Find an in-box degree vector whose multiset is graphic, positionwise.
 
-    Decision self-reduction (``_self_reduce``) through the CDZ kernel,
+    Decision self-reduction (``_self_reduce``) through the CDZ family,
     which raising lower bounds keeps monotone: 3 to 8 probes on planted
-    n = 400 boxes.  A probe sorts the box into good order and reads
-    the CDZ family for t <= s off the scalar stream ``_cdz_terms`` up to its
-    first failure, cheaper than a kernel pass on the boxes probes see.
-    None is returned exactly when the pair is not realizable.
+    n = 400 boxes.  Each probe is the scalar scan ``_cdz_holds``, which
+    stops at its first failure and is cheaper than a kernel pass on the
+    boxes probes see.  None is returned exactly when the pair is not
+    realizable.
     """
     require_good_order(pair)
-
-    def realizable(box) -> bool:
-        box.sort(reverse=True)
-        a = [lo for lo, _ in box]
-        b = [hi for _, hi in box]
-        terms = islice(_cdz_terms(a, b), _reduced_range(a) + 1)
-        return all(lhs <= rhs for lhs, rhs, _ in terms)
-
-    return _self_reduce(zip(pair.a, pair.b), realizable)
+    return _self_reduce(list(zip(pair.a, pair.b)))
 
 
 def realize_pair(
@@ -275,8 +309,15 @@ def realize_pair(
     ``perm`` maps normalized positions to original positions (as produced
     by normalize_good_order); identity when omitted.  Havel-Hakimi breaks
     ties by normalized position and writes its edges in perm's labels.
-    Returns None exactly when the pair is not realizable.
+    Returns None exactly when the pair is not realizable.  A perm whose
+    length is not n raises LengthMismatch, and one that is not a
+    permutation of 0..n-1 InputError.
     """
+    if perm is not None:
+        if len(perm) != pair.n:
+            raise LengthMismatch(f"perm has length {len(perm)}, the pair has n = {pair.n}")
+        if not np.array_equal(np.sort(perm), np.arange(pair.n)):
+            raise InputError(f"perm is not a permutation of 0..{pair.n - 1}")
     vec = graphic_vector_in_box(pair)
     if vec is None:
         return None

@@ -13,11 +13,10 @@ of leading entries, not element indices.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 import numbers
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,11 +116,11 @@ class IntervalSequencePair(_Record):
     """Per-vertex degree bounds a[i] <= b[i] for a simple graph on n vertices.
 
     The pair's state is its checked (1, n) int64 rows ``_rows``.  A pair
-    built directly keeps the a and b it was given and makes the rows on
-    first use; a pair ``normalize_good_order`` builds keeps the rows it
-    sorted, and makes a and b, tuples of Python ints, on first read.
-    Equality, hashing and repr compare and show the tuples, whichever way
-    the pair was built.
+    built directly keeps the a and b it was given as tuples (an array's
+    through ``tolist``) and makes and checks the rows on first use; a pair
+    ``normalize_good_order`` builds keeps the rows it sorted, and makes a
+    and b, tuples of Python ints, on first read.  Equality, hashing and
+    repr compare and show the tuples, whichever way the pair was built.
     """
 
     _fields = ("a", "b")
@@ -129,6 +128,7 @@ class IntervalSequencePair(_Record):
     _in_good_order = False
 
     def __init__(self, a: Sequence[int], b: Sequence[int]):
+        a, b = (tuple(x.tolist() if isinstance(x, np.ndarray) else x) for x in (a, b))
         vars(self).update(a=a, b=b, n=len(a))
 
     @classmethod
@@ -314,46 +314,6 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     return NormalizedInstance._of_order(pair, order)
 
 
-def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """Yield (lhs, rhs, eps) of the CDZ inequality for t = 0, 1, ..., n.
-
-    lhs = sum(a[:t]) and rhs = t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
-    With S(t) = {j >= t : b[j] > t}, the tail sum is
-    sum(b[t:]) - sum(b[S]) + t*|S|, and eps(t) needs only |S|, sum(b[S]) and
-    whether S has an unforced cell (a < b).  Histograms of b (all suffix
-    cells, and unforced ones) keep all three up to date as t advances, so
-    the whole scan is O(n) and a caller may stop it early.  Any order of
-    the cells works; entries of b must lie in 0..n-1.
-    """
-    n = len(a)
-    count = [0] * (n + 1)  # count[v], v > t: cells j >= t with b[j] == v
-    loose_count = [0] * (n + 1)  # the same, unforced cells only
-    for lo, hi in zip(a, b):
-        count[hi] += 1
-        loose_count[hi] += lo < hi
-    size, total, loose = n, sum(b), sum(loose_count)
-    tail = total
-    lhs = 0
-    for t in range(n + 1):
-        # raise the threshold to t: cells with b == t leave S
-        size -= count[t]
-        total -= t * count[t]
-        loose -= loose_count[t]
-        eps = (total + t * size) % 2 if loose == 0 else 0
-        yield lhs, t * (t - 1) + tail - total + t * size - eps, eps
-        if t < n:
-            # move cell t from the suffix into the prefix
-            lo, hi = a[t], b[t]
-            lhs += lo
-            tail -= hi
-            if hi > t:
-                size -= 1
-                total -= hi
-                loose -= lo < hi
-                count[hi] -= 1
-                loose_count[hi] -= lo < hi
-
-
 def kernel_pass(a, b) -> KernelPass:
     """The kernel pass of a (k, n) batch of bounds a, b, in O(kn).
 
@@ -400,13 +360,3 @@ def _row_histogram(index: np.ndarray, width: int, weights=None) -> np.ndarray:
     weights = None if weights is None else weights.ravel()
     counts = np.bincount(flat, weights, minlength=k * width)
     return counts.astype(np.int64, copy=False).reshape(k, width)
-
-
-def _reduced_range(a: Sequence[int]) -> int:
-    """s = max{i : a[i-1] >= i-1} for non-increasing a (0 when a is empty).
-
-    a[i] - i strictly decreases, so the qualifying prefix lengths form an
-    initial run and s is found by bisection.
-    """
-    return bisect_left(range(len(a)), True, key=lambda i: a[i] < i)
-

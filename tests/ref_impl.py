@@ -3,25 +3,67 @@
 Everything here is written directly from the inequality definitions with
 plain comprehensions, deliberately avoiding the package's prefix-sum
 bookkeeping, so a bug in the implementation cannot hide in the tests.
-The two exceptions read the package: ``ref_cdz_stream`` reads its scalar
-CDZ stream, which shares no code with the kernel pass the criteria rows
-read, and ``kernel_berge_rows`` reads Berge sequences off that pass, so
-that checking them against ``ref_berge`` tests the pass's columns.
+Only ``kernel_berge_rows`` reads the package: it reads Berge sequences
+off the kernel pass, so that checking them against ``ref_berge`` tests
+the pass's columns.  ``ref_cdz_stream`` reads the scalar CDZ stream
+``_cdz_terms`` below, an O(n) scan over threshold histograms that shares
+no code with that pass.
 """
 
 import itertools
 import math
 import random
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from degreebox.criteria import CriterionVerdict
-from degreebox.sequences import IntervalSequencePair, _cdz_terms, kernel_pass
+from degreebox.sequences import IntervalSequencePair, kernel_pass
+
+
+def _cdz_terms(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield (lhs, rhs, eps) of the CDZ inequality for t = 0, 1, ..., n.
+
+    lhs = sum(a[:t]) and rhs = t(t-1) + sum(min(t, b[j]) for j >= t) - eps(t).
+    With S(t) = {j >= t : b[j] > t}, the tail sum is
+    sum(b[t:]) - sum(b[S]) + t*|S|, and eps(t) needs only |S|, sum(b[S]) and
+    whether S has an unforced cell (a < b).  Histograms of b (all suffix
+    cells, and unforced ones) keep all three up to date as t advances, so
+    the whole scan is O(n) and a caller may stop it early.  Any order of
+    the cells works; entries of b must lie in 0..n-1.
+    """
+    n = len(a)
+    count = [0] * (n + 1)  # count[v], v > t: cells j >= t with b[j] == v
+    loose_count = [0] * (n + 1)  # the same, unforced cells only
+    for lo, hi in zip(a, b):
+        count[hi] += 1
+        loose_count[hi] += lo < hi
+    size, total, loose = n, sum(b), sum(loose_count)
+    tail = total
+    lhs = 0
+    for t in range(n + 1):
+        # raise the threshold to t: cells with b == t leave S
+        size -= count[t]
+        total -= t * count[t]
+        loose -= loose_count[t]
+        eps = (total + t * size) % 2 if loose == 0 else 0
+        yield lhs, t * (t - 1) + tail - total + t * size - eps, eps
+        if t < n:
+            # move cell t from the suffix into the prefix
+            lo, hi = a[t], b[t]
+            lhs += lo
+            tail -= hi
+            if hi > t:
+                size -= 1
+                total -= hi
+                loose -= lo < hi
+                count[hi] -= 1
+                loose_count[hi] -= lo < hi
 
 
 def ref_cdz_stream(pair):
-    """The CDZ verdict from the scalar stream ``sequences._cdz_terms``: the
+    """The CDZ verdict from the scalar stream ``_cdz_terms``: the
     smallest t in 0..n with lhs > rhs, stopping there, as a CriterionVerdict."""
     for t, (lhs, rhs, _) in enumerate(_cdz_terms(pair.a, pair.b)):
         if lhs > rhs:

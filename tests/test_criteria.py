@@ -24,6 +24,7 @@ from degreebox.criteria import (
 )
 from degreebox.errors import NegativeEntry, NonIntegerEntry, NotGoodOrder, NotNonIncreasing
 from degreebox.oracle import enumerate_instances
+from degreebox.realize import _cdz_holds
 from degreebox.sequences import IntervalSequencePair, kernel_pass, normalize_good_order
 
 CE = normalize_good_order((5, 4, 3, 3, 3, 1), (5, 5, 3, 3, 3, 1)).pair
@@ -437,8 +438,12 @@ def _decide_box(rng, kind, n):
     "planted" widens each cell by up to 3 on each side (realizable);
     "parity" is the point box with one degree moved by one (odd sum);
     "clash" is a planted box with a forced degree-(n-1) vertex beside a
-    forced isolated one.
+    forced isolated one; "narrow" has uniform cells of width 0 to 2 and
+    no planted answer.
     """
+    if kind == "narrow":
+        a = rng.integers(0, n, n)
+        return a.tolist(), np.minimum(n - 1, a + rng.integers(0, 3, n)).tolist()
     deg = np.zeros(n, dtype=np.int64)
     p = rng.uniform(0.05, 0.6)
     for i in range(n - 1):
@@ -471,6 +476,24 @@ def test_check_cdz_matches_scalar_stream_to_n_2000():
         assert verdict == ref_impl.ref_cdz_stream(pair), (kind, n)
         outcomes.add((kind, verdict.witness_t if verdict.witness_t in (None, 0) else "t > 0"))
     assert outcomes == {("planted", None), ("parity", 0), ("clash", "t > 0")}
+
+
+def test_witness_probe_matches_check_cdz():
+    """The witness probe ``realize._cdz_holds``, which stops after t = s,
+    against check_cdz on every instance with n <= 5, all in good order,
+    and on seeded planted, parity, clash and narrow boxes to n = 2000."""
+    for n in range(6):
+        for pair in enumerate_instances(n):
+            assert _cdz_holds(pair.a, pair.b) == check_cdz(pair).holds, pair
+    rng = np.random.default_rng(20261019)
+    outcomes = set()
+    for k, n in enumerate([2000] * 4 + rng.integers(60, 2001, 28).tolist()):
+        kind = ("planted", "parity", "clash", "narrow")[k % 4]
+        pair = normalize_good_order(*_decide_box(rng, kind, n)).pair
+        holds = check_cdz(pair).holds
+        assert _cdz_holds(pair.a, pair.b) == holds, (kind, n)
+        outcomes.add((kind, holds))
+    assert outcomes == {("planted", True), ("parity", False), ("clash", False), ("narrow", False)}
 
 
 def test_head_deficit_families_match_plain_scan_to_n_300():

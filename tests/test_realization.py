@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from degreebox.criteria import (
     check_erdos_gallai_fixed,
     check_ryser_interval,
 )
-from degreebox.errors import LengthMismatch
+from degreebox.errors import InputError, LengthMismatch
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
@@ -195,6 +196,21 @@ class TestRealizePair:
         g = realize_pair(norm.pair, norm.perm)
         assert g is not None
         assert verify_witness(g, a, b)
+
+    @pytest.mark.parametrize("perm, error, message", [
+        ((0,), LengthMismatch, "perm has length 1, the pair has n = 3"),
+        ((0, 1, 2, 3), LengthMismatch, "perm has length 4, the pair has n = 3"),
+        ((0, 0, 1), InputError, "perm is not a permutation of 0..2"),
+        ((0, 1, 3), InputError, "perm is not a permutation of 0..2"),
+        ((-1, 0, 1), InputError, "perm is not a permutation of 0..2"),
+    ])
+    def test_perm_must_be_a_permutation(self, perm, error, message):
+        """A perm of the wrong length, or with a repeated or out-of-range
+        label, is rejected before any edge is written in its labels."""
+        pair = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            realize_pair(pair, perm)
+        assert type(raised.value) is error
 
     def test_returns_iff_cdz_holds_small(self):
         for n in range(0, 4):
@@ -438,15 +454,15 @@ def _reference_box(rng, k):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count the witness probes: each opens one scalar CDZ stream."""
+    """Count the witness probes: each runs one ``_cdz_holds`` scan."""
     calls = [0]
-    kernel = realize._cdz_terms
+    holds = realize._cdz_holds
 
     def counting(a, b):
         calls[0] += 1
-        return kernel(a, b)
+        return holds(a, b)
 
-    monkeypatch.setattr(realize, "_cdz_terms", counting)
+    monkeypatch.setattr(realize, "_cdz_holds", counting)
     return calls
 
 

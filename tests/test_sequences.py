@@ -503,3 +503,17 @@ def test_normalized_pair_builds_tuples_on_demand():
         norm.pair.a = ref_a
     with pytest.raises(FrozenInstanceError):
         norm.perm = ref_perm
+
+
+def test_direct_pair_holds_tuples_of_python_ints():
+    """A pair built from lists or arrays compares, hashes and shows as the
+    normalized pair; its entry checks still wait for first use."""
+    norm = normalize_good_order((1, 1), (1, 1)).pair
+    for a, b in (([1, 1], [1, 1]), (np.array([1, 1]), np.array([1, 1]))):
+        pair = IntervalSequencePair(a, b)
+        assert pair == norm and norm == pair and hash(pair) == hash(norm)
+        assert repr(pair) == repr(norm) == "IntervalSequencePair(a=(1, 1), b=(1, 1))"
+        assert all(type(x) is int for x in pair.a + pair.b)
+    pair = IntervalSequencePair(np.array([1.5, 1.0]), [1, 1])
+    with pytest.raises(NonIntegerEntry, match=r"^a\[0\] = 1\.5 is not an integer$"):
+        pair.kernel
