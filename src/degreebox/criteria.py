@@ -5,11 +5,14 @@ kernel pass, ``sequences.kernel_pass``, and is written once, as a row
 check that maps a whole batch of k pairs of equal size n to verdict
 columns: holds, and the smallest failing witness t (and tail length m
 for Fulkerson) with both sides of the inequality.  The smallest failing
-t is a masked argmax over the (k, n+1) comparison; the Fulkerson row
-scans t and compares all tail lengths m at once; the Ryser interval row is
-one Gale-Ryser pass over the tilde system, whose bound rows ``_lifted``
-builds; it is the package's only Gale-Ryser code.  Sweeps evaluate
-each row over a chunk of instances at once.  The per-pair
+t is an argmax over the (k, n+1) comparison.  cdz_reduced and hasselbarth
+are read off cdz's scan, and grunbaum off bollobas's; each of those two
+scans is made once per kernel pass, on first read.  The Fulkerson row
+scans the (t, m) triangle in blocks of t, each one 3-D compare, so a
+256-row sweep chunk up to n = 31 makes a single compare.  The Ryser interval row
+is one Gale-Ryser pass over the tilde system, whose bound rows
+``_lifted`` builds; it is the package's only Gale-Ryser code.  Sweeps
+evaluate each row over a chunk of instances at once.  The per-pair
 checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``) are
 the k = 1 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
@@ -25,6 +28,7 @@ report, the sweeps and the CLI read; ``CHECKERS`` is its per-pair view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -77,20 +81,43 @@ class Verdicts(NamedTuple):
         return CriterionVerdict(False, *(None if c is None else int(c[i]) for c in self[1:]))
 
 
-def _failure_columns(lhs: np.ndarray, rhs: np.ndarray, stop=None) -> Verdicts:
-    """Row by row, the smallest t (below stop[i], if given) with lhs[i, t] > rhs[i, t].
+def _failure_columns(lhs: np.ndarray, rhs: np.ndarray) -> Verdicts:
+    """Row by row, the smallest t with lhs[i, t] > rhs[i, t].
 
     The first True of each row of the (k, n+1) failure mask is its argmax;
     a row whose argmax is False has no failure.
     """
     fails = lhs > rhs
-    if stop is not None:
-        fails &= np.arange(lhs.shape[1]) < stop[:, None]
     rows = np.arange(len(fails))
     t = fails.argmax(axis=1)
     return Verdicts(~fails[rows, t], t, None, lhs[rows, t], rhs[rows, t])
 
 
+def _shared(row: Callable[[KernelPass], Verdicts]) -> Callable[[KernelPass], Verdicts]:
+    """row as a scan other rows derive from: made on its first call on a
+    kernel pass and kept in the pass's ``scans``, so every later call, by
+    the row or by one derived from it, returns the same columns."""
+
+    @wraps(row)
+    def once(kernel: KernelPass) -> Verdicts:
+        if row not in kernel.scans:
+            kernel.scans[row] = row(kernel)
+        return kernel.scans[row]
+
+    return once
+
+
+def _below(verdicts: Verdicts, stop: np.ndarray) -> Verdicts:
+    """The family's verdicts with t scanned only below stop[i].
+
+    A row's first failure below its stop is its first failure overall, if
+    that lies below the stop, so only holds changes; the witness columns
+    are shared, not copied.
+    """
+    return verdicts._replace(holds=verdicts.holds | (verdicts.t >= stop))
+
+
+@_shared
 def _cdz(kernel: KernelPass) -> Verdicts:
     """Exact realizability test.
 
@@ -106,9 +133,11 @@ def _cdz_reduced(kernel: KernelPass) -> Verdicts:
     """Same inequality family as cdz, scanned only for t <= s.
 
     s = max{i : a[i-1] >= i-1}; any failure of the full family already
-    occurs in this range, so the verdict coincides with cdz.
+    occurs in this range, so the verdict coincides with cdz.  It is read
+    off cdz's scan: a first failure past s would make it hold where cdz
+    fails, which the sweeps count.
     """
-    return _failure_columns(kernel.lhs, kernel.rhs, kernel.s + 1)
+    return _below(_cdz(kernel), kernel.s + 1)
 
 
 def _berge_necessary(kernel: KernelPass) -> Verdicts:
@@ -128,50 +157,67 @@ def _berge_sufficient(kernel: KernelPass) -> Verdicts:
     return _failure_columns(kernel.lhs, kernel.rhs - kernel.deficit_b)
 
 
+# Cells (row, t, m) per compare of the Fulkerson scan; it sets a block's height
+_FULKERSON_BLOCK_CELLS = 2 ** 18
+# Stands for t*m past m = n-t, where no tail length exists: no c(t) + _NO_TAIL
+# exceeds a tail sum
+_NO_TAIL = np.iinfo(np.int64).min // 2
+
+
 def _fulkerson(kernel: KernelPass) -> Verdicts:
     """Tail-sum family quantified over every admissible tail length m.
 
     Holds iff for all t in 0..n and all m in 0..n-t:
         sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
-    Reports the lexicographically smallest failing (t, m): t is scanned
-    while some row holds, and at t the right-hand side over m is one
-    (k, n-t+1) array whose first failing m is a masked argmax.
+    With c(t) = sum(a[:t]) + eps(t) - t(n-1), (t, m) fails iff
+    c(t) + t*m > sum(b[n-m:]).  The (t, m) triangle is scanned in blocks of
+    B consecutive t from t0 on: one 3-D compare of the rows still holding
+    against a (B, n-t0+1) table of t*m, with _NO_TAIL past m = n-t, whose
+    first True in a row's flattened block is the row's lexicographically
+    smallest failing (t, m).  B is _FULKERSON_BLOCK_CELLS over k(n+1), at
+    least 1: a 256-row chunk is one block up to n = 31 and one t per block
+    from n = 512 on, and a single pair one block up to n = 511.  The scan
+    stops once no row holds; it makes O(n^2) compares per row.
     """
     k, width = kernel.lhs.shape
     n = width - 1
     tails = kernel.tail[:, ::-1]  # tails[:, m] = sum(b[n-m:])
-    rows = np.arange(k)
+    t = np.arange(width)
+    c = kernel.lhs + kernel.eps - t * (n - 1)
+    step = max(1, _FULKERSON_BLOCK_CELLS // (max(k, 1) * width))
+    live = np.arange(k)  # the rows of c and tails: those with no failure before t0
     holds = np.ones(k, dtype=bool)
-    t_col, m_col, lhs_col, rhs_col = (np.zeros(k, dtype=np.int64) for _ in range(4))
-    for t in range(width):
-        if not holds.any():
-            break
-        m = np.arange(n - t + 1)
-        rhs = t * (n - m - 1) + tails[:, :n - t + 1] - kernel.eps[:, t, None]
-        lhs = kernel.lhs[:, t]
-        fails = lhs[:, None] > rhs
-        pick = fails.argmax(axis=1)
-        hit = holds & fails[rows, pick]
-        t_col[hit], m_col[hit] = t, pick[hit]
-        lhs_col[hit], rhs_col[hit] = lhs[hit], rhs[rows, pick][hit]
-        holds &= ~hit
-    return Verdicts(holds, t_col, m_col, lhs_col, rhs_col)
+    t_col, m_col = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    for t0 in range(0, width, step):
+        ts, m = t[t0:t0 + step, None], t[:width - t0]
+        table = np.where(m <= n - ts, ts * m, _NO_TAIL)
+        fails = c[:, t0:t0 + step, None] + table > tails[:, None, :width - t0]
+        fails = fails.reshape(len(live), table.size)  # k = 0 takes no -1 here
+        first = fails.argmax(axis=1)
+        hit = fails[np.arange(len(live)), first]
+        found = live[hit]
+        holds[found] = False
+        # first is j*w + m for t = t0 + j, w = n-t0+1, so first + t0*w is t*w + m
+        t_col[found], m_col[found] = np.divmod(first[hit] + t0 * (width - t0), width - t0)
+        if len(found) and t0 + step < width:
+            live, c, tails = live[~hit], c[~hit], tails[~hit]
+            if not len(live):
+                break
+    rows = np.arange(k)
+    rhs = t_col * (n - m_col - 1) + kernel.tail[rows, n - m_col] - kernel.eps[rows, t_col]
+    return Verdicts(holds, t_col, m_col, kernel.lhs[rows, t_col], rhs)
 
 
-def _bollobas_rhs(kernel: KernelPass) -> np.ndarray:
-    """Bollobas's right-hand side, t(t-1) + sum(b[t:]) - D_a(t) - eps(t),
-    as sum(min(a[i], t-1) for i < t) = t(t-1) - D_a(t)."""
-    t = np.arange(kernel.lhs.shape[1])
-    return t * (t - 1) + kernel.tail - kernel.deficit_a - kernel.eps
-
-
+@_shared
 def _bollobas(kernel: KernelPass) -> Verdicts:
     """Clipped-lower-bound family.
 
     Holds iff for every t in 0..n:
         sum(a[:t]) <= sum(b[t:]) + sum(min(a[i], t-1) for i < t) - eps(t).
+    The clipped sum is t(t-1) - D_a(t).
     """
-    return _failure_columns(kernel.lhs, _bollobas_rhs(kernel))
+    t = np.arange(kernel.lhs.shape[1])
+    return _failure_columns(kernel.lhs, t * (t - 1) + kernel.tail - kernel.deficit_a - kernel.eps)
 
 
 def _grunbaum(kernel: KernelPass) -> Verdicts:
@@ -180,9 +226,12 @@ def _grunbaum(kernel: KernelPass) -> Verdicts:
     Holds iff for every t in 0..n:
         sum(max(t-1, a[i]) for i < t) <= t(t-1) + sum(b[t:]) - eps(t).
     As max(t-1, x) = t-1 + x - min(x, t-1), this is Bollobas's family with
-    D_a(t) added to both sides.
+    D_a(t) added to both sides, which changes no comparison; so it is
+    Bollobas's scan with D_a added to both sides of each witness.
     """
-    return _failure_columns(kernel.lhs + kernel.deficit_a, _bollobas_rhs(kernel) + kernel.deficit_a)
+    bollobas = _bollobas(kernel)
+    raised = kernel.deficit_a[np.arange(len(kernel.lhs)), bollobas.t]
+    return bollobas._replace(lhs=bollobas.lhs + raised, rhs=bollobas.rhs + raised)
 
 
 def _hasselbarth(kernel: KernelPass) -> Verdicts:
@@ -192,9 +241,10 @@ def _hasselbarth(kernel: KernelPass) -> Verdicts:
     0..s-1, where conj is the Ferrers conjugate and s = max{i : a[i-1] >= i-1}.
     That rhs is rhs(t) - D_b(t) - #{k < t : b[k] < t}, and for t < s every
     b[k] with k < t is at least a[s-1] >= s-1 >= t, so both corrections
-    vanish: this is the CDZ family over t <= s-1, one short of cdz_reduced.
+    vanish: this is the CDZ family over t <= s-1, one short of cdz_reduced,
+    and it is read off cdz's scan.
     """
-    return _failure_columns(kernel.lhs, kernel.rhs, kernel.s)
+    return _below(_cdz(kernel), kernel.s)
 
 
 def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:

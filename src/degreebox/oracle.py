@@ -39,9 +39,9 @@ from .sequences import IntervalSequencePair, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
 # The sweep's chunk sets this limit, not the draw: at n = 2000 one
-# SWEEP_CHUNK-row chunk takes about 0.25 s in its kernel pass and 2.5 to 2.9 s
-# in the O(n^2) Fulkerson row on 2 cores, and peaks at 224 MB RSS; the pass's
-# memory grows with k * n
+# SWEEP_CHUNK-row chunk takes about 0.1 s in its kernel pass and 1.15 to 1.25 s
+# in the O(n^2) Fulkerson row on 2 cores, and the sweep peaks at 172 MB RSS;
+# the pass's memory grows with k * n
 MAX_SAMPLE_N = 2000
 # A sample holds at most this many cells (instances times n), counted
 # before the draw: its ranks or cell rows are held whole.  Drawn and

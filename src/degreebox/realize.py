@@ -93,10 +93,19 @@ class SimpleGraph:
 def _pieces(fmt: str, n: int) -> np.ndarray:
     """fmt.format(i) for the labels i = 1..n as NUL-padded bytes, widened to a multiple of 8.
 
-    The last piece, with the most digits, is the widest.
+    The last piece, with the most digits, is the widest.  The table is one
+    (n, width) byte array: the prefix, each label NUL-padded to the digits
+    of n, and the suffix, so a shorter label keeps NULs inside its piece,
+    which the writers' ``translate`` drops with the padding.
     """
-    pieces = list(map(fmt.format, range(1, n + 1)))
-    return np.array(pieces, dtype=f"S{-(-len(pieces[-1]) // 8) * 8}")
+    prefix, suffix = (np.frombuffer(part.encode(), np.uint8) for part in fmt.split("{}"))
+    digits = len(str(n))
+    end = len(prefix) + digits
+    table = np.zeros((n, -(-(end + len(suffix)) // 8) * 8), dtype=np.uint8)
+    table[:, :len(prefix)] = prefix
+    table[:, len(prefix):end] = np.arange(1, n + 1).astype(f"S{digits}").view(np.uint8).reshape(n, digits)
+    table[:, end:end + len(suffix)] = suffix
+    return table.view(f"S{table.shape[1]}").ravel()
 
 
 def _take_largest(buckets: list[list[int]], top: int, nbrs: list[int]) -> bool:

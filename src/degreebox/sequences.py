@@ -43,10 +43,14 @@ class KernelPass:
     when row i is in good order.  Every criterion is read off these columns.
     ``kernel_pass`` builds lhs, rhs, eps and tail, all the exact decision
     reads; D_a and D_b are built together, and s alone, on first read.
+    ``scans`` holds the criterion scans that other rows derive from, by
+    row, each made on its first read (``criteria``); nobody writes their
+    columns.
     """
 
     def __init__(self, a, b, lhs, rhs, eps, tail):
         self.a, self.b, self.lhs, self.rhs, self.eps, self.tail = a, b, lhs, rhs, eps, tail
+        self.scans = {}
 
     @cached_property
     def _deficits(self) -> np.ndarray:
@@ -176,13 +180,16 @@ class NormalizedInstance(_Record):
 
     ``perm[i]`` is the original position of normalized position i, so
     ``original_a[perm[i]] == pair.a[i]`` (and likewise for b).  An instance
-    ``normalize_good_order`` builds keeps the sort order as an array and
-    makes ``perm``, a tuple of Python ints, on first read.
+    built directly keeps the perm it was given as a tuple (an array's
+    through ``tolist``); one ``normalize_good_order`` builds keeps the sort
+    order as an array and makes ``perm``, a tuple of Python ints, on first
+    read.  Either way equality and hashing compare tuples.
     """
 
     _fields = ("pair", "perm")
 
     def __init__(self, pair: IntervalSequencePair, perm: Sequence[int]):
+        perm = tuple(perm.tolist() if isinstance(perm, np.ndarray) else perm)
         vars(self).update(pair=pair, perm=perm)
 
     @classmethod

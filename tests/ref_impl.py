@@ -5,9 +5,10 @@ plain comprehensions, deliberately avoiding the package's prefix-sum
 bookkeeping, so a bug in the implementation cannot hide in the tests.
 Only ``kernel_berge_rows`` reads the package: it reads Berge sequences
 off the kernel pass, so that checking them against ``ref_berge`` tests
-the pass's columns.  ``ref_cdz_stream`` reads the scalar CDZ stream
-``_cdz_terms`` below, an O(n) scan over threshold histograms that shares
-no code with that pass.
+the pass's columns.  ``batch_fulkerson`` scans a given pass's columns
+one t at a time, the batch reference to the blocked Fulkerson row.
+``ref_cdz_stream`` reads the scalar CDZ stream ``_cdz_terms`` below, an
+O(n) scan over threshold histograms that shares no code with that pass.
 """
 
 import itertools
@@ -243,6 +244,35 @@ def smallest_failure(name, pair):
         if lhs > rhs:
             return t, None, lhs, rhs
     return None
+
+
+def batch_fulkerson(kernel):
+    """The Fulkerson row's verdict columns by a scan of one t at a time.
+
+    At each t the right-hand sides over every tail length m are one
+    (k, n-t+1) array, and a row's first failing m is a masked argmax; t
+    advances while some row holds.  It shares no block logic with the
+    package's row, which scans many t at once.
+    """
+    k, width = kernel.lhs.shape
+    n = width - 1
+    tails = kernel.tail[:, ::-1]  # tails[:, m] = sum(b[n-m:])
+    rows = np.arange(k)
+    holds = np.ones(k, dtype=bool)
+    t_col, m_col, lhs_col, rhs_col = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    for t in range(width):
+        if not holds.any():
+            break
+        m = np.arange(n - t + 1)
+        rhs = t * (n - m - 1) + tails[:, :n - t + 1] - kernel.eps[:, t, None]
+        lhs = kernel.lhs[:, t]
+        fails = lhs[:, None] > rhs
+        pick = fails.argmax(axis=1)
+        hit = holds & fails[rows, pick]
+        t_col[hit], m_col[hit] = t, pick[hit]
+        lhs_col[hit], rhs_col[hit] = lhs[hit], rhs[rows, pick][hit]
+        holds &= ~hit
+    return holds, t_col, m_col, lhs_col, rhs_col
 
 
 def ref_erdos_gallai_failure(d):

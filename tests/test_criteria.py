@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ref_impl
+from degreebox import criteria
 from degreebox.criteria import (
     CHECKERS,
     CRITERIA,
@@ -23,7 +24,7 @@ from degreebox.criteria import (
     criteria_report,
 )
 from degreebox.errors import NegativeEntry, NonIntegerEntry, NotGoodOrder, NotNonIncreasing
-from degreebox.oracle import enumerate_instances
+from degreebox.oracle import _chunks, enumerate_instances
 from degreebox.realize import _cdz_holds
 from degreebox.sequences import IntervalSequencePair, kernel_pass, normalize_good_order
 
@@ -307,6 +308,94 @@ def test_rows_on_tiny_and_empty_batches(n):
     empty = kernel_pass(np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64))
     for row in CRITERIA.values():
         assert row.check(empty).holds.shape == (0,)
+
+
+def _full_head_box(rng, n):
+    """A random_box with its first h cells pinned to degree n-1 and every
+    other upper bound capped below h, in input order: no vertex past the
+    head reaches every head vertex, so the Fulkerson family fails, at a t
+    near h unless parity fails it earlier."""
+    h = rng.randint(1, n - 1)
+    a, b = ref_impl.random_box(rng, n)
+    b = [n - 1] * h + [min(x, h - 1) for x in b[h:]]
+    a = [n - 1] * h + [min(x, y) for x, y in zip(a[h:], b[h:])]
+    return a, b
+
+
+def test_fulkerson_blocks_match_per_t_scan():
+    """The blocked triangle scan against the per-t batch scan
+    ``ref_impl.batch_fulkerson``: every column on every failing row, on
+    batches whose scan takes several blocks, where a 256-row chunk up to
+    n = 31, and the per-pair checks of the other tests, take one.  At
+    n = 100 and k = 256 a block is ten t high, at n = 2000 and k = 8
+    sixteen, and one n = 700 pair takes two blocks; half of each batch are
+    full-head boxes, and each batch has failures past its first block.  A
+    batch of no pairs holds nothing."""
+    rng = random.Random(20261019)
+    batches = [[_full_head_box(rng, 100) if i % 2 else ref_impl.random_box(rng, 100)
+                for i in range(256)],
+               [_full_head_box(rng, 2000) if i % 2 else ref_impl.random_box(rng, 2000)
+                for i in range(8)],
+               # 500 cells (699, 699), 200 loose (0, 499): the first failure is past t = 373
+               [([699] * 500 + [0] * 200, [699] * 500 + [499] * 200)]]
+    for boxes in batches:
+        rows = [normalize_good_order(a, b).pair._rows for a, b in boxes]
+        kernel = kernel_pass(*(np.concatenate(column) for column in zip(*rows)))
+        k, width = kernel.lhs.shape
+        verdicts = CRITERIA["fulkerson"].check(kernel)
+        holds, *columns = ref_impl.batch_fulkerson(kernel)
+        assert np.array_equal(verdicts.holds, holds)
+        for got, expected in zip(verdicts[1:], columns):
+            assert np.array_equal(got[~holds], expected[~holds])
+        first_block = criteria._FULKERSON_BLOCK_CELLS // (k * width)
+        assert (verdicts.t[~holds] >= first_block).any(), (k, width)
+        assert holds.any() or k == 1
+    empty = kernel_pass(np.zeros((0, 9), dtype=np.int64), np.zeros((0, 9), dtype=np.int64))
+    assert all(column.shape == (0,) for column in CRITERIA["fulkerson"].check(empty))
+
+
+def _masked_scan(lhs, rhs, stop=None):
+    """(holds, t, lhs, rhs) of each row's smallest t (below stop, if given)
+    with lhs > rhs, scanned directly."""
+    fails = lhs > rhs
+    if stop is not None:
+        fails &= np.arange(lhs.shape[1]) < stop[:, None]
+    rows = np.arange(len(fails))
+    t = fails.argmax(axis=1)
+    return ~fails[rows, t], t, lhs[rows, t], rhs[rows, t]
+
+
+def test_derived_rows_match_direct_scans():
+    """cdz_reduced and hasselbarth, read off cdz's scan, and grunbaum, read
+    off bollobas's, against their own masked scans of the kernel columns:
+    every instance with n <= 5 and seeded samples at n = 7 to 60.  The
+    shared scans are left as a fresh pass makes them."""
+    kernels = [kernel_pass(*chunk) for n in range(6) for chunk in _chunks(n)]
+    kernels += [kernel_pass(*chunk) for n in (7, 9, 12, 20, 35, 60)
+                for chunk in _chunks(n, 512, n)]
+    seen = {name: set() for name in ("cdz_reduced", "hasselbarth", "grunbaum")}
+    for kernel in kernels:
+        t = np.arange(kernel.lhs.shape[1])
+        bollobas_rhs = t * (t - 1) + kernel.tail - kernel.deficit_a - kernel.eps
+        direct = {
+            "cdz_reduced": _masked_scan(kernel.lhs, kernel.rhs, kernel.s + 1),
+            "hasselbarth": _masked_scan(kernel.lhs, kernel.rhs, kernel.s),
+            "grunbaum": _masked_scan(kernel.lhs + kernel.deficit_a,
+                                     bollobas_rhs + kernel.deficit_a),
+        }
+        verdicts = {name: CRITERIA[name].check(kernel) for name in CRITERIA}
+        for name, (holds, *columns) in direct.items():
+            got = verdicts[name]
+            assert np.array_equal(got.holds, holds), name
+            for column, expected in zip((got.t, got.lhs, got.rhs), columns):
+                assert np.array_equal(column[~holds], expected[~holds]), name
+            seen[name] |= set(holds.tolist())
+        fresh = kernel_pass(kernel.a, kernel.b)
+        for name in ("cdz", "bollobas"):
+            again = CRITERIA[name].check(fresh)
+            assert all(np.array_equal(x, y) for x, y in zip(verdicts[name], again)
+                       if x is not None), name
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
 
 def test_direct_pair_matches_normalized_pair():

@@ -505,6 +505,18 @@ def test_normalized_pair_builds_tuples_on_demand():
         norm.perm = ref_perm
 
 
+def test_direct_instance_holds_perm_as_a_tuple():
+    """An instance built from a list or array perm compares, hashes and
+    shows as the normalized instance with the same perm."""
+    norm = normalize_good_order((1, 0), (1, 1))
+    for perm in ([0, 1], (0, 1), np.array([0, 1])):
+        instance = NormalizedInstance(norm.pair, perm)
+        assert instance == norm and norm == instance and hash(instance) == hash(norm)
+        assert type(instance.perm) is tuple and all(type(i) is int for i in instance.perm)
+        assert repr(instance) == repr(norm)
+    assert NormalizedInstance(norm.pair, [1, 0]) != norm
+
+
 def test_direct_pair_holds_tuples_of_python_ints():
     """A pair built from lists or arrays compares, hashes and shows as the
     normalized pair; its entry checks still wait for first use."""
