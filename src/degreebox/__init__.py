@@ -15,7 +15,6 @@ from .criteria import (
     check_bollobas,
     check_cdz,
     check_cdz_reduced,
-    check_erdos_gallai_fixed,
     check_fulkerson,
     check_grunbaum,
     check_hasselbarth,
@@ -30,7 +29,6 @@ from .errors import (
     NegativeEntry,
     NonIntegerEntry,
     NotGoodOrder,
-    NotNonIncreasing,
     TooLarge,
     UnknownCriterion,
     UpperExceedsMaxDegree,

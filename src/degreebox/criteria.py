@@ -16,8 +16,8 @@ evaluate each row over a chunk of instances at once.  The per-pair
 checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``) are
 the k = 1 view of the rows, read off the pair's cached
 ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
-and ``criteria_report`` on one pair share one pass;
-``check_erdos_gallai_fixed`` reads the pass on the point box (d; d).
+and ``criteria_report`` on one pair share one pass.  On a point box
+(d; d), ``check_cdz`` decides whether the fixed sequence d is graphic.
 Verdicts are reproducible and can be re-verified by direct evaluation.
 Checkers never re-sort their input; callers normalize first.
 
@@ -29,19 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sequences import (
-    IntervalSequencePair,
-    KernelPass,
-    _check_nonnegative,
-    _require_integers,
-    _row_histogram,
-    kernel_pass,
-    require_non_increasing,
-)
+from .sequences import IntervalSequencePair, KernelPass, _row_histogram
 
 
 @dataclass(frozen=True)
@@ -245,32 +237,6 @@ def _hasselbarth(kernel: KernelPass) -> Verdicts:
     and it is read off cdz's scan.
     """
     return _below(_cdz(kernel), kernel.s)
-
-
-def check_erdos_gallai_fixed(d: Sequence[int]) -> CriterionVerdict:
-    """Classical graphicality test for a fixed non-increasing sequence.
-
-    Holds iff sum(d) is even and for every k in 1..n:
-        sum(d[:k]) <= k(k-1) + sum(min(d[j], k) for j >= k).
-    An odd total is reported as witness_t = 0 with lhs 0, rhs -1,
-    mirroring how the parity correction sinks the t = 0 inequality of
-    check_cdz, so witness re-verification stays uniform.  The scan is the
-    kernel pass on the point box (d; d), parity correction added back
-    (its k = 0 term is 0 <= 0).  A d[0] past n-1 fails at k = 1, against
-    the count of other positive entries, before the pass sees it.  An entry
-    that is not an integer raises NonIntegerEntry; a numpy integer array
-    gives the verdict of the equal tuple.
-    """
-    _require_integers(d, "sequence")
-    require_non_increasing(d)
-    _check_nonnegative(d, "sequence")
-    if sum(d) % 2 == 1:
-        return CriterionVerdict(False, witness_t=0, lhs=0, rhs=-1)
-    if len(d) and d[0] > len(d) - 1:
-        rhs = int(sum(x > 0 for x in d[1:]))
-        return CriterionVerdict(False, witness_t=1, lhs=int(d[0]), rhs=rhs)
-    kernel = kernel_pass([d], [d])
-    return _failure_columns(kernel.lhs, kernel.rhs + kernel.eps).verdict(0)
 
 
 def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

@@ -29,10 +29,6 @@ class UpperExceedsMaxDegree(InputError):
     """Some upper bound of a pair built directly exceeds n-1; normalize_good_order clamps it."""
 
 
-class NotNonIncreasing(InputError):
-    """The operation requires a non-increasing sequence."""
-
-
 class NotGoodOrder(InputError):
     """The operation requires a bound pair in good order."""
 

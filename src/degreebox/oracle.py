@@ -175,11 +175,6 @@ def _cell_bounds(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     return n - 1 - k, n - 1 - x + k * (k + 1) // 2
 
 
-def _pair_of_row(lows: np.ndarray, highs: np.ndarray, i: int) -> IntervalSequencePair:
-    """The pair in row i of a chunk's bound arrays."""
-    return IntervalSequencePair(tuple(lows[i].tolist()), tuple(highs[i].tolist()))
-
-
 def instance_space_size(n: int) -> int:
     """Number of good-ordered pairs on n vertices: multisets of bound cells."""
     if n <= 0:
@@ -431,8 +426,8 @@ def cross_validate(
                 name, arrow = "cdz_reduced", "reduced-vs-full"
             else:
                 name, arrow = names[row - 1], "necessity" if realizable[i] else "sufficiency"
-            report.violations.append(_violation(
-                index + i, _pair_of_row(lows, highs, i), name, arrow, verdicts[name].verdict(i)))
+            pair = IntervalSequencePair(lows[i], highs[i])
+            report.violations.append(_violation(index + i, pair, name, arrow, verdicts[name].verdict(i)))
         index += len(lows)
     report.instance_count = index
     report.elapsed = time.perf_counter() - start
@@ -544,7 +539,8 @@ def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> Impl
             if cases.any():
                 counts[(x, y)] += int(cases.sum())
                 if (x, y) not in examples:
-                    examples[(x, y)] = _pair_of_row(lows, highs, int(cases.argmax()))
+                    i = int(cases.argmax())
+                    examples[(x, y)] = IntervalSequencePair(lows[i], highs[i])
     return ImplicationMatrix(
         criteria=names, instance_count=total, counts=counts, examples=examples
     )

@@ -23,7 +23,8 @@ from .sequences import IntervalSequencePair, require_good_order
 class SimpleGraph:
     """Undirected graph on vertices 0..n-1, held as two int64 edge columns.
 
-    ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given.  A
+    ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given; u and
+    v must be 1-D and of one length, or it raises LengthMismatch.  A
     witness has u < v in every row and its rows in (u, v) order, so the
     writers read the columns as they are: degrees are two bincounts and
     each writer two gathers from per-label byte tables, O(n + m).
@@ -36,6 +37,8 @@ class SimpleGraph:
     def __init__(self, n: int, u, v):
         self.n, self._edges = n, None
         self.u, self.v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+        if self.u.ndim != 1 or self.u.shape != self.v.shape:
+            raise LengthMismatch(f"edge columns have shapes {self.u.shape} and {self.v.shape}")
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

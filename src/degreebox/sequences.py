@@ -27,7 +27,6 @@ from .errors import (
     NegativeEntry,
     NonIntegerEntry,
     NotGoodOrder,
-    NotNonIncreasing,
     UpperExceedsMaxDegree,
 )
 
@@ -203,18 +202,6 @@ class NormalizedInstance(_Record):
         return tuple(self._order.tolist())
 
 
-def _check_nonnegative(seq: Sequence[int], name: str) -> None:
-    for x in seq:
-        if x < 0:
-            raise NegativeEntry(f"{name} contains negative entry {x}")
-
-
-def require_non_increasing(seq: Sequence[int]) -> None:
-    for i in range(len(seq) - 1):
-        if seq[i] < seq[i + 1]:
-            raise NotNonIncreasing(f"entry {i + 1} increases: {seq[i]} < {seq[i + 1]}")
-
-
 def _int64_column(seq: Sequence[int]) -> np.ndarray:
     """seq as an int64 array; a Python int beyond int64 saturates to its range.
 
@@ -230,11 +217,21 @@ def _int64_column(seq: Sequence[int]) -> np.ndarray:
 
 def _require_integers(seq: Sequence[int], name: str) -> None:
     """Raise NonIntegerEntry, naming the first, unless every entry of seq is
-    an integer.  An int plus a float is a float and a str raises, so one
-    sum decides the usual case; only a failure (or a numpy integer that
-    cannot take a Python int past its range) scans for the entry."""
+    an integer.  An integer array passes at once.  Otherwise an int plus a
+    float is a float and a str raises, so one sum decides the usual case;
+    only a failure (or a numpy integer that cannot take a Python int past
+    its range) scans for the entry.  numpy integers add in their own
+    width, so a sequence that opens with a numpy scalar is summed with
+    overflow ignored, which would otherwise warn."""
+    if isinstance(seq, np.ndarray) and seq.dtype.kind in "biu":
+        return
     try:
-        if isinstance(sum(seq), numbers.Integral):
+        if len(seq) and isinstance(seq[0], np.generic):
+            with np.errstate(over="ignore"):
+                total = sum(seq)
+        else:
+            total = sum(seq)
+        if isinstance(total, numbers.Integral):
             return
     except (TypeError, OverflowError):
         pass
@@ -280,14 +277,10 @@ def _good_order_rows(a, b) -> np.ndarray:
     return (key[:, 1:] <= key[:, :-1]).all(axis=1)
 
 
-def _require_good_order_rows(a, b) -> None:
-    if not _good_order_rows(a, b).all():
-        raise NotGoodOrder("bound pair is not in good order; normalize first")
-
-
 def require_good_order(pair: IntervalSequencePair) -> None:
     """Raise unless the pair's checked rows are in good order."""
-    _require_good_order_rows(*pair._rows)
+    if not _good_order_rows(*pair._rows).all():
+        raise NotGoodOrder("bound pair is not in good order; normalize first")
 
 
 def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstance:

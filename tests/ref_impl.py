@@ -278,7 +278,8 @@ def batch_fulkerson(kernel):
 def ref_erdos_gallai_failure(d):
     """Smallest failing (k, lhs, rhs) of the Erdos-Gallai scan; None if graphic.
 
-    An odd total fails as (0, 0, -1), the form check_erdos_gallai_fixed reports.
+    An odd total fails as (0, 0, -1), the form check_cdz reports for it on
+    the point box (d; d).
     """
     n = len(d)
     if sum(d) % 2:

@@ -22,8 +22,8 @@ from degreebox.criteria import (
     CRITERIA,
     _lifted,
     check_cdz,
-    check_erdos_gallai_fixed,
 )
+from degreebox.errors import LowerExceedsMaxDegree
 from degreebox.oracle import (
     cross_validate,
     enumerate_instances,
@@ -168,12 +168,19 @@ def test_a5_witness_soundness_and_completeness(sweep):
     for n in range(1, 9):
         for d in itertools.combinations_with_replacement(range(7, -1, -1), n):
             columns = _havel_hakimi(d, range(n))
-            assert (columns is not None) == check_erdos_gallai_fixed(d).holds, d
+            graphic = ref_impl.ref_erdos_gallai(d)
+            assert (columns is not None) == graphic, d
+            if d[0] > n - 1:
+                assert not graphic, d
+                with pytest.raises(LowerExceedsMaxDegree):
+                    normalize_good_order(d, d)
+            else:
+                assert check_cdz(normalize_good_order(d, d).pair).holds == graphic, d
             if columns is not None:
                 assert SimpleGraph(n, *columns).degrees() == d
             checked += 1
     assert checked == 12869
-    announce("5 (realize iff oracle on n<=5; Havel-Hakimi = Erdos-Gallai, n<=8)")
+    announce("5 (realize iff oracle on n<=5; Havel-Hakimi = Erdos-Gallai = point-box CDZ, n<=8)")
 
 
 def test_a6_necessity_arrows(sweep):

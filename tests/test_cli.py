@@ -392,11 +392,10 @@ def test_readme_cli_examples_run(line, capsys):
 
 PUBLIC_NAMES = (
     "CriteriaReport", "CriterionVerdict", "check_berge_necessary", "check_berge_sufficient",
-    "check_bollobas", "check_cdz", "check_cdz_reduced", "check_erdos_gallai_fixed",
-    "check_fulkerson", "check_grunbaum", "check_hasselbarth", "check_ryser_interval",
+    "check_bollobas", "check_cdz", "check_cdz_reduced", "check_fulkerson", "check_grunbaum", "check_hasselbarth", "check_ryser_interval",
     "criteria_report",
     "InputError", "LengthMismatch", "LowerExceedsMaxDegree", "LowerExceedsUpper",
-    "NegativeEntry", "NonIntegerEntry", "NotGoodOrder", "NotNonIncreasing", "TooLarge",
+    "NegativeEntry", "NonIntegerEntry", "NotGoodOrder", "TooLarge",
     "UnknownCriterion", "UpperExceedsMaxDegree",
     "cross_validate", "enumerate_instances", "implication_matrix", "instance_space_size",
     "oracle_realizable", "sample_instances",

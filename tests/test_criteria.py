@@ -16,14 +16,13 @@ from degreebox.criteria import (
     check_bollobas,
     check_cdz,
     check_cdz_reduced,
-    check_erdos_gallai_fixed,
     check_fulkerson,
     check_grunbaum,
     check_hasselbarth,
     check_ryser_interval,
     criteria_report,
 )
-from degreebox.errors import NegativeEntry, NonIntegerEntry, NotGoodOrder, NotNonIncreasing
+from degreebox.errors import LowerExceedsMaxDegree, NotGoodOrder
 from degreebox.oracle import _chunks, enumerate_instances
 from degreebox.realize import _cdz_holds
 from degreebox.sequences import IntervalSequencePair, kernel_pass, normalize_good_order
@@ -156,47 +155,18 @@ class TestHasselbarth:
 
 
 class TestErdosGallaiFixed:
+    """Fixed-sequence graphicality is check_cdz on the point box (d; d)."""
+
     def test_counterexample_upper_not_graphic(self):
-        v = check_erdos_gallai_fixed((5, 5, 3, 3, 3, 1))
-        assert (v.witness_t, v.lhs, v.rhs) == (2, 10, 9)
+        v = check_cdz(fixed((5, 5, 3, 3, 3, 1)))
+        assert (v.witness_t, v.lhs, v.rhs) == (2, 10, 8)
 
     def test_odd_sum(self):
-        v = check_erdos_gallai_fixed((4, 2, 2, 2, 1))
+        v = check_cdz(fixed((4, 2, 2, 2, 1)))
         assert (v.witness_t, v.lhs, v.rhs) == (0, 0, -1)
 
     def test_triangle(self):
-        assert check_erdos_gallai_fixed((2, 2, 2)).holds
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(NotNonIncreasing):
-            check_erdos_gallai_fixed((1, 2))
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(NegativeEntry):
-            check_erdos_gallai_fixed((1, 0, -1))
-
-    def test_oversized_entry_fails_at_one(self):
-        v = check_erdos_gallai_fixed((5, 1, 1, 1))
-        assert (v.witness_t, v.lhs, v.rhs) == (1, 5, 3)
-
-    @pytest.mark.parametrize("d, rhs", [((2**70, 1, 1), 2), ((2**63, 2**63), 1)])
-    def test_entry_past_int64_fails_at_one(self, d, rhs):
-        """An even total with d[0] past int64 fails at k = 1, exactly."""
-        v = check_erdos_gallai_fixed(d)
-        assert (v.holds, v.witness_t, v.lhs, v.rhs) == (False, 1, d[0], rhs)
-
-    @pytest.mark.parametrize("d", [(0.9, 0.9, 0.2), (1.5, 0.5), ("1", "1")])
-    def test_rejects_non_integer_entry(self, d):
-        with pytest.raises(NonIntegerEntry) as exc:
-            check_erdos_gallai_fixed(d)
-        assert str(exc.value) == f"sequence[0] = {d[0]!r} is not an integer"
-
-    @pytest.mark.parametrize("d", [
-        (2, 2, 2), (5, 5, 3, 3, 3, 1), (5, 1, 1, 1), (3, 3, 1, 1), ()])
-    def test_numpy_array_gives_the_tuple_verdict(self, d):
-        v = check_erdos_gallai_fixed(np.array(d, dtype=np.int64))
-        assert v == check_erdos_gallai_fixed(d)
-        assert all(type(x) in (int, type(None)) for x in (v.witness_t, v.lhs, v.rhs))
+        assert check_cdz(fixed((2, 2, 2))).holds
 
 
 class TestCriteriaReport:
@@ -447,11 +417,41 @@ def test_failure_witnesses_reverify():
             assert (lhs, rhs) == (v.lhs, v.rhs)
 
 
+def point_box_verdict(d):
+    """check_cdz on the point box (d; d), checked against the plain
+    Erdos-Gallai scan of d sorted; None when an entry exceeds n-1.
+
+    The verdicts agree, and a failing witness re-evaluates as CDZ's own
+    inequality; it need not be the scan's, whose rhs lacks eps(t).  An
+    entry past n-1 is rejected as a lower bound, and the scan calls d not
+    graphic.
+    """
+    graphic = ref_impl.ref_erdos_gallai(sorted(d, reverse=True))
+    if any(x > len(d) - 1 for x in d):
+        assert not graphic, d
+        with pytest.raises(LowerExceedsMaxDegree):
+            fixed(d)
+        return None
+    pair = fixed(d)
+    verdict = check_cdz(pair)
+    assert verdict.holds == graphic, d
+    if not verdict.holds:
+        lhs, rhs = ref_impl.eval_at("cdz", pair, verdict.witness_t)
+        assert (lhs, rhs) == (verdict.lhs, verdict.rhs) and lhs > rhs, d
+    return verdict
+
+
 def test_cdz_with_degenerate_box_matches_erdos_gallai():
-    """Fixed-sequence realizability: the parity mechanism covers the even sum."""
+    """Fixed-sequence realizability: the parity mechanism covers the even
+    sum.  Every d in range(n)^n, in any order, up to n = 5, so the point
+    box is normalized too, and the non-increasing d at n = 6."""
     for n in range(1, 7):
-        for d in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
-            assert check_cdz(fixed(d)).holds == check_erdos_gallai_fixed(d).holds, d
+        if n <= 5:
+            sequences = itertools.product(range(n), repeat=n)
+        else:
+            sequences = itertools.combinations_with_replacement(range(n - 1, -1, -1), n)
+        for d in sequences:
+            point_box_verdict(d)
 
 
 def _ref_fulkerson_exists(pair):
@@ -625,7 +625,7 @@ def test_head_deficit_families_match_plain_scan_to_n_300():
 
 
 def test_erdos_gallai_linear_scan_matches_reference():
-    """Verdicts and smallest witnesses against the plain scan, n up to 300.
+    """check_cdz on point boxes against the plain scan, n up to 300.
 
     Sequences are G(n, p) degree vectors (graphic), the same with two
     entries raised by one (even total, often not graphic), and uniform
@@ -647,13 +647,9 @@ def test_erdos_gallai_linear_scan_matches_reference():
             if k % 3 == 2 and n >= 2:
                 for i in rng.sample(range(n), 2):
                     d[i] += 1
-        d = tuple(sorted(d, reverse=True))
-        verdict = check_erdos_gallai_fixed(d)
-        expected = ref_impl.ref_erdos_gallai_failure(d)
-        if expected is None:
-            assert verdict.holds, d
+        verdict = point_box_verdict(d)
+        if verdict is None:
+            witnesses.add("past n-1")
         else:
-            assert (verdict.holds, verdict.witness_t, verdict.lhs, verdict.rhs) == (
-                False, *expected), d
-        witnesses.add(None if verdict.holds else min(verdict.witness_t, 2))
-    assert witnesses == {None, 0, 1, 2}
+            witnesses.add(None if verdict.holds else min(verdict.witness_t, 2))
+    assert witnesses == {None, 0, 1, 2, "past n-1"}

@@ -14,7 +14,6 @@ from degreebox.criteria import (
     CriterionVerdict,
     _lifted,
     check_cdz,
-    check_erdos_gallai_fixed,
     check_ryser_interval,
 )
 from degreebox.errors import InputError, LengthMismatch
@@ -59,7 +58,7 @@ class TestHavelHakimi:
         for n in range(1, 7):
             for d in non_increasing_sequences(n, n - 1):
                 columns = _havel_hakimi(d, range(n))
-                assert (columns is not None) == check_erdos_gallai_fixed(d).holds, d
+                assert (columns is not None) == ref_impl.ref_erdos_gallai(d), d
                 if columns is not None:
                     u, v = columns
                     assert set(zip(u.tolist(), v.tolist())) == ref_impl.ref_havel_hakimi(
@@ -252,6 +251,13 @@ class TestVerifyWitness:
     def test_graph_size_must_match_bounds(self):
         with pytest.raises(LengthMismatch):
             verify_witness(SimpleGraph(3, [], []), (0, 0), (1, 1))
+
+    @pytest.mark.parametrize("u, v", [([0, 1], [2]), ([0], [1, 2]), ([[0], [1]], [[2], [2]]), (0, 1)])
+    def test_edge_columns_must_be_rows_of_one_length(self, u, v):
+        """Columns of different lengths would count 2 + 1 endpoints, and
+        the writers would broadcast the shorter one."""
+        with pytest.raises(LengthMismatch):
+            SimpleGraph(3, u, v)
 
     # each rejected graph has every degree inside the box, so only its shape fails
     def test_rejects_reversed_pair(self):

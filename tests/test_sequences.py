@@ -107,6 +107,17 @@ class TestValidateAndClamp:
         norm = normalize_good_order((True, np.int64(0), np.True_), (2**64, np.uint8(1), 1))
         assert (norm.pair.a, norm.pair.b, norm.perm) == ((1, 1, 0), (2, 1, 1), (0, 2, 1))
 
+    @pytest.mark.parametrize("wrap", [np.asarray, list])
+    def test_numpy_integers_whose_sum_overflows(self, wrap):
+        """An int64 array, or a list of numpy integers, whose total passes
+        int64 gets the bound checks' verdict, with no overflow warning."""
+        big = wrap(np.full(3, 2**62))
+        with pytest.raises(LowerExceedsMaxDegree, match=rf"^a\[0\] = {2**62} exceeds n-1 = 2$"):
+            normalize_good_order(big, big)
+        assert normalize_good_order([0, 0, 0], big).pair.b == (2, 2, 2)
+        small = wrap(np.full(3, 100, dtype=np.int8))
+        assert normalize_good_order([0, 0, 0], small).pair.b == (2, 2, 2)
+
 
 class TestGoodOrder:
     """The good-order row mask, on one row at a time."""
