@@ -30,7 +30,6 @@ from .errors import (
     NonIntegerEntry,
     NotGoodOrder,
     TooLarge,
-    UnknownCriterion,
     UpperExceedsMaxDegree,
 )
 from .oracle import (

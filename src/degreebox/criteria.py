@@ -243,13 +243,13 @@ def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     """Row i: some 0-1 matrix has row sums demand[i] and column sums at most supply[i].
 
     By Gale (1957) and Ryser (1957) that holds iff for every k the k
-    largest demands sum to at most sum(min(k, s) for s in supply[i]).  One
-    sort of each row's demands gives the left sides, and a histogram of
-    its supplies (capped at the number of demands) the right sides, as
-    rhs(k + 1) = rhs(k) + #{s > k}.
+    largest demands sum to at most sum(min(k, s) for s in supply[i]).
+    Each row of demand must be non-increasing, so its prefix sums are the
+    left sides; a histogram of its supplies (capped at the number of
+    demands) gives the right sides, as rhs(k + 1) = rhs(k) + #{s > k}.
     """
     k, top = demand.shape
-    lhs = np.cumsum(np.sort(demand, axis=1)[:, ::-1], axis=1)
+    lhs = np.cumsum(demand, axis=1)
     capped = np.minimum(supply, top)
     above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1), axis=1)[:, :top]
     return (lhs <= np.cumsum(above, axis=1)).all(axis=1)
@@ -269,9 +269,10 @@ def _ryser_interval(kernel: KernelPass) -> Verdicts:
     Applies the tilde lift to a and b separately (each with its own
     crossing index) and decides feasibility of the symmetric bipartite
     interval system.  Its two Gale-Ryser families coincide, so one
-    O(n log n) pass of the lifted lower bounds against the lifted upper
-    bounds decides it.  Realizable pairs always pass; the converse fails.
-    No witness indices apply, so a failing verdict carries none.
+    O(n) pass of the lifted lower bounds against the lifted upper bounds
+    decides it; in good order a is non-increasing, and so is its lift.
+    Realizable pairs always pass; the converse fails.  No witness indices
+    apply, so a failing verdict carries none.
     """
     return Verdicts(_gale_ryser(_lifted(kernel.a), _lifted(kernel.b)))
 

@@ -36,6 +36,3 @@ class NotGoodOrder(InputError):
 class TooLarge(InputError):
     """Instance size exceeds what exhaustive enumeration supports."""
 
-
-class UnknownCriterion(InputError):
-    """A criterion name is not registered."""

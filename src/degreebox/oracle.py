@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import criteria as _criteria
-from .errors import InputError, TooLarge, UnknownCriterion
+from .errors import InputError, TooLarge
 from .sequences import IntervalSequencePair, kernel_pass
 
 MAX_EXHAUSTIVE_N = 7
@@ -267,22 +267,6 @@ def sample_instances(n: int, count: int, seed: int) -> list[IntervalSequencePair
     return list(_pairs(_chunks(n, count, seed)))
 
 
-def _resolve_criteria(names: Optional[Sequence[str]]) -> tuple[str, ...]:
-    """The named criteria, or every ``criteria.CRITERIA`` row for None; a
-    name that is not a row, or is named twice, is refused."""
-    if names is None:
-        return tuple(_criteria.CRITERIA)
-    names = tuple(names)
-    for i, name in enumerate(names):
-        if name not in _criteria.CRITERIA:
-            raise UnknownCriterion(
-                f"unknown criterion {name!r}; available: {', '.join(sorted(_criteria.CRITERIA))}"
-            )
-        if name in names[:i]:
-            raise InputError(f"criterion {name!r} is named twice")
-    return names
-
-
 @dataclass
 class SweepReport:
     """Aggregate of one oracle-vs-criteria sweep.
@@ -305,7 +289,7 @@ class SweepReport:
     holds_counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     cdz_oracle_disagreements: Optional[int] = None
-    cdz_reduced_disagreements: Optional[int] = None
+    cdz_reduced_disagreements: int = 0
     elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -349,8 +333,7 @@ class SweepReport:
         else:
             for name in self.criteria:
                 lines.append(f"{name:<18} holds on {self.holds_counts[name]} instances")
-        if self.cdz_reduced_disagreements is not None:
-            lines.append(f"cdz vs cdz_reduced disagreements: {self.cdz_reduced_disagreements}")
+        lines.append(f"cdz vs cdz_reduced disagreements: {self.cdz_reduced_disagreements}")
         lines.append(f"gated violations: {len(self.violations)}")
         for v in self.violations[:20]:
             lines.append(f"  {v}")
@@ -360,18 +343,14 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def cross_validate(
-    n: int,
-    criteria: Optional[Sequence[str]] = None,
-    sample: Optional[int] = None,
-    seed: int = 0,
-) -> SweepReport:
-    """Evaluate criteria against the oracle over the instance space at size n.
+def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> SweepReport:
+    """Evaluate every ``criteria.CRITERIA`` row against the oracle over the
+    instance space at size n.
 
     Exhaustive for n <= 7; a seeded uniform sample is required beyond that
     (where the oracle is unavailable and only criterion-vs-criterion
-    tallies are reported).  Reports are deterministic given (n, criteria,
-    sample, seed).
+    tallies are reported).  Reports are deterministic given (n, sample,
+    seed).
 
     Each chunk's holds columns make one (C, k) table.  A criterion's four
     cells follow from its row sum, its row sum over realizable instances
@@ -381,10 +360,7 @@ def cross_validate(
     """
     if sample is not None and sample < 1:
         raise InputError(f"sample must be >= 1, got {sample}")
-    names = _resolve_criteria(criteria)
-    if "cdz" not in names:
-        names = ("cdz",) + names
-    track_reduced = "cdz_reduced" in names
+    names = tuple(_criteria.CRITERIA)
     report = SweepReport(
         n=n,
         mode="exhaustive" if sample is None else "sample",
@@ -396,7 +372,6 @@ def cross_validate(
                                     "oracle_no_holds", "oracle_no_fails"), 0)
                for name in names},
         holds_counts=dict.fromkeys(names, 0),
-        cdz_reduced_disagreements=0 if track_reduced else None,
     )
 
     # a row's gated arrows, as (C, 1) columns against the chunk's (C, k) holds
@@ -412,9 +387,8 @@ def cross_validate(
         holds = np.stack([verdicts[name].holds for name in names])
         held += holds.sum(axis=1)
         broken = np.zeros((len(names) + 1, len(lows)), dtype=bool)
-        if track_reduced:
-            broken[0] = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
-            report.cdz_reduced_disagreements += int(broken[0].sum())
+        broken[0] = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
+        report.cdz_reduced_disagreements += int(broken[0].sum())
         if report.oracle_used:
             realizable = _box_counts(n, lows, highs) > 0
             report.oracle_yes += int(realizable.sum())
@@ -520,13 +494,12 @@ class ImplicationMatrix:
         return "\n".join(lines) + "\n"
 
 
-def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> ImplicationMatrix:
-    """Tally x-holds/y-fails over the exhaustive space at n."""
-    names = _resolve_criteria(criteria)
-    if not names:
-        raise InputError("the implication matrix needs at least one criterion")
+def implication_matrix(n: int) -> ImplicationMatrix:
+    """Tally x-holds/y-fails over the exhaustive space at n, for every
+    ``criteria.CRITERIA`` row."""
     if n > MAX_MATRIX_N:
         raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
+    names = tuple(_criteria.CRITERIA)
     counts = {(x, y): 0 for x in names for y in names if x != y}
     examples: dict = {}
     total = 0
@@ -541,6 +514,4 @@ def implication_matrix(n: int, criteria: Optional[Sequence[str]] = None) -> Impl
                 if (x, y) not in examples:
                     i = int(cases.argmax())
                     examples[(x, y)] = IntervalSequencePair(lows[i], highs[i])
-    return ImplicationMatrix(
-        criteria=names, instance_count=total, counts=counts, examples=examples
-    )
+    return ImplicationMatrix(criteria=names, instance_count=total, counts=counts, examples=examples)

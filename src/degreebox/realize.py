@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, LengthMismatch
+from .errors import InputError, LengthMismatch, NonIntegerEntry
 from .sequences import IntervalSequencePair, require_good_order
 
 
@@ -24,7 +24,8 @@ class SimpleGraph:
     """Undirected graph on vertices 0..n-1, held as two int64 edge columns.
 
     ``SimpleGraph(n, u, v)`` takes the rows (u[i], v[i]) as given; u and
-    v must be 1-D and of one length, or it raises LengthMismatch.  A
+    v must be 1-D and of one length, or it raises LengthMismatch, and
+    each empty or of an integer dtype, or it raises NonIntegerEntry.  A
     witness has u < v in every row and its rows in (u, v) order, so the
     writers read the columns as they are: degrees are two bincounts and
     each writer two gathers from per-label byte tables, O(n + m).
@@ -36,9 +37,13 @@ class SimpleGraph:
 
     def __init__(self, n: int, u, v):
         self.n, self._edges = n, None
-        self.u, self.v = np.asarray(u, np.int64), np.asarray(v, np.int64)
-        if self.u.ndim != 1 or self.u.shape != self.v.shape:
-            raise LengthMismatch(f"edge columns have shapes {self.u.shape} and {self.v.shape}")
+        u, v = np.asarray(u), np.asarray(v)
+        if u.ndim != 1 or u.shape != v.shape:
+            raise LengthMismatch(f"edge columns have shapes {u.shape} and {v.shape}")
+        for column in u, v:
+            if column.size and column.dtype.kind not in "biu":
+                raise NonIntegerEntry(f"edge column of dtype {column.dtype} is not integer")
+        self.u, self.v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

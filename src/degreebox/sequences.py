@@ -217,19 +217,16 @@ def _int64_column(seq: Sequence[int]) -> np.ndarray:
 
 def _require_integers(seq: Sequence[int], name: str) -> None:
     """Raise NonIntegerEntry, naming the first, unless every entry of seq is
-    an integer.  An integer array passes at once.  Otherwise an int plus a
-    float is a float and a str raises, so one sum decides the usual case;
+    an integer.  A 1-D integer array passes at once.  Otherwise an int plus
+    a float is a float and a str raises, so one sum decides the usual case;
     only a failure (or a numpy integer that cannot take a Python int past
     its range) scans for the entry.  numpy integers add in their own
-    width, so a sequence that opens with a numpy scalar is summed with
-    overflow ignored, which would otherwise warn."""
-    if isinstance(seq, np.ndarray) and seq.dtype.kind in "biu":
+    width, so the sum ignores overflow, which would otherwise warn; rows
+    of a 2-D array sum to an array and are named by the scan."""
+    if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "biu":
         return
     try:
-        if len(seq) and isinstance(seq[0], np.generic):
-            with np.errstate(over="ignore"):
-                total = sum(seq)
-        else:
+        with np.errstate(over="ignore"):
             total = sum(seq)
         if isinstance(total, numbers.Integral):
             return

@@ -124,7 +124,7 @@ def test_a2_oracle_equivalence(sweep):
     assert elapsed < 60.0, f"n<=5 sweep took {elapsed:.1f}s"
 
     for n in (6, 7):
-        report = cross_validate(n, criteria=["cdz"], sample=10_000, seed=20260809)
+        report = cross_validate(n, sample=10_000, seed=20260809)
         assert report.instance_count == 10_000
         assert report.cdz_oracle_disagreements == 0, f"n={n}"
     announce("2 (cdz = oracle: exhaustive n<=5, sampled n=6,7)")

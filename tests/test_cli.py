@@ -396,7 +396,7 @@ PUBLIC_NAMES = (
     "criteria_report",
     "InputError", "LengthMismatch", "LowerExceedsMaxDegree", "LowerExceedsUpper",
     "NegativeEntry", "NonIntegerEntry", "NotGoodOrder", "TooLarge",
-    "UnknownCriterion", "UpperExceedsMaxDegree",
+    "UpperExceedsMaxDegree",
     "cross_validate", "enumerate_instances", "implication_matrix", "instance_space_size",
     "oracle_realizable", "sample_instances",
     "SimpleGraph", "graphic_vector_in_box", "realize_pair", "verify_witness",

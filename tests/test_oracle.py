@@ -24,7 +24,6 @@ from degreebox.errors import (
     LowerExceedsUpper,
     NegativeEntry,
     TooLarge,
-    UnknownCriterion,
     UpperExceedsMaxDegree,
 )
 from degreebox.oracle import (
@@ -369,8 +368,8 @@ class TestCrossValidate:
         assert a == b
 
     def test_sampled_mode_deterministic(self):
-        a = cross_validate(6, criteria=["cdz", "cdz_reduced"], sample=120, seed=9)
-        b = cross_validate(6, criteria=["cdz", "cdz_reduced"], sample=120, seed=9)
+        a = cross_validate(6, sample=120, seed=9)
+        b = cross_validate(6, sample=120, seed=9)
         assert a.to_json() == b.to_json()
         assert a.cdz_oracle_disagreements == 0
 
@@ -409,7 +408,7 @@ class TestCrossValidate:
         monkeypatch.setitem(CRITERIA, "grunbaum", Criterion(
             lambda kernel: Verdicts(kernel.s % 3 == 0, kernel.s, None, kernel.lhs[:, 0],
                                     kernel.rhs[:, 0]), "Grunbaum", EXACT))
-        names = ("cdz", "cdz_reduced", "bollobas", "grunbaum")
+        names = tuple(CRITERIA)
         expected = []
         for index, pair in enumerate(enumerate_instances(4)):
             realizable = oracle_realizable(pair).realizable
@@ -420,7 +419,7 @@ class TestCrossValidate:
                       and arrow in CRITERIA[name].gated) for name in names]
             expected += [(index, name, arrow, verdicts[name].witness_t)
                          for name, arrow, broken in rows if broken]
-        report = cross_validate(4, criteria=list(names))
+        report = cross_validate(4)
         assert report.instance_count > SWEEP_CHUNK
         got = [(v["instance_index"], v["criterion"], v["direction"], v["witness_t"])
                for v in report.violations]
@@ -430,26 +429,18 @@ class TestCrossValidate:
             ("grunbaum", "necessity"), ("grunbaum", "sufficiency")}
 
     def test_large_n_sampled_runs_without_oracle(self):
-        report = cross_validate(9, criteria=["cdz", "cdz_reduced"], sample=40, seed=1)
+        report = cross_validate(9, sample=40, seed=1)
         assert not report.oracle_used
         assert report.instance_count == 40
         assert report.cdz_oracle_disagreements is None
         assert report.cdz_reduced_disagreements == 0
 
-    def test_unknown_criterion(self):
-        with pytest.raises(UnknownCriterion):
-            cross_validate(3, criteria=["nonsense"])
-
-    def test_repeated_criterion_is_refused(self):
-        """A name given twice would be tallied twice: 1,208 holds of cdz
-        over the 715 instances at n = 4, where 604 are realizable."""
-        for names in (["cdz", "cdz"], ["bollobas", "cdz", "bollobas"]):
-            with pytest.raises(InputError, match="named twice"):
-                cross_validate(4, criteria=names)
-            with pytest.raises(InputError, match="named twice"):
-                implication_matrix(3, criteria=names)
-        report = cross_validate(4, criteria=["cdz"])
-        assert report.instance_count == 715 and report.holds_counts == {"cdz": 604}
+    def test_exhaustive_n4_cdz_tallies(self):
+        """cdz holds on exactly the 604 realizable instances of the 715 at
+        n = 4."""
+        report = cross_validate(4)
+        assert report.criteria == tuple(CRITERIA)
+        assert report.instance_count == 715 and report.holds_counts["cdz"] == 604
         assert report.cells["cdz"]["oracle_no_fails"] == 111
 
     def test_rejects_negative_size(self):
@@ -495,10 +486,14 @@ class TestImplicationMatrix:
         with pytest.raises(InputError):
             implication_matrix(-1)
 
-    def test_empty_criteria_list_is_refused(self):
-        """A matrix of no criteria has no rows to print; one criterion prints
-        its single cell."""
-        with pytest.raises(InputError, match="at least one criterion"):
-            implication_matrix(3, criteria=[])
-        assert implication_matrix(3, criteria=["cdz"]).to_text().splitlines()[-1].split() == [
-            "cdz", "-"]
+    def test_text_has_a_row_per_criterion(self):
+        """A header of every CRITERIA row, then one line per row, its own
+        column a dash and every other column that cell's count."""
+        matrix = implication_matrix(3)
+        names = tuple(CRITERIA)
+        assert matrix.criteria == names
+        lines = matrix.to_text().splitlines()
+        assert lines[2].split() == list(names)
+        assert len(lines) == 3 + len(names)
+        for x, line in zip(names, lines[3:]):
+            assert line.split() == [x] + ["-" if x == y else str(matrix.cell(x, y)) for y in names]

@@ -16,7 +16,7 @@ from degreebox.criteria import (
     check_cdz,
     check_ryser_interval,
 )
-from degreebox.errors import InputError, LengthMismatch
+from degreebox.errors import InputError, LengthMismatch, NonIntegerEntry
 from degreebox.oracle import enumerate_instances, sample_instances
 from degreebox import realize
 from degreebox.realize import (
@@ -258,6 +258,13 @@ class TestVerifyWitness:
         the writers would broadcast the shorter one."""
         with pytest.raises(LengthMismatch):
             SimpleGraph(3, u, v)
+
+    @pytest.mark.parametrize("u, v", [([0.5], [1.7]), ([0], [1.0]), (["0"], ["1"])])
+    def test_edge_columns_must_be_integers(self, u, v):
+        """A float column would be truncated: (0.5, 1.7) would pass as the
+        edge (0, 1) and print as "1 2"."""
+        with pytest.raises(NonIntegerEntry):
+            SimpleGraph(2, u, v)
 
     # each rejected graph has every degree inside the box, so only its shape fails
     def test_rejects_reversed_pair(self):

@@ -95,6 +95,10 @@ class TestValidateAndClamp:
             normalize_good_order((0,), (Fraction(1),))
         with pytest.raises(NonIntegerEntry, match=r"^a\[1\] = None is not an integer$"):
             normalize_good_order((np.True_, None), (1, 1))
+        # each entry of a 2-D integer array is a row, not an integer
+        grid = np.zeros((2, 2), dtype=int)
+        with pytest.raises(NonIntegerEntry, match=r"^a\[0\] = array\(\[0, 0\]\) is not an integer$"):
+            normalize_good_order(grid, grid)
         # a pair built directly raises the same on its row check
         pair = IntervalSequencePair((1.5, 1), (1.9, 1))
         with pytest.raises(NonIntegerEntry):
@@ -117,6 +121,8 @@ class TestValidateAndClamp:
         assert normalize_good_order([0, 0, 0], big).pair.b == (2, 2, 2)
         small = wrap(np.full(3, 100, dtype=np.int8))
         assert normalize_good_order([0, 0, 0], small).pair.b == (2, 2, 2)
+        # a Python int first, then the numpy integers
+        assert normalize_good_order([0, 0, 0], [0, *big[1:]]).pair.b == (2, 2, 0)
 
 
 class TestGoodOrder:
