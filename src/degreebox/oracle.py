@@ -15,9 +15,10 @@ bound arrays each, with no per-instance Python object.  Up to 2^62
 instances (n <= 14) each run of ranks is unranked at once; past that,
 instances are drawn in O(n) by stars and bars.  Each sweep chunk makes
 one oracle gather over its boxes and one kernel pass, every
-``criteria.CRITERIA`` row is evaluated over the whole chunk, and a
-sweep's tallies are row sums of one stacked table of the holds columns;
-a pair is built only for a violation or a matrix example, from its row.
+``criteria.CRITERIA`` row is evaluated over the whole chunk
+(``_evaluate``), and both sweeps count through one product of the
+chunk's stacked holds table with its transpose; a pair is built only
+for a matrix example, from its row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -272,9 +273,11 @@ class SweepReport:
     """Aggregate of one oracle-vs-criteria sweep.
 
     ``cells[name]`` is a 2x2 tally keyed oracle outcome x criterion
-    outcome; ``violations`` lists, verbatim, every instance breaking a
-    gated arrow, in enumeration order.  ``elapsed`` is informational and
-    excluded from the canonical JSON so reports stay byte-reproducible.
+    outcome, all zero past the oracle, where ``oracle_yes`` and
+    ``cdz_oracle_disagreements`` are None; ``violations`` lists, verbatim,
+    every instance breaking a gated arrow, in enumeration order.
+    ``elapsed`` is informational and excluded from the canonical JSON so
+    reports stay byte-reproducible.
     """
 
     n: int
@@ -282,33 +285,19 @@ class SweepReport:
     sample_size: Optional[int]
     seed: Optional[int]
     criteria: tuple[str, ...]
-    instance_count: int = 0
-    oracle_used: bool = True
-    oracle_yes: int = 0
-    cells: dict = field(default_factory=dict)
-    holds_counts: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    cdz_oracle_disagreements: Optional[int] = None
-    cdz_reduced_disagreements: int = 0
-    elapsed: float = 0.0
+    instance_count: int
+    oracle_used: bool
+    oracle_yes: Optional[int]
+    cells: dict
+    holds_counts: dict
+    violations: list
+    cdz_oracle_disagreements: Optional[int]
+    cdz_reduced_disagreements: int
+    elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "degreebox.sweep/1",
-            "n": self.n,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "criteria": list(self.criteria),
-            "instance_count": self.instance_count,
-            "oracle_used": self.oracle_used,
-            "oracle_yes": self.oracle_yes if self.oracle_used else None,
-            "cells": self.cells,
-            "holds_counts": self.holds_counts,
-            "violations": self.violations,
-            "cdz_oracle_disagreements": self.cdz_oracle_disagreements,
-            "cdz_reduced_disagreements": self.cdz_reduced_disagreements,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
+        return {"schema": "degreebox.sweep/1", **report, "criteria": list(self.criteria)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -343,6 +332,15 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _evaluate(lows, highs) -> tuple[dict, np.ndarray]:
+    """One kernel pass over a chunk's (k, n) bounds and every
+    ``criteria.CRITERIA`` row over it: each row's verdict columns by name,
+    and their holds columns stacked into one (C, k) table in row order."""
+    kernel = kernel_pass(lows, highs)
+    verdicts = {name: row.check(kernel) for name, row in _criteria.CRITERIA.items()}
+    return verdicts, np.stack([v.holds for v in verdicts.values()])
+
+
 def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> SweepReport:
     """Evaluate every ``criteria.CRITERIA`` row against the oracle over the
     instance space at size n.
@@ -352,71 +350,62 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
     tallies are reported).  Reports are deterministic given (n, sample,
     seed).
 
-    Each chunk's holds columns make one (C, k) table.  A criterion's four
-    cells follow from its row sum, its row sum over realizable instances
-    and the count of those, summed over chunks; the violations are one
-    ``np.nonzero`` over a (C+1, k) mask of broken arrows, row 0
-    cdz_reduced against cdz, read in (instance, row) order.
+    Each chunk stacks the oracle's realizable column (all False past the
+    oracle) on its (C, k) holds table H and adds H @ H.T to the tally:
+    entry (0, 0) counts the realizable instances, (i, i) the ones row i
+    holds on and (0, i) the realizable ones among those, which give a
+    criterion's four cells.  The violations are one ``np.nonzero`` over a
+    (C+1, k) mask of broken arrows, row 0 cdz_reduced against cdz, read
+    in (instance, row) order.
     """
     if sample is not None and sample < 1:
         raise InputError(f"sample must be >= 1, got {sample}")
     names = tuple(_criteria.CRITERIA)
-    report = SweepReport(
-        n=n,
-        mode="exhaustive" if sample is None else "sample",
-        sample_size=sample,
-        seed=None if sample is None else seed,
-        criteria=names,
-        oracle_used=n <= MAX_EXHAUSTIVE_N,
-        cells={name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
-                                    "oracle_no_holds", "oracle_no_fails"), 0)
-               for name in names},
-        holds_counts=dict.fromkeys(names, 0),
-    )
-
+    oracle_used = n <= MAX_EXHAUSTIVE_N
     # a row's gated arrows, as (C, 1) columns against the chunk's (C, k) holds
     necessity, sufficiency = (np.array([[arrow in _criteria.CRITERIA[name].gated] for name in names])
                               for arrow in ("necessity", "sufficiency"))
-    held = np.zeros(len(names), dtype=np.int64)
-    realizable_held = np.zeros(len(names), dtype=np.int64)
+    tally = np.zeros((len(names) + 1,) * 2)
+    violations = []
     start = time.perf_counter()
     index = 0
     for lows, highs in _chunks(n, sample, seed):
-        kernel = kernel_pass(lows, highs)
-        verdicts = {name: _criteria.CRITERIA[name].check(kernel) for name in names}
-        holds = np.stack([verdicts[name].holds for name in names])
-        held += holds.sum(axis=1)
+        verdicts, holds = _evaluate(lows, highs)
+        realizable = np.zeros(len(lows), dtype=bool)
         broken = np.zeros((len(names) + 1, len(lows)), dtype=bool)
         broken[0] = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
-        report.cdz_reduced_disagreements += int(broken[0].sum())
-        if report.oracle_used:
+        if oracle_used:
             realizable = _box_counts(n, lows, highs) > 0
-            report.oracle_yes += int(realizable.sum())
-            realizable_held += (holds & realizable).sum(axis=1)
             broken[1:] = np.where(realizable, necessity & ~holds, sufficiency & holds)
+        table = np.vstack([realizable, holds]).astype(np.float64)
+        tally += table @ table.T  # one BLAS product; float64 counts far below 2^53 are exact
         # transposed, the flags come in (instance, row) order
         for i, row in zip(*(axis.tolist() for axis in np.nonzero(broken.T))):
             if row == 0:
                 name, arrow = "cdz_reduced", "reduced-vs-full"
             else:
                 name, arrow = names[row - 1], "necessity" if realizable[i] else "sufficiency"
-            pair = IntervalSequencePair(lows[i], highs[i])
-            report.violations.append(_violation(index + i, pair, name, arrow, verdicts[name].verdict(i)))
+            verdict = verdicts[name].verdict(i)
+            violations.append({"instance_index": index + i, "a": lows[i].tolist(), "b": highs[i].tolist(),
+                               "criterion": name, "direction": arrow,
+                               "witness_t": verdict.witness_t, "witness_m": verdict.witness_m})
         index += len(lows)
-    report.instance_count = index
-    report.elapsed = time.perf_counter() - start
-    for name, h, yes_h in zip(names, held.tolist(), realizable_held.tolist()):
-        report.holds_counts[name] += h
-        if report.oracle_used:
-            cell = report.cells[name]
-            cell["oracle_yes_holds"] += yes_h
-            cell["oracle_yes_fails"] += report.oracle_yes - yes_h
-            cell["oracle_no_holds"] += h - yes_h
-            cell["oracle_no_fails"] += index - report.oracle_yes - h + yes_h
-    if report.oracle_used:
-        cdz = report.cells["cdz"]
-        report.cdz_oracle_disagreements = cdz["oracle_yes_fails"] + cdz["oracle_no_holds"]
-    return report
+    elapsed = time.perf_counter() - start
+    yes, held, yes_held = tally[0, 0], tally.diagonal()[1:], tally[0, 1:]
+    # past the oracle every cell is zero
+    four = np.stack([yes_held, yes - yes_held, held - yes_held, index - yes - held + yes_held]) * oracle_used
+    keys = ("oracle_yes_holds", "oracle_yes_fails", "oracle_no_holds", "oracle_no_fails")
+    cells = {name: dict(zip(keys, row)) for name, row in zip(names, four.T.astype(np.int64).tolist())}
+    return SweepReport(
+        n=n, mode="exhaustive" if sample is None else "sample", sample_size=sample,
+        seed=None if sample is None else seed, criteria=names, instance_count=index,
+        oracle_used=oracle_used, oracle_yes=int(yes) if oracle_used else None, cells=cells,
+        holds_counts=dict(zip(names, held.astype(np.int64).tolist())), violations=violations,
+        cdz_oracle_disagreements=(cells["cdz"]["oracle_yes_fails"] + cells["cdz"]["oracle_no_holds"]
+                                  if oracle_used else None),
+        # row 0 of the broken mask; cdz_reduced's gated arrows share its name
+        cdz_reduced_disagreements=sum(v["direction"] == "reduced-vs-full" for v in violations),
+        elapsed=elapsed)
 
 
 def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
@@ -429,18 +418,6 @@ def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
             continue
         differ |= ~x.holds & (True if cx is None or cy is None else cx != cy)
     return differ
-
-
-def _violation(index, pair, name, direction, verdict) -> dict:
-    return {
-        "instance_index": index,
-        "a": list(pair.a),
-        "b": list(pair.b),
-        "criterion": name,
-        "direction": direction,
-        "witness_t": verdict.witness_t,
-        "witness_m": verdict.witness_m,
-    }
 
 
 @dataclass
@@ -496,22 +473,31 @@ class ImplicationMatrix:
 
 def implication_matrix(n: int) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n, for every
-    ``criteria.CRITERIA`` row."""
+    ``criteria.CRITERIA`` row.
+
+    Each chunk adds H @ H.T, H its (C, k) holds table, to a tally of the
+    instances two rows both hold on, so cell (x, y) is entry (x, x) less
+    (x, y).  A cell's example is taken in the chunk where the cell first
+    becomes nonzero: that chunk's first instance where x holds and y fails.
+    """
     if n > MAX_MATRIX_N:
         raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
     names = tuple(_criteria.CRITERIA)
-    counts = {(x, y): 0 for x in names for y in names if x != y}
+    tally = np.zeros((len(names),) * 2)
+    counts = np.zeros_like(tally)
     examples: dict = {}
     total = 0
     for lows, highs in _chunks(n):
         total += len(lows)
-        kernel = kernel_pass(lows, highs)
-        holds = {name: _criteria.CRITERIA[name].check(kernel).holds for name in names}
-        for x, y in counts:
-            cases = holds[x] & ~holds[y]
-            if cases.any():
-                counts[(x, y)] += int(cases.sum())
-                if (x, y) not in examples:
-                    i = int(cases.argmax())
-                    examples[(x, y)] = IntervalSequencePair(lows[i], highs[i])
-    return ImplicationMatrix(criteria=names, instance_count=total, counts=counts, examples=examples)
+        _, holds = _evaluate(lows, highs)
+        table = holds.astype(np.float64)
+        tally += table @ table.T
+        fresh = counts == 0
+        counts = tally.diagonal()[:, None] - tally
+        for x, y in np.argwhere(fresh & (counts > 0)).tolist():
+            i = int((holds[x] & ~holds[y]).argmax())
+            examples[(names[x], names[y])] = IntervalSequencePair(lows[i], highs[i])
+    counts = counts.astype(np.int64).tolist()
+    return ImplicationMatrix(criteria=names, instance_count=total, examples=examples,
+                             counts={(x, y): counts[i][j] for i, x in enumerate(names)
+                                     for j, y in enumerate(names) if i != j})

@@ -167,10 +167,9 @@ class IntervalSequencePair(_Record):
     def kernel(self) -> KernelPass:
         """This pair's kernel pass, a batch of one over its checked rows,
         built on first use after the good-order check (which raises
-        NotGoodOrder, and caches nothing, on unordered input; a normalized
-        pair skips it); every later read returns the same pass."""
-        if not self._in_good_order:
-            require_good_order(self)
+        NotGoodOrder, and caches nothing, on unordered input); every later
+        read returns the same pass."""
+        require_good_order(self)
         return kernel_pass(*self._rows)
 
 
@@ -275,8 +274,9 @@ def _good_order_rows(a, b) -> np.ndarray:
 
 
 def require_good_order(pair: IntervalSequencePair) -> None:
-    """Raise unless the pair's checked rows are in good order."""
-    if not _good_order_rows(*pair._rows).all():
+    """Raise unless the pair's checked rows are in good order; a pair
+    ``normalize_good_order`` built is, by construction, and skips the scan."""
+    if not pair._in_good_order and not _good_order_rows(*pair._rows).all():
         raise NotGoodOrder("bound pair is not in good order; normalize first")
 
 

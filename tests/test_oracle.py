@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from degreebox.errors import (
     UpperExceedsMaxDegree,
 )
 from degreebox.oracle import (
+    MAX_EXHAUSTIVE_N,
     MAX_SAMPLE_CELLS,
     SWEEP_CHUNK,
     _box_counts,
@@ -377,27 +379,34 @@ class TestCrossValidate:
         with pytest.raises(TooLarge):
             cross_validate(8)
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 9])
     def test_chunked_tallies_match_per_pair_checks(self, n):
         """A sample of 2 * SWEEP_CHUNK + 37 instances, not a whole number of
-        chunks, tallied as the per-pair checkers and oracle queries say."""
+        chunks, tallied as the per-pair checkers and oracle queries say.
+        Past the oracle, at n = 9, every cell stays zero, the holds counts
+        are still the checkers', and the JSON's oracle_yes is null."""
         size = 2 * SWEEP_CHUNK + 37
         report = cross_validate(n, sample=size, seed=n)
         cells = {name: dict.fromkeys(("oracle_yes_holds", "oracle_yes_fails",
                                       "oracle_no_holds", "oracle_no_fails"), 0)
                  for name in CHECKERS}
         holds_counts = dict.fromkeys(CHECKERS, 0)
-        pairs = sample_instances(n, size, seed=n)
-        for pair in pairs:
-            realizable = oracle_realizable(pair).realizable
+        oracle_used = n <= MAX_EXHAUSTIVE_N
+        oracle_yes = 0
+        for pair in sample_instances(n, size, seed=n):
+            realizable = oracle_used and oracle_realizable(pair).realizable
+            oracle_yes += realizable
             for name, check in CHECKERS.items():
                 holds = check(pair).holds
                 holds_counts[name] += holds
-                side = "oracle_yes" if realizable else "oracle_no"
-                cells[name][f"{side}_{'holds' if holds else 'fails'}"] += 1
-        assert report.instance_count == size
+                if oracle_used:
+                    side = "oracle_yes" if realizable else "oracle_no"
+                    cells[name][f"{side}_{'holds' if holds else 'fails'}"] += 1
+        assert report.instance_count == size and report.oracle_used == oracle_used
         assert report.cells == cells and report.holds_counts == holds_counts
-        assert report.oracle_yes == sum(oracle_realizable(pair).realizable for pair in pairs)
+        assert 0 < holds_counts["cdz"] < size
+        assert report.oracle_yes == (oracle_yes if oracle_used else None)
+        assert json.loads(report.to_json())["oracle_yes"] == report.oracle_yes
         assert report.violations == [] and report.cdz_reduced_disagreements == 0
 
     def test_violations_come_in_instance_then_row_order(self, monkeypatch):
@@ -427,6 +436,11 @@ class TestCrossValidate:
         assert {(name, arrow) for _, name, arrow, _ in got} == {
             ("cdz_reduced", "reduced-vs-full"), ("cdz_reduced", "sufficiency"),
             ("grunbaum", "necessity"), ("grunbaum", "sufficiency")}
+        # the count is of reduced-vs-full flags, not of every violation
+        # named cdz_reduced: its own gated arrows carry that name too
+        reduced = [name for _, name, arrow, _ in got if arrow == "reduced-vs-full"]
+        assert report.cdz_reduced_disagreements == len(reduced)
+        assert len(reduced) < sum(name == "cdz_reduced" for _, name, _, _ in got)
 
     def test_large_n_sampled_runs_without_oracle(self):
         report = cross_validate(9, sample=40, seed=1)
@@ -485,6 +499,32 @@ class TestImplicationMatrix:
     def test_rejects_negative_size(self):
         with pytest.raises(InputError):
             implication_matrix(-1)
+
+    def test_cells_and_examples_match_per_pair_checks_over_many_chunks(self, monkeypatch):
+        """In chunks of 64 the 715 instances at n = 4 span 12 chunks.  Each
+        cell counts the instances where the per-pair checkers say x holds
+        and y fails; each nonzero cell's example is the first of them in
+        enumeration order, some past the first chunk, and a zero cell has
+        none."""
+        monkeypatch.setattr("degreebox.oracle.SWEEP_CHUNK", 64)
+        assert len(list(_chunks(4))) == 12
+        names = tuple(CRITERIA)
+        counts = {(x, y): 0 for x in names for y in names if x != y}
+        first = {}
+        pairs = list(enumerate_instances(4))
+        for index, pair in enumerate(pairs):
+            holds = {name: check(pair).holds for name, check in CHECKERS.items()}
+            for x, y in counts:
+                if holds[x] and not holds[y]:
+                    counts[(x, y)] += 1
+                    first.setdefault((x, y), index)
+        matrix = implication_matrix(4)
+        assert matrix.instance_count == len(pairs) == 715
+        assert matrix.counts == counts
+        assert matrix.examples == {cell: pairs[index] for cell, index in first.items()}
+        assert max(first.values()) >= 64
+        for x, y in counts:
+            assert (matrix.example(x, y) is None) == (matrix.cell(x, y) == 0)
 
     def test_text_has_a_row_per_criterion(self):
         """A header of every CRITERIA row, then one line per row, its own
