@@ -13,7 +13,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import criteria as _criteria
 from . import oracle as _oracle
@@ -23,14 +23,6 @@ from .errors import InputError, LengthMismatch
 
 class InstanceSyntaxError(InputError):
     """The instance text is not 'a1,a2,.../b1,b2,...' or a readable @file."""
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Parsed bound vectors, before validation and clamping."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -43,8 +35,9 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     raise InstanceSyntaxError(f"cannot parse integer vector from {text!r}")
 
 
-def parse_instance(text: str) -> InstanceSpec:
-    """Parse 'a1,a2,.../b1,b2,...' or '@path' to a JSON file with keys a, b."""
+def parse_instance(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Parse 'a1,a2,.../b1,b2,...' or '@path' to a JSON file with keys a, b,
+    to the bound vectors (a, b), before validation and clamping."""
     text = text.strip()
     if text.startswith("@"):
         try:
@@ -73,7 +66,7 @@ def parse_instance(text: str) -> InstanceSpec:
         b = _parse_vector(right)
     if len(a) != len(b):
         raise LengthMismatch(f"lower has {len(a)} entries, upper has {len(b)}")
-    return InstanceSpec(a, b)
+    return a, b
 
 
 def _write(text: str) -> None:
@@ -105,8 +98,8 @@ def _verdict_text(v: _criteria.CriterionVerdict) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = parse_instance(args.instance)
-    norm = _sequences.normalize_good_order(spec.a, spec.b)
+    a, b = parse_instance(args.instance)
+    norm = _sequences.normalize_good_order(a, b)
     pair = norm.pair
     # raises TooLarge past the oracle's size instead of skipping the cross-check
     oracle_result = _oracle.oracle_realizable(pair) if args.oracle else None
@@ -115,8 +108,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json({
             "schema": "degreebox.check/1",
-            "a": list(spec.a),
-            "b": list(spec.b),
+            "a": list(a),
+            "b": list(b),
             "normalized": {
                 "a": list(pair.a),
                 "b": list(pair.b),
@@ -124,12 +117,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             },
             "criteria": {name: asdict(v) for name, v in verdicts.items()},
             "cdz_consistent": report.cdz_consistent,
-            "oracle": None if oracle_result is None else {
-                "realizable": oracle_result.realizable,
-                "witness_count": oracle_result.witness_count,
-            },
+            "oracle": None if oracle_result is None else oracle_result._asdict(),
         })
-    elif not args.quiet:
+    else:
         if norm.perm != tuple(range(pair.n)):
             _write(f"normalized to good order; permutation (1-based): "
                    f"{[p + 1 for p in norm.perm]}\n")
@@ -146,25 +136,24 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_realize(args: argparse.Namespace) -> int:
     if args.json and args.dot:
         raise InputError("--json reports the edges itself; --dot does not apply")
-    spec = parse_instance(args.instance)
-    norm = _sequences.normalize_good_order(spec.a, spec.b)
+    a, b = parse_instance(args.instance)
+    norm = _sequences.normalize_good_order(a, b)
     graph = _realize.realize_pair(norm.pair, norm.perm)
-    if graph is not None and not _realize.verify_witness(graph, spec.a, spec.b):
+    if graph is not None and not _realize.verify_witness(graph, a, b):
         raise AssertionError("constructed witness violates the input bounds")
     if args.json:
         report = json.dumps({
             "schema": "degreebox.realize/1",
             "realizable": graph is not None,
-            "n": len(spec.a),
+            "n": len(a),
             "edges": None,
         }, sort_keys=True, separators=(",", ":"))
         if graph is not None:  # "edges" sorts first, so the first match is its value
             report = report.replace('"edges":null', '"edges":' + graph.to_json_edges(), 1)
         _write(report + "\n")
     elif graph is None:
-        if not args.quiet:
-            _write("not realizable\n")
-    elif not args.quiet:
+        _write("not realizable\n")
+    else:
         _write(graph.to_dot() if args.dot else graph.to_edge_list())
     return 0 if graph is not None else 1
 
@@ -178,13 +167,13 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         matrix = _oracle.implication_matrix(n=args.n)
         if args.json:
             _write(matrix.to_json() + "\n")
-        elif not args.quiet:
+        else:
             _write(matrix.to_text())
         return 0
     report = _oracle.cross_validate(args.n, sample=args.sample, seed=args.seed or 0)
     if args.json:
         _write(report.to_json() + "\n")
-    elif not args.quiet:
+    else:
         _write(report.to_text())
     return 1 if report.violations else 0
 
@@ -197,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, realize and cross-validate degree-interval realizability.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--quiet", action="store_true", help="suppress normal output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate all criteria on an instance")

@@ -11,18 +11,19 @@ scans is made once per kernel pass, on first read.  The Fulkerson row
 scans the (t, m) triangle in blocks of t, each one 3-D compare, so a
 256-row sweep chunk up to n = 31 makes a single compare.  The Ryser interval row
 is one Gale-Ryser pass over the tilde system, whose bound rows
-``_lifted`` builds; it is the package's only Gale-Ryser code.  Sweeps
-evaluate each row over a chunk of instances at once.  The per-pair
-checkers (``check_cdz``, ``check_cdz_reduced``, ..., ``CHECKERS``) are
-the k = 1 view of the rows, read off the pair's cached
-``IntervalSequencePair.kernel``, so ``check_cdz``, the exact decision,
-and ``criteria_report`` on one pair share one pass.  On a point box
-(d; d), ``check_cdz`` decides whether the fixed sequence d is graphic.
-Verdicts are reproducible and can be re-verified by direct evaluation.
-Checkers never re-sort their input; callers normalize first.
+``_lifted`` builds; it is the package's only Gale-Ryser code.
 
-``CRITERIA`` declares each criterion once, and is the one registry the
-report, the sweeps and the CLI read; ``CHECKERS`` is its per-pair view.
+``CRITERIA`` declares each criterion once, and every reader looks its
+rows up at the call.  ``evaluate`` maps a kernel pass to every row's
+verdict columns; ``criteria_report`` reads it on one pair and both
+sweeps on a chunk of instances, and ``cdz_inconsistent`` is their one
+test of cdz against cdz_reduced.  The per-pair checkers (``check_cdz``,
+..., ``CHECKERS``) are the k = 1 view of one row each, off the pair's
+cached ``IntervalSequencePair.kernel``, so ``check_cdz``, the exact
+decision, and ``criteria_report`` on one pair share one pass.  On a
+point box (d; d), ``check_cdz`` decides whether the fixed sequence d is
+graphic.  Verdicts are reproducible and can be re-verified by direct
+evaluation.  Checkers never re-sort their input; callers normalize first.
 """
 
 from __future__ import annotations
@@ -315,14 +316,14 @@ CRITERIA: dict[str, Criterion] = {
 
 
 def _pair_view(name: str) -> Callable[[IntervalSequencePair], CriterionVerdict]:
-    """CRITERIA[name] on one pair: its row check at k = 1, off the pair's kernel pass."""
-    rows = CRITERIA[name].check
+    """CRITERIA[name] on one pair: the row check the table holds at the
+    call, at k = 1, off the pair's kernel pass."""
 
     def check(pair: IntervalSequencePair) -> CriterionVerdict:
-        return rows(pair.kernel).verdict(0)
+        return CRITERIA[name].check(pair.kernel).verdict(0)
 
     check.__name__ = check.__qualname__ = f"check_{name}"
-    check.__doc__ = rows.__doc__
+    check.__doc__ = CRITERIA[name].check.__doc__
     return check
 
 
@@ -348,13 +349,33 @@ class CriteriaReport:
     cdz_consistent: bool
 
 
+def evaluate(kernel: KernelPass) -> dict[str, Verdicts]:
+    """Every ``CRITERIA`` row's verdict columns over the kernel pass, by
+    name in table order, each row read from the table at the call."""
+    return {name: row.check(kernel) for name, row in CRITERIA.items()}
+
+
+def cdz_inconsistent(verdicts: dict[str, Verdicts]) -> np.ndarray:
+    """Rows on which the cdz and cdz_reduced verdicts of ``evaluate``
+    differ as CriterionVerdicts: in holds or, where both fail, in a witness
+    column (a column against None differs on every such row)."""
+    x, y = verdicts["cdz"], verdicts["cdz_reduced"]
+    differ = x.holds != y.holds
+    for cx, cy in zip(x[1:], y[1:]):
+        if cx is None and cy is None:
+            continue
+        differ |= ~x.holds & (True if cx is None or cy is None else cx != cy)
+    return differ
+
+
 def criteria_report(pair: IntervalSequencePair) -> CriteriaReport:
-    """Run every ``CRITERIA`` row's checker, all off the pair's one kernel
-    pass, and flag cdz/cdz_reduced disagreement.
+    """Every ``CRITERIA`` row's verdict on the pair, all off its one kernel
+    pass, and the flag for cdz/cdz_reduced disagreement, row 0 of
+    ``cdz_inconsistent``.
 
     The flag must never be False; it exists so a regression cannot pass
     silently through aggregated reports.
     """
-    verdicts = {name: check(pair) for name, check in CHECKERS.items()}
-    consistent = verdicts["cdz"] == verdicts["cdz_reduced"]
-    return CriteriaReport(verdicts=verdicts, cdz_consistent=consistent)
+    verdicts = evaluate(pair.kernel)
+    return CriteriaReport(verdicts={name: v.verdict(0) for name, v in verdicts.items()},
+                          cdz_consistent=not cdz_inconsistent(verdicts)[0])

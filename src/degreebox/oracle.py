@@ -14,11 +14,11 @@ sample, in rank order, as chunks of up to SWEEP_CHUNK rows, two (k, n)
 bound arrays each, with no per-instance Python object.  Up to 2^62
 instances (n <= 14) each run of ranks is unranked at once; past that,
 instances are drawn in O(n) by stars and bars.  Each sweep chunk makes
-one oracle gather over its boxes and one kernel pass, every
-``criteria.CRITERIA`` row is evaluated over the whole chunk
-(``_evaluate``), and both sweeps count through one product of the
-chunk's stacked holds table with its transpose; a pair is built only
-for a matrix example, from its row.
+one oracle gather over its boxes and one kernel pass, which
+``criteria.evaluate`` maps to every ``criteria.CRITERIA`` row's verdict
+columns, and both sweeps count through one product of the chunk's
+stacked holds table with its transpose; a pair is built only for a
+matrix example, from its row.  No row check is called here.
 """
 
 from __future__ import annotations
@@ -332,15 +332,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate(lows, highs) -> tuple[dict, np.ndarray]:
-    """One kernel pass over a chunk's (k, n) bounds and every
-    ``criteria.CRITERIA`` row over it: each row's verdict columns by name,
-    and their holds columns stacked into one (C, k) table in row order."""
-    kernel = kernel_pass(lows, highs)
-    verdicts = {name: row.check(kernel) for name, row in _criteria.CRITERIA.items()}
-    return verdicts, np.stack([v.holds for v in verdicts.values()])
-
-
 def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> SweepReport:
     """Evaluate every ``criteria.CRITERIA`` row against the oracle over the
     instance space at size n.
@@ -370,10 +361,11 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
     start = time.perf_counter()
     index = 0
     for lows, highs in _chunks(n, sample, seed):
-        verdicts, holds = _evaluate(lows, highs)
+        verdicts = _criteria.evaluate(kernel_pass(lows, highs))
+        holds = np.stack([v.holds for v in verdicts.values()])
         realizable = np.zeros(len(lows), dtype=bool)
         broken = np.zeros((len(names) + 1, len(lows)), dtype=bool)
-        broken[0] = _differ(verdicts["cdz"], verdicts["cdz_reduced"])
+        broken[0] = _criteria.cdz_inconsistent(verdicts)
         if oracle_used:
             realizable = _box_counts(n, lows, highs) > 0
             broken[1:] = np.where(realizable, necessity & ~holds, sufficiency & holds)
@@ -406,18 +398,6 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
         # row 0 of the broken mask; cdz_reduced's gated arrows share its name
         cdz_reduced_disagreements=sum(v["direction"] == "reduced-vs-full" for v in violations),
         elapsed=elapsed)
-
-
-def _differ(x: _criteria.Verdicts, y: _criteria.Verdicts) -> np.ndarray:
-    """Rows on which two criteria's verdicts differ as CriterionVerdicts: in
-    holds or, where both fail, in a witness column (a column against None
-    differs on every such row)."""
-    differ = x.holds != y.holds
-    for cx, cy in zip(x[1:], y[1:]):
-        if cx is None and cy is None:
-            continue
-        differ |= ~x.holds & (True if cx is None or cy is None else cx != cy)
-    return differ
 
 
 @dataclass
@@ -489,7 +469,7 @@ def implication_matrix(n: int) -> ImplicationMatrix:
     total = 0
     for lows, highs in _chunks(n):
         total += len(lows)
-        _, holds = _evaluate(lows, highs)
+        holds = np.stack([v.holds for v in _criteria.evaluate(kernel_pass(lows, highs)).values()])
         table = holds.astype(np.float64)
         tally += table @ table.T
         fresh = counts == 0

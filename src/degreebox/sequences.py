@@ -177,24 +177,16 @@ class NormalizedInstance(_Record):
     """A good-ordered pair plus the permutation back to the input labeling.
 
     ``perm[i]`` is the original position of normalized position i, so
-    ``original_a[perm[i]] == pair.a[i]`` (and likewise for b).  An instance
-    built directly keeps the perm it was given as a tuple (an array's
-    through ``tolist``); one ``normalize_good_order`` builds keeps the sort
-    order as an array and makes ``perm``, a tuple of Python ints, on first
-    read.  Either way equality and hashing compare tuples.
+    ``original_a[perm[i]] == pair.a[i]`` (and likewise for b).  The
+    instance keeps a copy of the perm it was given as an array, so the
+    caller's list or array cannot change it later, and makes ``perm``, a
+    tuple of Python ints, on first read; equality and hashing compare it.
     """
 
     _fields = ("pair", "perm")
 
     def __init__(self, pair: IntervalSequencePair, perm: Sequence[int]):
-        perm = tuple(perm.tolist() if isinstance(perm, np.ndarray) else perm)
-        vars(self).update(pair=pair, perm=perm)
-
-    @classmethod
-    def _of_order(cls, pair: IntervalSequencePair, order: np.ndarray) -> NormalizedInstance:
-        instance = cls.__new__(cls)
-        vars(instance).update(pair=pair, _order=order)
-        return instance
+        vars(self).update(pair=pair, _order=np.array(perm))
 
     @cached_property
     def perm(self) -> tuple[int, ...]:
@@ -308,7 +300,7 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     else:
         order = np.argsort(-(lo * n + hi), kind="stable")
     pair = IntervalSequencePair._of_rows(lo[None, order], hi[None, order])
-    return NormalizedInstance._of_order(pair, order)
+    return NormalizedInstance(pair, order)
 
 
 def kernel_pass(a, b) -> KernelPass:

@@ -16,14 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 import degreebox
 import ref_impl
 from degreebox.cli import (
-    InstanceSpec,
     InstanceSyntaxError,
     main,
     parse_instance,
 )
 from degreebox import criteria
 from degreebox.errors import LengthMismatch
-from degreebox.oracle import enumerate_instances
+from degreebox.oracle import cross_validate, enumerate_instances
 from degreebox.sequences import normalize_good_order
 
 CE_TEXT = "5,4,3,3,3,1/5,5,3,3,3,1"
@@ -40,21 +39,20 @@ def _exit_code(argv):
 
 class TestParseInstance:
     def test_counterexample_inline(self):
-        spec = parse_instance(CE_TEXT)
-        assert spec.a == (5, 4, 3, 3, 3, 1)
-        assert spec.b == (5, 5, 3, 3, 3, 1)
+        a, b = parse_instance(CE_TEXT)
+        assert a == (5, 4, 3, 3, 3, 1)
+        assert b == (5, 5, 3, 3, 3, 1)
 
     def test_degenerate_box(self):
-        spec = parse_instance("2,2,2/2,2,2")
-        assert spec.a == spec.b == (2, 2, 2)
+        a, b = parse_instance("2,2,2/2,2,2")
+        assert a == b == (2, 2, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             parse_instance("1,2/1")
 
     def test_whitespace_tolerated(self):
-        spec = parse_instance("  5 ,4 / 5,  5 ")
-        assert spec == InstanceSpec((5, 4), (5, 5))
+        assert parse_instance("  5 ,4 / 5,  5 ") == ((5, 4), (5, 5))
 
     @pytest.mark.parametrize("bad", ["abc", "1,2", "1/2/3", "1,x/1,2"])
     def test_syntax_errors(self, bad):
@@ -64,8 +62,8 @@ class TestParseInstance:
     def test_json_file_input(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"a": [2, 2, 2], "b": [2, 2, 2]}))
-        spec = parse_instance(f"@{path}")
-        assert spec.a == (2, 2, 2)
+        a, _ = parse_instance(f"@{path}")
+        assert a == (2, 2, 2)
 
     @pytest.mark.parametrize("payload", [
         b'{"a": [1.9, 1, "1"], "b": [2, true, 2]}',
@@ -110,7 +108,7 @@ class TestParseInstance:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_entry_reaches_validation(self, capsys):
-        assert parse_instance(" -1 ,1/1,1").a == (-1, 1)
+        assert parse_instance(" -1 ,1/1,1")[0] == (-1, 1)
         assert main(["check", "1,-1/1,1"]) == 2
         assert "negative" in capsys.readouterr().err
 
@@ -159,7 +157,7 @@ class TestExitCodes:
         assert "sample" in capsys.readouterr().err
 
     def test_crossval_large_with_sample(self):
-        assert main(["--quiet", "crossval", "9", "--sample", "30"]) == 0
+        assert main(["crossval", "9", "--sample", "30"]) == 0
 
     def test_crossval_sample_larger_than_the_space_sweeps_it_all(self, capsys):
         assert main(["--json", "crossval", "5", "--sample", "1000000000"]) == 0
@@ -357,14 +355,29 @@ class TestJsonOutput:
         assert payload["edges"] == [[1, 2], [1, 3], [2, 3]]
 
 
+def test_check_warns_when_cdz_and_cdz_reduced_disagree(monkeypatch, capsys):
+    """With Hasselbarth's row planted as cdz_reduced, check on an instance
+    the sweep flags reduced-vs-full prints the warning in text mode and
+    cdz_consistent false under --json, and exits by cdz's verdict."""
+    monkeypatch.setitem(criteria.CRITERIA, "cdz_reduced",
+                        criteria.CRITERIA["hasselbarth"]._replace(gated=criteria.EXACT))
+    flagged = next(v for v in cross_validate(4).violations if v["direction"] == "reduced-vs-full")
+    text = ",".join(map(str, flagged["a"])) + "/" + ",".join(map(str, flagged["b"]))
+    code = 0 if criteria.check_cdz(normalize_good_order(flagged["a"], flagged["b"]).pair).holds else 1
+    assert main(["check", text]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert "WARNING: cdz and cdz_reduced disagree (internal inconsistency)" in lines
+    assert main(["--json", "check", text]) == code
+    assert '"cdz_consistent":false' in capsys.readouterr().out
+
+
 def test_one_registry_reaches_every_report(capsys):
     """check --json, criteria_report and crossval --json each report every
     CRITERIA row, once."""
     rows = sorted(criteria.CRITERIA)
     assert main(["--json", "check", CE_TEXT]) == 1
     assert sorted(json.loads(capsys.readouterr().out)["criteria"]) == rows
-    spec = parse_instance(CE_TEXT)
-    pair = normalize_good_order(spec.a, spec.b).pair
+    pair = normalize_good_order(*parse_instance(CE_TEXT)).pair
     assert sorted(criteria.criteria_report(pair).verdicts) == rows
     assert main(["--json", "crossval", "3"]) == 0
     assert sorted(json.loads(capsys.readouterr().out)["criteria"]) == rows
@@ -525,9 +538,9 @@ _inline = st.one_of(
 
 @st.composite
 def _argvs(draw):
-    """argv across the three subcommands and the global flags, plus an @file
+    """argv across the three subcommands and the --json flag, plus an @file
     payload (None when the argv names no file)."""
-    argv = [flag for flag in ("--json", "--quiet") if draw(st.booleans())]
+    argv = ["--json"] if draw(st.booleans()) else []
     command = draw(st.sampled_from(["check", "realize", "crossval"]))
     argv.append(command)
     payload = None

@@ -15,6 +15,7 @@ from degreebox.criteria import (
     Verdicts,
     check_bollobas,
     check_cdz,
+    check_cdz_reduced,
     check_grunbaum,
     criteria_report,
 )
@@ -441,6 +442,21 @@ class TestCrossValidate:
         reduced = [name for _, name, arrow, _ in got if arrow == "reduced-vs-full"]
         assert report.cdz_reduced_disagreements == len(reduced)
         assert len(reduced) < sum(name == "cdz_reduced" for _, name, _, _ in got)
+
+    def test_every_reader_reads_the_table_at_the_call(self, monkeypatch):
+        """With Hasselbarth's row planted as cdz_reduced, the report flags
+        exactly the instances the sweep flags reduced-vs-full, and the
+        per-pair checker gives the report's verdict."""
+        monkeypatch.setitem(CRITERIA, "cdz_reduced", CRITERIA["hasselbarth"]._replace(gated=EXACT))
+        flagged = [v["instance_index"] for v in cross_validate(4).violations
+                   if v["direction"] == "reduced-vs-full"]
+        inconsistent = []
+        for index, pair in enumerate(enumerate_instances(4)):
+            report = criteria_report(pair)
+            assert check_cdz_reduced(pair) == report.verdicts["cdz_reduced"], pair
+            if not report.cdz_consistent:
+                inconsistent.append(index)
+        assert len(flagged) == 35 and inconsistent == flagged
 
     def test_large_n_sampled_runs_without_oracle(self):
         report = cross_validate(9, sample=40, seed=1)

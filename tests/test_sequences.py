@@ -534,6 +534,19 @@ def test_direct_instance_holds_perm_as_a_tuple():
     assert NormalizedInstance(norm.pair, [1, 0]) != norm
 
 
+def test_direct_instance_keeps_its_perm():
+    """An instance built from a list or array perm keeps a copy: mutating
+    the caller's perm afterwards changes neither its perm, its equality
+    with the normalized instance nor its hash."""
+    norm = normalize_good_order((1, 0, 0), (1, 1, 2))
+    for perm in (list(norm.perm), np.array(norm.perm)):
+        instance = NormalizedInstance(norm.pair, perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        assert instance.perm == norm.perm and instance == norm and hash(instance) == hash(norm)
+        perm[:] = perm[::-1]
+        assert instance.perm == norm.perm and instance == norm and hash(instance) == hash(norm)
+
+
 def test_direct_pair_holds_tuples_of_python_ints():
     """A pair built from lists or arrays compares, hashes and shows as the
     normalized pair; its entry checks still wait for first use."""
