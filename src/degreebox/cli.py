@@ -19,7 +19,7 @@ from . import criteria as _criteria
 from . import oracle as _oracle
 from . import realize as _realize
 from . import sequences as _sequences
-from .errors import InputError, LengthMismatch
+from .errors import InputError
 
 class InstanceSyntaxError(InputError):
     """The instance text is not 'a1,a2,.../b1,b2,...' or a readable @file."""
@@ -37,7 +37,9 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 def parse_instance(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Parse 'a1,a2,.../b1,b2,...' or '@path' to a JSON file with keys a, b,
-    to the bound vectors (a, b), before validation and clamping."""
+    to the bound vectors (a, b), before validation and clamping: vectors of
+    different lengths are returned as they are, for
+    ``sequences.normalize_good_order`` to refuse."""
     text = text.strip()
     if text.startswith("@"):
         try:
@@ -64,8 +66,6 @@ def parse_instance(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         left, right = text.split("/")
         a = _parse_vector(left)
         b = _parse_vector(right)
-    if len(a) != len(b):
-        raise LengthMismatch(f"lower has {len(a)} entries, upper has {len(b)}")
     return a, b
 
 

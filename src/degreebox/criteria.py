@@ -164,13 +164,15 @@ def _fulkerson(kernel: KernelPass) -> Verdicts:
         sum(a[:t]) <= t(n-m-1) + sum(b[n-m:]) - eps(t).
     With c(t) = sum(a[:t]) + eps(t) - t(n-1), (t, m) fails iff
     c(t) + t*m > sum(b[n-m:]).  The (t, m) triangle is scanned in blocks of
-    B consecutive t from t0 on: one 3-D compare of the rows still holding
-    against a (B, n-t0+1) table of t*m, with _NO_TAIL past m = n-t, whose
-    first True in a row's flattened block is the row's lexicographically
-    smallest failing (t, m).  B is _FULKERSON_BLOCK_CELLS over k(n+1), at
-    least 1: a 256-row chunk is one block up to n = 31 and one t per block
-    from n = 512 on, and a single pair one block up to n = 511.  The scan
-    stops once no row holds; it makes O(n^2) compares per row.
+    B consecutive t from t0 on: one 3-D compare of every row against a
+    (B, n-t0+1) table of t*m, with _NO_TAIL past m = n-t, whose first True
+    in a row's flattened block is the row's lexicographically smallest
+    failing (t, m) if the row held before t0.  B is _FULKERSON_BLOCK_CELLS
+    over k(n+1), at least 1: a 256-row chunk is one block up to n = 31 and
+    one t per block from n = 512 on, and a single pair one block up to
+    n = 511.  Failed rows stay in the compare, as dropping them saved no
+    time on sampled chunks at n = 40 to 2000; the scan stops once no row
+    holds.  It makes O(n^2) compares per row.
     """
     k, width = kernel.lhs.shape
     n = width - 1
@@ -178,25 +180,21 @@ def _fulkerson(kernel: KernelPass) -> Verdicts:
     t = np.arange(width)
     c = kernel.lhs + kernel.eps - t * (n - 1)
     step = max(1, _FULKERSON_BLOCK_CELLS // (max(k, 1) * width))
-    live = np.arange(k)  # the rows of c and tails: those with no failure before t0
+    rows = np.arange(k)
     holds = np.ones(k, dtype=bool)
     t_col, m_col = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     for t0 in range(0, width, step):
         ts, m = t[t0:t0 + step, None], t[:width - t0]
         table = np.where(m <= n - ts, ts * m, _NO_TAIL)
         fails = c[:, t0:t0 + step, None] + table > tails[:, None, :width - t0]
-        fails = fails.reshape(len(live), table.size)  # k = 0 takes no -1 here
+        fails = fails.reshape(k, table.size)  # k = 0 takes no -1 here
         first = fails.argmax(axis=1)
-        hit = fails[np.arange(len(live)), first]
-        found = live[hit]
-        holds[found] = False
+        found = holds & fails[rows, first]  # a row that failed before t0 keeps its witness
+        holds &= ~found
         # first is j*w + m for t = t0 + j, w = n-t0+1, so first + t0*w is t*w + m
-        t_col[found], m_col[found] = np.divmod(first[hit] + t0 * (width - t0), width - t0)
-        if len(found) and t0 + step < width:
-            live, c, tails = live[~hit], c[~hit], tails[~hit]
-            if not len(live):
-                break
-    rows = np.arange(k)
+        t_col[found], m_col[found] = np.divmod(first[found] + t0 * (width - t0), width - t0)
+        if not holds.any():
+            break
     rhs = t_col * (n - m_col - 1) + kernel.tail[rows, n - m_col] - kernel.eps[rows, t_col]
     return Verdicts(holds, t_col, m_col, kernel.lhs[rows, t_col], rhs)
 

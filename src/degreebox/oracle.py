@@ -49,7 +49,6 @@ MAX_SAMPLE_N = 2000
 # decoded at the bound it peaks at 138 to 146 MB RSS at n = 8 and 14,
 # 248 MB (19.5 s) at n = 15 and 487 MB at n = 2000 on 2 cores
 MAX_SAMPLE_CELLS = 10**7
-MAX_MATRIX_N = 6
 # Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
 SWEEP_CHUNK = 256
 
@@ -453,15 +452,14 @@ class ImplicationMatrix:
 
 def implication_matrix(n: int) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n, for every
-    ``criteria.CRITERIA`` row.
+    ``criteria.CRITERIA`` row; like every exhaustive reader, it is bounded
+    by the stream, to n <= MAX_EXHAUSTIVE_N.
 
     Each chunk adds H @ H.T, H its (C, k) holds table, to a tally of the
     instances two rows both hold on, so cell (x, y) is entry (x, x) less
     (x, y).  A cell's example is taken in the chunk where the cell first
     becomes nonzero: that chunk's first instance where x holds and y fails.
     """
-    if n > MAX_MATRIX_N:
-        raise TooLarge(f"implication matrix supports n <= {MAX_MATRIX_N}")
     names = tuple(_criteria.CRITERIA)
     tally = np.zeros((len(names),) * 2)
     counts = np.zeros_like(tally)

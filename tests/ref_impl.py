@@ -399,6 +399,26 @@ def _ref_degree_vectors(n):
     return vectors
 
 
+def ref_degree_table(n):
+    """The raw (n,)*n table of K_n's edge subsets by degree vector, cell d
+    the number of subsets whose degree vector is d, by enumerating every
+    subset as a bitmask over the n(n-1)/2 edges.
+
+    Edge (u, v) adds n^(n-1-u) + n^(n-1-v) to a subset's flat index.  The
+    indices of all subsets of the first (at most 22) edges are built by
+    doubling; each pattern of the remaining edges adds one offset to them,
+    and one bincount per pattern fills the table.
+    """
+    weights = [n ** (n - 1 - u) + n ** (n - 1 - v) for u, v in itertools.combinations(range(n), 2)]
+    index = np.zeros(1, dtype=np.int64)
+    for w in weights[:22]:
+        index = np.concatenate((index, index + w))
+    table = np.zeros(n ** n, dtype=np.int64)
+    for pattern in itertools.product(*((0, w) for w in weights[22:])):
+        table += np.bincount(index + sum(pattern), minlength=n ** n)
+    return table.reshape((n,) * n)
+
+
 def ref_witness_count(pair):
     """Number of edge subsets of K_n whose degree vector lies in the box."""
     return sum(

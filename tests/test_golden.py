@@ -89,6 +89,10 @@ GOLDEN = {
     "crossval 9 --sample 40 --seed 3": (
         [["--json", "crossval", "9", "--sample", "40", "--seed", "3"]],
         "40392b1fabce9d0b661f8cf43ba04980fcbf1c66edc9d514cebbf9f24b6a9930"),
+    # a 64-row chunk at n = 300 scans the Fulkerson triangle in 24 blocks of t
+    "crossval 300 --sample 64 --seed 4": (
+        [["--json", "crossval", "300", "--sample", "64", "--seed", "4"]],
+        "5236891ce5d80ab238c9cbce6a5e0b2f51e1c583e4dcc0b3057e4fedcf1d50d4"),
     "crossval 0": (
         [["--json", "crossval", "0"]],
         "7b5bf4d0a8ad5fc4fa3197080e4c816380d33527ada2af54ae92c4994d11be70"),

@@ -94,6 +94,15 @@ class TestOracle:
         with pytest.raises(TooLarge):
             oracle_realizable(pair)
 
+    @pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE_N + 1))
+    def test_table_matches_every_edge_subset(self, n):
+        """The summed-area table, differenced back along every axis, is the
+        count of every edge subset of K_n by degree vector, cell by cell."""
+        raw = _count_grid(n)[0].reshape((n,) * n)
+        for axis in range(n):
+            raw = np.diff(raw, axis=axis, prepend=0)
+        assert np.array_equal(raw, ref_impl.ref_degree_table(n))
+
     def test_count_matches_reference_exhaustively(self):
         for n in range(0, 5):
             for pair in enumerate_instances(n):
@@ -509,8 +518,9 @@ class TestImplicationMatrix:
         assert implication_matrix(3).to_json() == implication_matrix(3).to_json()
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            implication_matrix(7)
+        """Bounded by the instance stream, like every exhaustive reader."""
+        with pytest.raises(TooLarge, match="exhaustive sweep supports n <= 7"):
+            implication_matrix(8)
 
     def test_rejects_negative_size(self):
         with pytest.raises(InputError):
