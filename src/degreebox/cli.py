@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate all criteria on an instance")
     p.add_argument("instance", help='"a1,a2,.../b1,b2,..." or @file.json')
     p.add_argument("--oracle", action="store_true",
-                   help="also run the exhaustive oracle (n <= 7)")
+                   help="also run the exhaustive oracle (n <= 8)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("realize", help="construct a witness graph")

@@ -3,9 +3,10 @@
 The oracle counts, for every labelled degree vector, the edge subsets of
 the complete graph K_n that produce it, by a dynamic program over the
 edges, and keeps those counts as n-dimensional prefix sums (a summed-area
-table).  A box query is then an exact inclusion-exclusion sum over the
-box's 2^n corners.  The oracle never consults the criteria module, which
-is what makes the agreement sweeps meaningful.
+table), int32 and filled in place, for n <= MAX_EXHAUSTIVE_N = 8.  A box
+query is then an exact inclusion-exclusion sum over the box's 2^n
+corners.  The oracle never consults the criteria module, which is what
+makes the agreement sweeps meaningful.
 
 Every reader of the instance space (``enumerate_instances``,
 ``sample_instances``, a sweep ``cross_validate`` and the implication
@@ -38,7 +39,7 @@ from . import criteria as _criteria
 from .errors import InputError, TooLarge
 from .sequences import IntervalSequencePair, kernel_pass
 
-MAX_EXHAUSTIVE_N = 7
+MAX_EXHAUSTIVE_N = 8
 # The sweep's chunk sets this limit, not the draw: at n = 2000 one
 # SWEEP_CHUNK-row chunk takes about 0.1 s in its kernel pass and 1.15 to 1.25 s
 # in the O(n^2) Fulkerson row on 2 cores, and the sweep peaks at 172 MB RSS;
@@ -49,7 +50,7 @@ MAX_SAMPLE_N = 2000
 # decoded at the bound it peaks at 138 to 146 MB RSS at n = 8 and 14,
 # 248 MB (19.5 s) at n = 15 and 487 MB at n = 2000 on 2 cores
 MAX_SAMPLE_CELLS = 10**7
-# Instances per chunk of a sweep: about 1 KB of oracle indices each at n = 7
+# Instances per chunk of a sweep: about 2 KB of oracle indices each at n = 8
 SWEEP_CHUNK = 256
 
 
@@ -65,22 +66,33 @@ def _count_grid(n: int):
     Before the prefix sums, cell d of the (n,)*n grid holds the number of
     edge subsets whose degree vector is d: each edge (u, v) either stays
     out or adds one to both d_u and d_v.  After them, cell x counts the
-    subsets with degree vector <= x componentwise.  The corners are the
-    2^n choices of "lower" or "upper" side per axis, as the 0/1 columns
-    of ``lower_t`` (one per corner), with their inclusion-exclusion signs.
-    ``lower_t`` is float64 so that products with it run through BLAS; at
-    the n <= 7 built here they are integers far below 2^53, so exact.
+    subsets with degree vector <= x componentwise.  Every cell counts edge
+    subsets, at most 2^(n(n-1)/2), which is at most 2^28 for n <= 8, so the
+    grid is int32 and exact; past MAX_EXHAUSTIVE_N it would overflow, and n
+    is refused before anything is allocated.  The grid is filled in place:
+    edge (u, v) adds plane i-1 of axis u, shifted one along axis v, into
+    plane i, for i from n-1 down to 1, so each plane is read before it
+    changes, and two distinct planes share no memory, so numpy makes no
+    temporary; each axis's prefix sum writes into the grid too.  The
+    corners are the 2^n choices of "lower" or "upper" side per axis, as
+    the 0/1 columns of ``lower_t`` (one per corner), with their
+    inclusion-exclusion signs.  ``lower_t`` is float64 so that products
+    with it run through BLAS; at the n <= 8 built here they are integers
+    far below 2^53, so exact.
     """
-    grid = np.zeros((n,) * n, dtype=np.int64)
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {n}")
+    grid = np.zeros((n,) * n, dtype=np.int32)
     grid[(0,) * n] = 1
     for u, v in itertools.combinations(range(n), 2):
         dst = [slice(None)] * n
         src = [slice(None)] * n
-        dst[u] = dst[v] = slice(1, None)
-        src[u] = src[v] = slice(None, -1)
-        grid[tuple(dst)] = grid[tuple(dst)] + grid[tuple(src)]
+        dst[v], src[v] = slice(1, None), slice(None, -1)
+        for i in range(n - 1, 0, -1):
+            dst[u], src[u] = i, i - 1
+            grid[tuple(dst)] += grid[tuple(src)]
     for axis in range(n):
-        grid = np.cumsum(grid, axis=axis)
+        np.cumsum(grid, axis=axis, out=grid)
     lower_t = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
     signs = (-1) ** lower_t.sum(axis=0)
     strides = n ** np.arange(n - 1, -1, -1)
@@ -96,24 +108,29 @@ def _box_counts(n: int, lows, highs) -> np.ndarray:
     takes lows[i, j] - 1 on the axes j it has lower and highs[i, j] on the
     rest, so its flat index is the upper corner's plus the lower axes'
     (lows - 1 - highs) * strides: all k * 2^n indices come from two small
-    matrix products, with no corners array, and make one gather.
+    matrix products, with no corners array, and make one gather.  The
+    float64 indices are exact and below n^n <= 2^24 in magnitude, so they
+    are cast to int32 and let go; ``take`` reads int32 indices about as
+    fast as int64 ones, where plain indexing is 2-3x slower.
     """
     cumulative, lower_t, signs, strides = _count_grid(n)
     lows = np.asarray(lows, dtype=np.int64)
     highs = np.asarray(highs, dtype=np.int64)
-    drop = ((lows - 1 - highs) * strides) @ lower_t
-    index = (highs @ strides)[:, None] + drop.astype(np.int64)
     # a corner is outside iff it takes a lower side where lows is 0; its
     # index wraps to some other cell, so its lookup is zeroed
     outside = (lows == 0) @ lower_t > 0
-    return np.where(outside, 0, cumulative[index]) @ signs
+    index = ((lows - 1 - highs) * strides) @ lower_t
+    index += (highs @ strides)[:, None]
+    index = index.astype(np.int32)
+    counts = cumulative.take(index)
+    counts[outside] = 0
+    return counts @ signs
 
 
 def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
     """Exhaustive decision plus the number of witnessing edge subsets: the
-    one-box case of ``_box_counts``, over the pair's checked rows."""
-    if pair.n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"oracle enumerates up to n = {MAX_EXHAUSTIVE_N}, got {pair.n}")
+    one-box case of ``_box_counts``, over the pair's checked rows; past
+    MAX_EXHAUSTIVE_N the table refuses n with ``TooLarge``."""
     count = int(_box_counts(pair.n, *pair._rows)[0])
     return OracleResult(count > 0, count)
 
@@ -335,7 +352,8 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
     """Evaluate every ``criteria.CRITERIA`` row against the oracle over the
     instance space at size n.
 
-    Exhaustive for n <= 7; a seeded uniform sample is required beyond that
+    Exhaustive for n <= MAX_EXHAUSTIVE_N = 8 (all 145,008,513 instances
+    there); a seeded uniform sample is required beyond that
     (where the oracle is unavailable and only criterion-vs-criterion
     tallies are reported).  Reports are deterministic given (n, sample,
     seed).
@@ -453,13 +471,17 @@ class ImplicationMatrix:
 def implication_matrix(n: int) -> ImplicationMatrix:
     """Tally x-holds/y-fails over the exhaustive space at n, for every
     ``criteria.CRITERIA`` row; like every exhaustive reader, it is bounded
-    by the stream, to n <= MAX_EXHAUSTIVE_N.
+    to n <= MAX_EXHAUSTIVE_N, but it refuses a larger n itself, since the
+    stream's refusal points to a sample, which the matrix does not take.
 
     Each chunk adds H @ H.T, H its (C, k) holds table, to a tally of the
     instances two rows both hold on, so cell (x, y) is entry (x, x) less
     (x, y).  A cell's example is taken in the chunk where the cell first
     becomes nonzero: that chunk's first instance where x holds and y fails.
     """
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"exhaustive sweep supports n <= {MAX_EXHAUSTIVE_N}, got {n}; "
+                       "the matrix covers every instance")
     names = tuple(_criteria.CRITERIA)
     tally = np.zeros((len(names),) * 2)
     counts = np.zeros_like(tally)

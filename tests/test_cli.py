@@ -158,6 +158,15 @@ class TestExitCodes:
         assert main(["crossval", "9"]) == 2
         assert "sample" in capsys.readouterr().err
 
+    def test_crossval_matrix_too_large_advises_no_sample(self, capsys):
+        """The matrix takes no sample, so its refusal past the exhaustive
+        bound does not advise one, while the sweep's points to --sample."""
+        assert main(["crossval", "9", "--matrix"]) == 2
+        err = capsys.readouterr().err
+        assert "n <= 8" in err and "sample" not in err
+        assert main(["crossval", "9"]) == 2
+        assert "pass a sample size" in capsys.readouterr().err
+
     def test_crossval_large_with_sample(self):
         assert main(["crossval", "9", "--sample", "30"]) == 0
 
@@ -226,7 +235,7 @@ class TestExitCodes:
         "crossval --matrix -1",
         "crossval 7 --sample 0",
         "crossval 9 --sample 0",
-        "--json check --oracle 1,1,1,1,1,1,1,1/1,1,1,1,1,1,1,1",
+        "--json check --oracle 1,1,1,1,1,1,1,1,1/1,1,1,1,1,1,1,1,1",
         # an instance opening with a negative entry is not an option
         "check -1,1/1,1",
         "realize -1,1/1,1",
@@ -563,11 +572,12 @@ def _argvs(draw):
         else:
             # sizes whose sweep is quick or rejected at once: sampled sweeps
             # to n = 9 and drawn ones at n = 15 to 40, exhaustive ones and
-            # the matrix to n = 5, and n = 8 and 9, past the exhaustive bound
-            # of both, refused (the matrix at n = 7 runs, for about 16 s)
+            # the matrix to n = 5, and n = 9 and 10, past the exhaustive bound
+            # of both, refused (the matrix at n = 7 runs for about 16 s, and
+            # both at n = 8 for about 14 min)
             sampled = sample is not None and not matrix
             quick = [*range(-3, 10), *range(15, 41)] if sampled else range(-3, 6)
-            refused = range(8, 10)
+            refused = range(9, 11)
             n = draw(st.sampled_from(list(quick) + list(refused)) | st.integers(2001, 10**30))
         argv.append(str(n))
         argv += ["--matrix"] if matrix else []

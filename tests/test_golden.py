@@ -99,6 +99,12 @@ GOLDEN = {
     "crossval 1": (
         [["--json", "crossval", "1"]],
         "54401baa6d7c282003e5435128db52c4efb819220d8eb5041f322b9ff3d032d3"),
+    # the point box of 438 vertices of degree 599 and 162 of degree 437 at
+    # n = 600: fulkerson first fails at t = 438, m = 1, past a single pair's
+    # first block of t < 436
+    "check on a Fulkerson witness past the first block": (
+        [["--json", "check", _instance([599] * 438 + [437] * 162, [599] * 438 + [437] * 162)]],
+        "1196c5248b34904d6f12ce47c7bf816dbe703c14b5fd9f60cbe24e176ee8a0d7"),
     "check on seeded boxes": (
         list(_check_argvs()),
         "859c78022c33b41265daedad85de5f218efb8b5ed5ae65ac5e7dca75543aec43"),

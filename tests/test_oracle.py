@@ -90,18 +90,38 @@ class TestOracle:
         assert oracle_realizable(normalize_good_order((), ()).pair) == (True, 1)
 
     def test_too_large(self):
-        pair = normalize_good_order((0,) * 8, (0,) * 8).pair
+        pair = normalize_good_order((0,) * 9, (0,) * 9).pair
         with pytest.raises(TooLarge):
             oracle_realizable(pair)
 
-    @pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE_N + 1))
+    @pytest.mark.parametrize("n", range(8))
     def test_table_matches_every_edge_subset(self, n):
         """The summed-area table, differenced back along every axis, is the
-        count of every edge subset of K_n by degree vector, cell by cell."""
+        count of every edge subset of K_n by degree vector, cell by cell.
+        The n = 8 table (about 10 s and 620 MB for the reference) is
+        checked the same way in CI's sweep gate."""
         raw = _count_grid(n)[0].reshape((n,) * n)
         for axis in range(n):
             raw = np.diff(raw, axis=axis, prepend=0)
         assert np.array_equal(raw, ref_impl.ref_degree_table(n))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_table_is_int32_and_counts_every_subset(self, n):
+        """The table is int32, and its last cell, the subsets with every
+        degree <= n-1, counts all 2^(n(n-1)/2) edge subsets of K_n."""
+        cumulative = _count_grid(n)[0]
+        assert cumulative.dtype == np.int32
+        assert int(cumulative[-1]) == 2 ** (n * (n - 1) // 2)
+
+    def test_table_past_the_bound_is_refused_before_allocating(self, monkeypatch):
+        """At n = 9 a cell could reach 2^36, past int32: the 9^9-cell grid is
+        refused before any array is made."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the bound")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(TooLarge, match="up to n = 8"):
+            _count_grid(MAX_EXHAUSTIVE_N + 1)
 
     def test_count_matches_reference_exhaustively(self):
         for n in range(0, 5):
@@ -219,7 +239,7 @@ class TestInstanceSpace:
 
     def test_enumeration_past_the_oracle_is_too_large(self):
         with pytest.raises(TooLarge, match="sample"):
-            next(enumerate_instances(8))
+            next(enumerate_instances(9))
 
     def test_unrank_matches_enumeration(self):
         assert _rows([_unrank_rows(3, range(56))]) == list(ref_instances(3))
@@ -387,12 +407,13 @@ class TestCrossValidate:
 
     def test_too_large_without_sample(self):
         with pytest.raises(TooLarge):
-            cross_validate(8)
+            cross_validate(9)
 
-    @pytest.mark.parametrize("n", [5, 6, 9])
+    @pytest.mark.parametrize("n", [5, 6, 8, 9])
     def test_chunked_tallies_match_per_pair_checks(self, n):
         """A sample of 2 * SWEEP_CHUNK + 37 instances, not a whole number of
-        chunks, tallied as the per-pair checkers and oracle queries say.
+        chunks, tallied as the per-pair checkers and oracle queries say; at
+        n = 8, the oracle's largest size, each box is also its own query.
         Past the oracle, at n = 9, every cell stays zero, the holds counts
         are still the checkers', and the JSON's oracle_yes is null."""
         size = 2 * SWEEP_CHUNK + 37
@@ -518,9 +539,10 @@ class TestImplicationMatrix:
         assert implication_matrix(3).to_json() == implication_matrix(3).to_json()
 
     def test_too_large(self):
-        """Bounded by the instance stream, like every exhaustive reader."""
-        with pytest.raises(TooLarge, match="exhaustive sweep supports n <= 7"):
-            implication_matrix(8)
+        """Bounded like every exhaustive reader, with no advice to sample."""
+        with pytest.raises(TooLarge, match="exhaustive sweep supports n <= 8") as refusal:
+            implication_matrix(9)
+        assert "sample" not in str(refusal.value)
 
     def test_rejects_negative_size(self):
         with pytest.raises(InputError):
