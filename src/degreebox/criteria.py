@@ -250,7 +250,7 @@ def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     k, top = demand.shape
     lhs = np.cumsum(demand, axis=1)
     capped = np.minimum(supply, top)
-    above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1), axis=1)[:, :top]
+    above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1)[0], axis=1)[:, :top]
     return (lhs <= np.cumsum(above, axis=1)).all(axis=1)
 
 

@@ -57,16 +57,15 @@ class KernelPass:
 
         Head j adds t - 1 - x[j] to D_x(t) from t = max(j + 1, x[j] + 2)
         on, so D_x(t) is t * #{heads started} - sum(1 + x[j] over them):
-        for x = a and x = b, two histograms of the start summed from the
-        bottom up, all four one bincount over the stacked (a, b).
+        for x = a and x = b, two histograms of the start, one unweighted
+        and one weighted by x + 1, over the 2k rows of the stacked (a, b),
+        summed from the bottom up.
         """
         x = np.stack((self.a, self.b))
         _, k, n = x.shape
         t = np.arange(n + 1)
-        start = np.maximum(t[1:], x + 2)
-        weights = np.ones((4, k, n))
-        weights[2:] = x + 1
-        hist = _row_histogram(np.concatenate((start, start)).reshape(4 * k, n), n + 2, weights)
+        start = np.maximum(t[1:], x + 2).reshape(2 * k, n)
+        hist = _row_histogram(start, n + 2, x + 1)
         started, offset = np.cumsum(hist.reshape(2, 2, k, n + 2)[..., :-1], axis=3)
         return t * started - offset
 
@@ -156,7 +155,7 @@ class IntervalSequencePair(_Record):
         masks: a pair ``normalize_good_order`` rejects raises what it
         raises, and an upper bound above n-1, which it clamps,
         UpperExceedsMaxDegree; a pair that fails caches nothing."""
-        lo, hi = _validated_columns(self.a, self.b)
+        lo, hi, _ = _validated_columns(self.a, self.b)
         above = hi > self.n - 1
         if above.any():
             i = int(above.argmax())
@@ -228,14 +227,15 @@ def _require_integers(seq: Sequence[int], name: str) -> None:
             raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer")
 
 
-def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as int64 columns, checked as masks, b not yet clamped.
+def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a, b and b clamped to n-1, as int64 columns, checked as masks.
 
     Raises what ``normalize_good_order`` documents, naming the first
     offending entry.  Valid bounds pass one fused mask,
-    0 <= a[i] <= min(b[i], n-1); only when it fails do the scans below run
-    to tell the errors apart.  A lower bound above n-1 also exceeds its
-    clamped upper bound, so one mask finds the first index of either.
+    0 <= a[i] <= min(b[i], n-1), whose clamped b is returned with them;
+    only when it fails do the scans below run to tell the errors apart.
+    A lower bound above n-1 also exceeds its clamped upper bound, so one
+    mask finds the first index of either.
     """
     if len(a) != len(b):
         raise LengthMismatch(f"lower has length {len(a)}, upper has length {len(b)}")
@@ -245,7 +245,7 @@ def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
     lo, hi = _int64_column(a), _int64_column(b)
     clamped = np.minimum(hi, n - 1)
     if ((lo >= 0) & (lo <= clamped)).all():
-        return lo, hi
+        return lo, hi, clamped
     for column, seq, name in ((lo, a, "lower bounds"), (hi, b, "upper bounds")):
         negative = column < 0
         if negative.any():
@@ -286,20 +286,28 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
 
     The cells are sorted by a descending, then b descending, ties in input
     order, so the recorded permutation is deterministic: a plain sort of
-    the distinct int64 keys ((n-1-a)*n + (n-1-b))*n + i, whose residues
-    mod n are the order.  Those keys reach n^3 - 1, so past n = 2,097,151
-    (n^3 >= 2^63) a stable argsort of a*n + b sorts instead.  The pair
+    the distinct int64 keys ((n-1-a)*n + (n-1-b)) * 2^m + i, with 2^m the
+    least power of two >= n, whose low m bits are the order.  Each key is
+    (n^2 - 1) * 2^m - (a*n + b) * 2^m + i, built in one buffer.  The keys
+    stay below n^2 * 2^m, which reaches 2^63 at n = 2,097,152 (2^21), so
+    from there on a stable argsort of a*n + b sorts instead.  The pair
     keeps the sorted rows and the instance the order; the tuples
     ``pair.a``, ``pair.b`` and ``perm`` are built on first read.
     """
-    lo, hi = _validated_columns(a, b)
+    lo, _, hi = _validated_columns(a, b)
     n = len(lo)
-    hi = np.minimum(hi, n - 1)
-    if n ** 3 < 2 ** 63:
-        order = np.sort(((n - 1 - lo) * n + (n - 1 - hi)) * n + np.arange(n)) % n
+    m = max(n - 1, 0).bit_length()
+    if n * n << m < 2 ** 63:
+        c = (n * n - 1) << m
+        key = lo * n
+        key += hi
+        key *= -(1 << m)
+        key += np.arange(c, c + n)
+        order = np.sort(key)
+        order &= (1 << m) - 1
     else:
         order = np.argsort(-(lo * n + hi), kind="stable")
-    pair = IntervalSequencePair._of_rows(lo[None, order], hi[None, order])
+    pair = IntervalSequencePair._of_rows(lo.take(order)[None], hi.take(order)[None])
     return NormalizedInstance(pair, order)
 
 
@@ -310,13 +318,16 @@ def kernel_pass(a, b) -> KernelPass:
     prefix and suffix sums of a and b.  Cell j lies in
     S(t) = {j >= t : b[j] > t} iff t < min(j + 1, b[j]), so |S(t)|, the
     b-sum over S(t) and its unforced (a < b) cells are histograms of that
-    threshold summed from the top down, all three one bincount, in
-    float64, which is exact while each row's weights (at most n per cell)
-    sum below 2^53.  The b-sum less t|S(t)| is what the cells of S(t)
-    lose to the clip at t, so rhs is t(t-1) + tail less that, less eps,
-    and eps is its parity where S(t) has no unforced cell.  The head
-    deficits and s wait for their first read (``KernelPass``).  Any order
-    of the cells works; entries of b must lie in 0..n-1.
+    threshold summed from the top down: one flat index, three bincounts
+    (unweighted, weighted by b, weighted by a < b) into one int64 table.
+    A weighted bincount counts in float64, which is exact while each
+    row's weights (at most n per cell) sum below 2^53.  The b-sum less
+    t|S(t)| is what the cells of S(t) lose to the clip at t, so rhs is
+    t(t-1) + tail less that, less eps, and eps is its parity where S(t)
+    has no unforced cell.  The head deficits and s wait for their first
+    read (``KernelPass``).  Any order of the cells works; entries of b
+    must lie in 0..n-1.  The bounds are read, never written, so int64
+    arrays are kept without a copy.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -326,26 +337,31 @@ def kernel_pass(a, b) -> KernelPass:
     tail = np.zeros((k, n + 1), dtype=np.int64)
     np.cumsum(a, axis=1, out=lhs[:, 1:])
     np.cumsum(b[:, ::-1], axis=1, out=tail[:, -2::-1])
-    index = np.minimum(t[1:], b)
-    weights = np.empty((3, k, n))
-    weights[0], weights[1], weights[2] = 1, b, a < b
-    hist = _row_histogram(np.concatenate((index, index, index)), n + 2, weights)
+    hist = _row_histogram(np.minimum(t[1:], b), n + 2, b, a < b)
     # summed from the top, column c counts entries >= c: the value at t is column t + 1
-    size, total, loose = np.cumsum(hist.reshape(3, k, n + 2)[:, :, :0:-1], axis=2)[:, :, ::-1]
+    size, total, loose = np.cumsum(hist[:, :, :0:-1], axis=2)[:, :, ::-1]
     clipped = total - t * size
     eps = clipped & (loose == 0)
-    rhs = t * (t - 1) + tail - clipped - eps
+    rhs = tail - clipped
+    rhs -= eps
+    rhs += t * (t - 1)
     return KernelPass(a, b, lhs, rhs, eps, tail)
 
 
-def _row_histogram(index: np.ndarray, width: int, weights=None) -> np.ndarray:
-    """Row i's bincount of index[i] (entries in 0..width-1), as a (k, width) int64 array.
+def _row_histogram(index: np.ndarray, width: int, *weights: np.ndarray) -> np.ndarray:
+    """Row i's bincount of index[i] (entries in 0..width-1), then one per
+    weight array (of index's size, in its order), as a
+    (1 + len(weights), k, width) int64 table.
 
-    A weighted bincount comes back as float64; it is exact, and so is the
-    cast back, while every row's weight sum stays below 2^53.
+    Every bincount reads one flat index.  A weighted bincount counts in float64;
+    it is exact, and so is the cast into the table, while every row's
+    weight sum stays below 2^53.
     """
     k = len(index)
-    flat = (index + width * np.arange(k)[:, None]).ravel()
-    weights = None if weights is None else weights.ravel()
-    counts = np.bincount(flat, weights, minlength=k * width)
-    return counts.astype(np.int64, copy=False).reshape(k, width)
+    size = k * width
+    flat = (index + np.arange(0, size, width)[:, None]).ravel()
+    counts = np.empty((1 + len(weights), size), dtype=np.int64)
+    counts[0] = np.bincount(flat, minlength=size)
+    for row, weight in zip(counts[1:], weights):
+        row[:] = np.bincount(flat, weight.ravel(), minlength=size)
+    return counts.reshape(len(counts), k, width)

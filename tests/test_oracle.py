@@ -156,6 +156,25 @@ class TestOracle:
         chunked = [_box_counts(n, lows, highs).tolist() for lows, highs in chunks]
         assert sum(chunked, []) == expected
 
+    def test_gather_is_exact_at_n8(self):
+        """At n = 8 a corner's flat index reaches 8^8 - 1 = 2^24 - 1, and
+        the lower corners at lows = 0 fall outside the table.  On the whole
+        box (lows 0, highs n-1), on boxes with an all-0 lows row or an
+        all-(n-1) highs row, and on seeded boxes mixing 0 and n-1 in both,
+        the gather equals the same 2^n corners summed one by one in Python
+        ints."""
+        n = 8
+        rng = np.random.default_rng(20261020)
+        lows = rng.choice([0, 0, 1, 3, n - 1], (8, n))
+        highs = np.maximum(lows, rng.choice([0, 2, 5, n - 1, n - 1], (8, n)))
+        lows[:2] = 0
+        highs[0] = highs[2] = n - 1
+        counts = _box_counts(n, lows, highs)
+        assert counts[0] == 2 ** (n * (n - 1) // 2)
+        pairs = [IntervalSequencePair(tuple(a), tuple(b))
+                 for a, b in zip(lows.tolist(), highs.tolist())]
+        assert counts.tolist() == [_corner_sum(pair) for pair in pairs]
+
     def test_permutation_invariance(self):
         rng = random.Random(99)
         for pair in sample_instances(5, 60, seed=3):

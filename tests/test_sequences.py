@@ -438,6 +438,28 @@ def test_kernel_columns_match_plain_scans(k, n):
         assert kernel.s[i] == sum(x >= j for j, x in enumerate(lo)), (lo, hi)
 
 
+def test_bounds_are_read_not_written():
+    """normalize_good_order and kernel_pass build their buffers in place,
+    and kernel_pass keeps int64 bounds without a copy: on read-only int64
+    inputs each gives what it gives on writable copies, every column of
+    the pass included, and leaves its inputs as they were."""
+    rng = np.random.default_rng(20261020)
+    n = 40
+    hi = rng.integers(0, n, (3, n))
+    lo = rng.integers(0, hi + 1)
+    frozen = [lo.copy(), hi.copy()]
+    for x in frozen:
+        x.flags.writeable = False
+    assert normalize_good_order(frozen[0][0], frozen[1][0]) == normalize_good_order(
+        lo[0].copy(), hi[0].copy())
+    kernel = kernel_pass(*frozen)
+    assert kernel.a is frozen[0] and kernel.b is frozen[1]
+    fresh = kernel_pass(lo.copy(), hi.copy())
+    for name in ("lhs", "rhs", "eps", "tail", "deficit_a", "deficit_b", "s"):
+        assert np.array_equal(getattr(kernel, name), getattr(fresh, name)), name
+    assert np.array_equal(frozen[0], lo) and np.array_equal(frozen[1], hi)
+
+
 def test_decision_reads_normalized_rows_and_builds_no_deficits(monkeypatch):
     """check_cdz on a normalized pair reads the rows normalize_good_order
     sorted, rebuilding none from the pair's tuples, and builds neither the
