@@ -227,7 +227,7 @@ def _require_integers(seq: Sequence[int], name: str) -> None:
             raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer")
 
 
-def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, ...]:
     """a, b and b clamped to n-1, as int64 columns, checked as masks.
 
     Raises what ``normalize_good_order`` documents, naming the first
