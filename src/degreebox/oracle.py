@@ -111,7 +111,9 @@ def _box_counts(n: int, lows, highs) -> np.ndarray:
     matrix products, with no corners array, and make one gather.  The
     float64 indices are exact and below n^n <= 2^24 in magnitude, so they
     are cast to int32 and let go; ``take`` reads int32 indices about as
-    fast as int64 ones, where plain indexing is 2-3x slower.
+    fast as int64 ones, where plain indexing is 2-3x slower.  The products
+    stay float64: in float32, from max(lows - 1, 0), they are exact at
+    n <= 8 too, but the CLI's exhaustive ``crossval 7`` ran 19-32 % slower.
     """
     cumulative, lower_t, signs, strides = _count_grid(n)
     lows = np.asarray(lows, dtype=np.int64)

@@ -353,9 +353,9 @@ def _row_histogram(index: np.ndarray, width: int, *weights: np.ndarray) -> np.nd
     weight array (of index's size, in its order), as a
     (1 + len(weights), k, width) int64 table.
 
-    Every bincount reads one flat index.  A weighted bincount counts in float64;
-    it is exact, and so is the cast into the table, while every row's
-    weight sum stays below 2^53.
+    Every bincount reads one flat index.  A weighted bincount counts in
+    float64; it is exact, and so is the cast into the table, while every
+    row's weight sum stays below 2^53.
     """
     k = len(index)
     size = k * width
