@@ -26,11 +26,13 @@ class InstanceSyntaxError(InputError):
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    # int() alone would take '1_0', '+2' and non-ASCII digits; '-1' parses and fails validation
-    if re.fullmatch(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", text):
+    # int() alone would take '1_0', '+2' and non-ASCII digits, so only ASCII digits, '-',
+    # ',' and spaces get to it; it refuses the rest ('- 1', '1 2', an empty entry).
+    # '-1' parses and fails validation
+    if re.fullmatch(r"[\s0-9,-]*", text):
         try:
             return tuple(map(int, text.split(",")))
-        except ValueError:  # more digits than int() converts
+        except ValueError:  # a malformed entry, or more digits than int() converts
             pass
     raise InstanceSyntaxError(f"cannot parse integer vector from {text!r}")
 

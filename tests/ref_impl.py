@@ -14,6 +14,7 @@ O(n) scan over threshold histograms that shares no code with that pass.
 import itertools
 import math
 import random
+import re
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -294,6 +295,17 @@ def ref_erdos_gallai_failure(d):
 def ref_erdos_gallai(d):
     """Graphicality by the plain inequality scan plus the parity condition."""
     return ref_erdos_gallai_failure(d) is None
+
+
+def ref_parse_vector(text):
+    """One bound vector's text as a tuple of ints, or None: each comma-separated
+    entry, spaces around it allowed, must be one optional '-' and ASCII digits."""
+    if re.fullmatch(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", text):
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 def ref_havel_hakimi(targets):

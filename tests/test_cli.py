@@ -17,6 +17,7 @@ import degreebox
 import ref_impl
 from degreebox.cli import (
     InstanceSyntaxError,
+    _parse_vector,
     main,
     parse_instance,
 )
@@ -101,6 +102,32 @@ class TestParseInstance:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("text", ["- 1,1/1,1", "1 2,1/1,1", "1,,1/1,1,1", ",1/1,1",
+                                      "1,1/1,", "/", "1-,1/1,1", "1,--1/1,1"])
+    def test_malformed_entries_exit_2(self, text, capsys):
+        with pytest.raises(InstanceSyntaxError):
+            parse_instance(text)
+        assert main(["check", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789,-+_ \t\u00a0\u0661\uff11", max_size=12))
+    @example("1_0")
+    @example("+2")
+    @example("- 1")
+    @example("1 2")
+    @example("1,,2")
+    @example("\u00a0-3 ,\t4")
+    @example("\uff11,\u0661")
+    def test_vector_parser_matches_reference(self, text):
+        """The character prefilter plus int() accepts exactly what the full pattern does."""
+        expected = ref_impl.ref_parse_vector(text)
+        try:
+            got = _parse_vector(text)
+        except InstanceSyntaxError:
+            got = None
+        assert got == expected, text
 
     def test_entry_past_int_digit_limit_is_a_syntax_error(self, capsys):
         text = "1" * 5000 + ",1/1,1"

@@ -117,6 +117,8 @@ def test_largest_two_ended_search(width):
             assert len(probes) <= 3 * math.ceil(math.log2(width)), (good, bad, threshold, probes)
             if threshold in (good, bad - 1):
                 assert len(probes) <= 2, (good, bad, threshold, probes)
+            if threshold == bad - 2:  # the top-first gallop's second probe from the top
+                assert len(probes) <= 3, (good, bad, threshold, probes)
 
 
 class TestGraphicVectorSearch:
@@ -300,7 +302,9 @@ class TestSerialization:
         g = SimpleGraph(3, [0], [1])
         assert g.to_dot() == "graph witness {\n  3;\n  1 -- 2;\n}\n"
 
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000, 10**6])
+    # 999 -> 1000 widens the JSON tail piece from 4 to 8 bytes
+    @pytest.mark.parametrize("n", [0, 1, 3, 9, 10, 99, 100, 999, 1000, 9_999, 10_000, 99_999,
+                                   100_000, 10**6])
     def test_writers_match_plain_join(self, n):
         """Each writer against one f-string per row, on random columns with the widest labels."""
         rng = np.random.default_rng(n)
