@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, LengthMismatch, NonIntegerEntry
-from .sequences import IntervalSequencePair, require_good_order
+from .sequences import IntervalSequencePair, _int64_column, require_good_order
 
 
 class SimpleGraph:
@@ -169,7 +169,9 @@ def _havel_hakimi(
     orienting to u < v and ordering the rows by (u, v), as one sort of the
     keys u*n + v split back by one floor divide, are then array passes, so
     no per-edge tuple is built.
-    An entry outside [0, n) is never graphic and gives None.
+    An entry outside [0, n) is never graphic and gives None.  label is
+    read through ``np.asarray(label, dtype=np.int64)``, so an int64 array
+    is used as it is and a list or range is converted.
     """
     n = len(deg)
     if any(not 0 <= x < n for x in deg):
@@ -184,7 +186,7 @@ def _havel_hakimi(
             tops.append(top)
             if not _take_largest(buckets, top, nbrs):
                 return None
-    label = np.fromiter(label, dtype=np.int64, count=n)
+    label = np.asarray(label, dtype=np.int64)
     u = np.repeat(label[heads], np.array(tops, dtype=np.int64))
     v = label[np.fromiter(nbrs, np.int64, len(nbrs))]
     keys = np.minimum(u, v) * n + np.maximum(u, v)  # row (u, v) with u < v, as one integer
@@ -334,18 +336,24 @@ def realize_pair(
     by normalize_good_order); identity when omitted.  Havel-Hakimi breaks
     ties by normalized position and writes its edges in perm's labels.
     Returns None exactly when the pair is not realizable.  A perm whose
-    length is not n raises LengthMismatch, and one that is not a
-    permutation of 0..n-1 InputError.
+    length is not n raises LengthMismatch, one with an entry that is not
+    an integer NonIntegerEntry (naming ``perm[i]``, by the rule
+    ``normalize_good_order`` applies to bounds), and one that is not a
+    permutation of 0..n-1 InputError.  perm is converted to int64 labels
+    once, and those labels are what is checked and written.
     """
-    if perm is not None:
+    if perm is None:
+        labels = np.arange(pair.n)
+    else:
         if len(perm) != pair.n:
             raise LengthMismatch(f"perm has length {len(perm)}, the pair has n = {pair.n}")
-        if not np.array_equal(np.sort(perm), np.arange(pair.n)):
+        labels = _int64_column(perm, "perm")
+        if not np.array_equal(np.sort(labels), np.arange(pair.n)):
             raise InputError(f"perm is not a permutation of 0..{pair.n - 1}")
     vec = graphic_vector_in_box(pair)
     if vec is None:
         return None
-    columns = _havel_hakimi(vec, range(pair.n) if perm is None else perm)
+    columns = _havel_hakimi(vec, labels)
     if columns is None:  # cannot happen: the search only returns graphic vectors
         raise AssertionError("graphic vector failed to realize")
     return SimpleGraph(pair.n, *columns)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-import numbers
+import operator
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -192,46 +193,55 @@ class NormalizedInstance(_Record):
         return tuple(self._order.tolist())
 
 
-def _int64_column(seq: Sequence[int]) -> np.ndarray:
-    """seq as an int64 array; a Python int beyond int64 saturates to its range.
+_INT64 = np.iinfo(np.int64)
 
-    Every check on a bound compares it with 0 or n-1, so a saturated entry
-    is rejected or clamped exactly where the Python int would be.
+
+def _int64_column(seq: Sequence[int], name: str) -> np.ndarray:
+    """seq as an int64 array, refusing an entry that is not an integer with
+    NonIntegerEntry, which names the first as ``name[i]``.
+
+    An entry is an integer iff ``operator.index`` accepts it (a Python int
+    or bool, a numpy integer, a 0-d integer array, any object with
+    ``__index__``) or it is a numpy bool; a float, a str, a Fraction, None
+    or a row of a 2-D array is not.  An integer past int64 saturates to its
+    range: every check on a bound compares it with 0 or n-1, so a saturated
+    entry is rejected or clamped exactly where the Python int would be.
+
+    A 1-D bool or integer array is cast at once (a copy, uint64 clamped
+    first).  Anything else takes one ``struct`` pack, which converts every
+    entry through ``__index__`` and refuses any entry without it or past
+    int64, so the integer check costs nothing more.  Only when the pack
+    fails does a scan apply the rule above entry by entry; it tests for a
+    numpy bool by type first, since numpy < 2 warns on its ``__index__``.
     """
-    try:
-        return np.fromiter(seq, np.int64, len(seq))
-    except OverflowError:
-        info = np.iinfo(np.int64)
-        return np.fromiter((min(max(x, info.min), info.max) for x in seq), np.int64, len(seq))
-
-
-def _require_integers(seq: Sequence[int], name: str) -> None:
-    """Raise NonIntegerEntry, naming the first, unless every entry of seq is
-    an integer.  A 1-D integer array passes at once.  Otherwise an int plus
-    a float is a float and a str raises, so one sum decides the usual case;
-    only a failure (or a numpy integer that cannot take a Python int past
-    its range) scans for the entry.  numpy integers add in their own
-    width, so the sum ignores overflow, which would otherwise warn; rows
-    of a 2-D array sum to an array and are named by the scan."""
     if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "biu":
-        return
+        if seq.dtype == np.uint64:
+            seq = np.minimum(seq, np.uint64(_INT64.max))
+        return seq.astype(np.int64)
     try:
-        with np.errstate(over="ignore"):
-            total = sum(seq)
-        if isinstance(total, numbers.Integral):
-            return
-    except (TypeError, OverflowError):
+        return np.frombuffer(struct.pack(f"{len(seq)}q", *seq), np.int64)
+    except (struct.error, TypeError, DeprecationWarning):
         pass
+    values = []
     for i, x in enumerate(seq):
-        if not isinstance(x, (numbers.Integral, np.bool_)):
-            raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer")
+        if isinstance(x, np.bool_):
+            x = bool(x)
+        else:
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer") from None
+        values.append(min(max(x, _INT64.min), _INT64.max))
+    return np.array(values, dtype=np.int64)
 
 
 def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, ...]:
     """a, b and b clamped to n-1, as int64 columns, checked as masks.
 
     Raises what ``normalize_good_order`` documents, naming the first
-    offending entry.  Valid bounds pass one fused mask,
+    offending entry.  ``_int64_column`` converts a, then b, and refuses a
+    non-integer entry as it converts, so a's is named before b's.  Valid
+    bounds then pass one fused mask,
     0 <= a[i] <= min(b[i], n-1), whose clamped b is returned with them;
     only when it fails do the scans below run to tell the errors apart.
     A lower bound above n-1 also exceeds its clamped upper bound, so one
@@ -240,9 +250,7 @@ def _validated_columns(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
     if len(a) != len(b):
         raise LengthMismatch(f"lower has length {len(a)}, upper has length {len(b)}")
     n = len(a)
-    _require_integers(a, "a")
-    _require_integers(b, "b")
-    lo, hi = _int64_column(a), _int64_column(b)
+    lo, hi = _int64_column(a, "a"), _int64_column(b, "b")
     clamped = np.minimum(hi, n - 1)
     if ((lo >= 0) & (lo <= clamped)).all():
         return lo, hi, clamped
@@ -280,9 +288,14 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     above n-1 is rejected outright (LowerExceedsMaxDegree), as are paired
     vectors of different lengths (LengthMismatch), entries that are not
     integers (NonIntegerEntry), negative entries (NegativeEntry) and a
-    lower bound above its clamped upper bound (LowerExceedsUpper).  The
-    checks run as int64 masks over both vectors; entries past int64 are
-    decided as their Python values would be.
+    lower bound above its clamped upper bound (LowerExceedsUpper).  An
+    entry is an integer iff ``operator.index`` accepts it or it is a numpy
+    bool, so any object with ``__index__`` counts, and a float, a str or a
+    Fraction does not.  Each vector becomes an int64 column in one pass: a
+    1-D bool or integer array by one cast, anything else by one ``struct``
+    pack, which checks every entry as it converts.  The checks run as int64
+    masks over both columns; entries past int64 are decided as their
+    Python values would be.
 
     The cells are sorted by a descending, then b descending, ties in input
     order, so the recorded permutation is deterministic: a plain sort of

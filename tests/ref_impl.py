@@ -13,6 +13,7 @@ O(n) scan over threshold histograms that shares no code with that pass.
 
 import itertools
 import math
+import operator
 import random
 import re
 from functools import lru_cache
@@ -21,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from degreebox.criteria import CriterionVerdict
+from degreebox.errors import NonIntegerEntry
 from degreebox.sequences import IntervalSequencePair, kernel_pass
 
 
@@ -197,6 +199,24 @@ def ref_normalize(a, b):
     b = [min(x, n - 1) for x in b]
     order = sorted(range(n), key=lambda i: (-a[i], -b[i]))
     return tuple(a[i] for i in order), tuple(b[i] for i in order), tuple(order)
+
+
+def ref_int64_column(seq, name):
+    """seq as an int64 array, one entry at a time: an entry is an integer iff
+    operator.index accepts it or it is a numpy bool, the first that is not
+    raises NonIntegerEntry naming it as name[i], and an integer past int64
+    saturates to its range."""
+    values = []
+    for i, x in enumerate(seq):
+        if isinstance(x, np.bool_):
+            value = int(x)
+        else:
+            try:
+                value = operator.index(x)
+            except TypeError:
+                raise NonIntegerEntry(f"{name}[{i}] = {x!r} is not an integer") from None
+        values.append(min(max(value, -2**63), 2**63 - 1))
+    return np.array(values, dtype=np.int64)
 
 
 def eval_at(name, pair, t, m=None):

@@ -204,10 +204,13 @@ class TestRealizePair:
         ((0, 0, 1), InputError, "perm is not a permutation of 0..2"),
         ((0, 1, 3), InputError, "perm is not a permutation of 0..2"),
         ((-1, 0, 1), InputError, "perm is not a permutation of 0..2"),
+        ((0.0, 1.0, 2.0), NonIntegerEntry, "perm[0] = 0.0 is not an integer"),
+        (("0", "1", "2"), NonIntegerEntry, "perm[0] = '0' is not an integer"),
     ])
     def test_perm_must_be_a_permutation(self, perm, error, message):
-        """A perm of the wrong length, or with a repeated or out-of-range
-        label, is rejected before any edge is written in its labels."""
+        """A perm of the wrong length, with a repeated or out-of-range
+        label, or with a label that is not an integer, is rejected before
+        any edge is written in its labels."""
         pair = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             realize_pair(pair, perm)

@@ -12,6 +12,7 @@ import ref_impl
 from degreebox import sequences
 from degreebox.criteria import _lifted, check_cdz
 from degreebox.errors import (
+    InputError,
     LengthMismatch,
     LowerExceedsMaxDegree,
     LowerExceedsUpper,
@@ -31,6 +32,65 @@ CE_B = (5, 5, 3, 3, 3, 1)
 CE = normalize_good_order(CE_A, CE_B).pair
 TRIANGLE = normalize_good_order((2, 2, 2), (2, 2, 2)).pair
 ODD_ONES = normalize_good_order((1, 1, 1), (1, 1, 1)).pair
+
+
+class _Index:
+    """An integer by ``__index__`` alone: not an int, nor a numbers.Integral."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+_INTEGER_ENTRIES = st.one_of(
+    st.integers(-2**65, 2**65),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.sampled_from([np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64]).flatmap(
+        lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)),
+    st.integers(-3, 3).map(np.array),
+    st.integers(-3, 3).map(_Index),
+)
+_OTHER_ENTRIES = st.one_of(
+    st.floats(), st.text(max_size=2), st.none(), st.fractions(max_denominator=4))
+
+
+def _container(kind, entries):
+    if kind == "array":
+        column = np.empty(len(entries), dtype=object)
+        for i, x in enumerate(entries):
+            column[i] = x
+        return column
+    return kind(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INTEGER_ENTRIES, max_size=8),
+       st.lists(st.tuples(st.integers(0, 8), _OTHER_ENTRIES), max_size=2),
+       st.sampled_from([list, tuple, "array"]))
+def test_int64_column_matches_reference(entries, others, kind):
+    """_int64_column against a plain loop over the entries: the same int64
+    array, or the same error type and message, on lists, tuples and object
+    arrays mixing every kind of integer, some past int64 on either side,
+    with floats, strs, None and Fractions."""
+    for at, x in others:
+        entries.insert(at, x)
+    seq = _container(kind, entries)
+    outcomes = []
+    for convert in (sequences._int64_column, ref_impl.ref_int64_column):
+        try:
+            column = convert(seq, "a")
+            assert column.dtype == np.int64 and column.shape == (len(entries),)
+            outcomes.append(column.tolist())
+        except NonIntegerEntry as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestValidateAndClamp:
@@ -107,9 +167,33 @@ class TestValidateAndClamp:
             check_cdz(pair)
 
     def test_integer_kinds_accepted(self):
-        """bool, numpy integers and Python ints past int64 are integers."""
+        """bool, numpy integers, Python ints past int64, 0-d integer arrays
+        and any object with ``__index__`` are integers."""
         norm = normalize_good_order((True, np.int64(0), np.True_), (2**64, np.uint8(1), 1))
         assert (norm.pair.a, norm.pair.b, norm.perm) == ((1, 1, 0), (2, 1, 1), (0, 2, 1))
+        norm = normalize_good_order((np.array(1), _Index(0), 2), (np.array(2), 1, _Index(2)))
+        assert (norm.pair.a, norm.pair.b, norm.perm) == ((2, 1, 0), (2, 2, 1), (2, 0, 1))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.bool_, np.uint64])
+    def test_integer_arrays_match_their_lists(self, dtype):
+        """A 1-D bool or integer array gives what its ``tolist()`` gives:
+        the same normalized pair, or the same error; a uint64 entry past
+        int64 saturates as the Python int does."""
+        top = np.iinfo(dtype).max if dtype is not np.bool_ else 1
+        boxes = [([0, 1, 1, 0], [1, 3, top, 1]), ([1, 0, 1], [top, 1, 1]), ([top, 0], [top, 1])]
+        for a, b in boxes:
+            arrays = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+            outcomes = []
+            for args in (arrays, [x.tolist() for x in arrays]):
+                try:
+                    outcomes.append(normalize_good_order(*args))
+                except InputError as error:
+                    outcomes.append((type(error), str(error)))
+            assert outcomes[0] == outcomes[1], (a, b)
+        column = np.array([2**64 - 1, 5], dtype=np.uint64)
+        assert sequences._int64_column(column, "b").tolist() == [2**63 - 1, 5]
+        column = np.arange(3)
+        assert not np.shares_memory(sequences._int64_column(column, "a"), column)
 
     @pytest.mark.parametrize("wrap", [np.asarray, list])
     def test_numpy_integers_whose_sum_overflows(self, wrap):
@@ -466,7 +550,7 @@ def test_decision_reads_normalized_rows_and_builds_no_deficits(monkeypatch):
     deficit histogram nor s; the first read of one deficit builds both."""
     norm = normalize_good_order(*ref_impl.random_box(random.Random(20261019), 40))
 
-    def rebuilt(seq):
+    def rebuilt(*args):
         raise AssertionError("an array was rebuilt from a tuple")
 
     monkeypatch.setattr(sequences, "_int64_column", rebuilt)
