@@ -207,17 +207,16 @@ def _int64_column(seq: Sequence[int], name: str) -> np.ndarray:
     range: every check on a bound compares it with 0 or n-1, so a saturated
     entry is rejected or clamped exactly where the Python int would be.
 
-    A 1-D bool or integer array is cast at once (a copy, uint64 clamped
-    first).  Anything else takes one ``struct`` pack, which converts every
-    entry through ``__index__`` and refuses any entry without it or past
-    int64, so the integer check costs nothing more.  Only when the pack
-    fails does a scan apply the rule above entry by entry; it tests for a
-    numpy bool by type first, since numpy < 2 warns on its ``__index__``.
+    Every vector, list, tuple or array, takes one ``struct`` pack, which
+    converts every entry through ``__index__`` and refuses any entry
+    without it or past int64, so the integer check costs nothing more.
+    Only when the pack fails does a scan apply the rule above entry by
+    entry; it tests for a numpy bool by type first.  numpy >= 2 refuses a
+    numpy bool's ``__index__``, so such an entry always reaches the scan.
+    numpy < 2 accepts it with a DeprecationWarning: where warnings are
+    errors the scan takes over, and elsewhere the pack keeps the entry's
+    value and the warning reaches the caller.
     """
-    if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "biu":
-        if seq.dtype == np.uint64:
-            seq = np.minimum(seq, np.uint64(_INT64.max))
-        return seq.astype(np.int64)
     try:
         return np.frombuffer(struct.pack(f"{len(seq)}q", *seq), np.int64)
     except (struct.error, TypeError, DeprecationWarning):
@@ -291,11 +290,10 @@ def normalize_good_order(a: Sequence[int], b: Sequence[int]) -> NormalizedInstan
     lower bound above its clamped upper bound (LowerExceedsUpper).  An
     entry is an integer iff ``operator.index`` accepts it or it is a numpy
     bool, so any object with ``__index__`` counts, and a float, a str or a
-    Fraction does not.  Each vector becomes an int64 column in one pass: a
-    1-D bool or integer array by one cast, anything else by one ``struct``
-    pack, which checks every entry as it converts.  The checks run as int64
-    masks over both columns; entries past int64 are decided as their
-    Python values would be.
+    Fraction does not.  Each vector becomes an int64 column by one
+    ``struct`` pack, which checks every entry as it converts.  The checks
+    run as int64 masks over both columns; entries past int64 are decided
+    as their Python values would be.
 
     The cells are sorted by a descending, then b descending, ties in input
     order, so the recorded permutation is deterministic: a plain sort of

@@ -1,5 +1,7 @@
 import json
+import operator
 import random
+import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -178,7 +180,8 @@ class TestValidateAndClamp:
     def test_integer_arrays_match_their_lists(self, dtype):
         """A 1-D bool or integer array gives what its ``tolist()`` gives:
         the same normalized pair, or the same error; a uint64 entry past
-        int64 saturates as the Python int does."""
+        int64 saturates as the Python int does, and the column is a fresh
+        buffer, not a view of the caller's array."""
         top = np.iinfo(dtype).max if dtype is not np.bool_ else 1
         boxes = [([0, 1, 1, 0], [1, 3, top, 1]), ([1, 0, 1], [top, 1, 1]), ([top, 0], [top, 1])]
         for a, b in boxes:
@@ -194,6 +197,25 @@ class TestValidateAndClamp:
         assert sequences._int64_column(column, "b").tolist() == [2**63 - 1, 5]
         column = np.arange(3)
         assert not np.shares_memory(sequences._int64_column(column, "a"), column)
+
+    def test_numpy_bools_where_warnings_are_not_errors(self):
+        """Outside a warnings-as-errors run, a numpy bool entry still
+        converts to 0 or 1.  Where numpy refuses its ``__index__`` (numpy
+        >= 2), the scan converts it and nothing warns; where numpy accepts
+        it with a DeprecationWarning (numpy < 2), the pack keeps its value
+        and the caller sees one warning per numpy bool entry."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                operator.index(np.True_)
+                warns = 2
+            except TypeError:
+                warns = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            column = sequences._int64_column([np.True_, 2, np.False_], "a")
+        assert column.tolist() == [1, 2, 0]
+        assert [w.category for w in caught] == [DeprecationWarning] * warns
 
     @pytest.mark.parametrize("wrap", [np.asarray, list])
     def test_numpy_integers_whose_sum_overflows(self, wrap):
