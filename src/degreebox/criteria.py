@@ -248,10 +248,10 @@ def _gale_ryser(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     demands) gives the right sides, as rhs(k + 1) = rhs(k) + #{s > k}.
     """
     k, top = demand.shape
-    lhs = np.cumsum(demand, axis=1)
+    lhs = demand.cumsum(axis=1)
     capped = np.minimum(supply, top)
-    above = supply.shape[1] - np.cumsum(_row_histogram(capped, top + 1)[0], axis=1)[:, :top]
-    return (lhs <= np.cumsum(above, axis=1)).all(axis=1)
+    above = supply.shape[1] - _row_histogram(capped, top + 1)[0].cumsum(axis=1)[:, :top]
+    return (lhs <= above.cumsum(axis=1)).all(axis=1)
 
 
 def _lifted(x: np.ndarray) -> np.ndarray:
@@ -360,7 +360,7 @@ def cdz_inconsistent(verdicts: dict[str, Verdicts]) -> np.ndarray:
     x, y = verdicts["cdz"], verdicts["cdz_reduced"]
     differ = x.holds != y.holds
     for cx, cy in zip(x[1:], y[1:]):
-        if cx is None and cy is None:
+        if cx is cy:  # both None, or one column shared, as ``_below`` shares them
             continue
         differ |= ~x.holds & (True if cx is None or cy is None else cx != cy)
     return differ

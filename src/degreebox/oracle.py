@@ -13,13 +13,15 @@ Every reader of the instance space (``enumerate_instances``,
 matrix) reads one stream, ``_chunks``: every instance or a seeded
 sample, in rank order, as chunks of up to SWEEP_CHUNK rows, two (k, n)
 bound arrays each, with no per-instance Python object.  Up to 2^62
-instances (n <= 14) each run of ranks is unranked at once; past that,
-instances are drawn in O(n) by stars and bars.  Each sweep chunk makes
-one oracle gather over its boxes and one kernel pass, which
-``criteria.evaluate`` maps to every ``criteria.CRITERIA`` row's verdict
-columns, and both sweeps count through one product of the chunk's
-stacked holds table with its transpose; a pair is built only for a
-matrix example, from its row.  No row check is called here.
+instances (n <= 14) each run of ranks is unranked at once, with one
+running offset per rank and, per position, one searchsorted, one column
+write and one step-table gather; past that, instances are drawn in O(n)
+by stars and bars.  Each sweep chunk makes one oracle gather over its
+boxes and one kernel pass, which ``criteria.evaluate`` maps to every
+``criteria.CRITERIA`` row's verdict columns, and both sweeps count
+through one product of the chunk's holds table, written row by row into
+one array, with its transpose; a pair is built only for a matrix
+example, from its row.  No row check is called here.
 """
 
 from __future__ import annotations
@@ -138,18 +140,23 @@ def oracle_realizable(pair: IntervalSequencePair) -> OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank route's binomials as an int64 table, and the cells' bounds
-    as two arrays: row r holds -comb(L - x + r, r + 1) for every cell x of
-    the L cells, increasing in x.  Its largest magnitude is the size of the
-    space, so it fits where that is at most 2^62 (n <= 14)."""
+def _unrank_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rank route's binomials as two int64 tables, and the cells'
+    bounds as two arrays.  Row r of the first holds -comb(L - x + r, r + 1)
+    for every cell x of the L cells, increasing in x; row r of the second,
+    the step, is row r - 1 of the first less row r, which by Pascal's rule
+    is comb(L - x + r - 1, r + 1) >= 0 (row 0 is unused).  The largest
+    magnitude is the size of the space, so both fit where that is at most
+    2^62 (n <= 14)."""
     size = n * (n + 1) // 2
     table = np.array([[-comb(size - x + r, r + 1) for x in range(size)] for r in range(n)],
                      dtype=np.int64).reshape(n, size)
+    steps = np.zeros_like(table)
+    np.subtract(table[:-1], table[1:], out=steps[1:])
     lows, highs = _cell_bounds(n, np.arange(size))
-    for array in (table, lows, highs):
+    for array in (table, steps, lows, highs):
         array.flags.writeable = False  # shared by every caller
-    return table, lows, highs
+    return table, steps, lows, highs
 
 
 def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
@@ -159,26 +166,30 @@ def _unrank_rows(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
     (``_cell_bounds``), so each instance's cells come good-ordered.
 
     With L cells and r more to place after position pos, comb(L-x+r, r+1)
-    multisets fill positions pos.. from cell x on.  The cell at pos is the
-    largest x with comb(L-x+r, r+1) >= target, for every rank at once: one
-    searchsorted in row r of ``_unrank_table``, whose entries up to the
-    current cell all pass since fit >= target.
+    multisets fill positions pos.. from cell x on.  Each rank carries one
+    running offset, below = rank less the count of multisets from the
+    current position's earliest possible cell on, so below < 0; the cell at
+    pos is the largest x with -comb(L-x+r, r+1) <= below, for every rank at
+    once: one searchsorted in row r of ``_unrank_table``'s binomials.
+    Entry 0 of that row never exceeds below, so the search skips it, and
+    the count of the later entries at most below is x itself.
+    Fixing cell x leaves comb(L-x+r-1, r) multisets for the positions after
+    it, and below moves up by the difference, row r of the step table at x.
     """
-    table, cell_lows, cell_highs = _unrank_table(n)
+    table, steps, cell_lows, cell_highs = _unrank_table(n)
+    total = instance_space_size(n)
     if isinstance(ranks, range):
-        ranks = np.arange(ranks.start, ranks.stop, dtype=np.int64)
-    rank = np.asarray(ranks, dtype=np.int64)
-    cell = np.empty((len(rank), n), dtype=np.int64)
-    fit = np.full(len(rank), instance_space_size(n), dtype=np.int64)
+        below = np.arange(ranks.start - total, ranks.stop - total, dtype=np.int64)
+    else:
+        below = np.asarray(ranks, dtype=np.int64) - total
+    cell = np.empty((len(below), n), dtype=np.int64)
     for pos in range(n):
         r = n - pos - 1
-        target = fit - rank
-        x = np.searchsorted(table[r], -target, side="right") - 1
+        x = table[r, 1:].searchsorted(below, side="right")
         cell[:, pos] = x
-        rank = -table[r, x] - target
         if r:
-            fit = -table[r - 1, x]
-    return cell_lows[cell], cell_highs[cell]
+            below += steps[r].take(x)
+    return cell_lows.take(cell), cell_highs.take(cell)
 
 
 def _cell_bounds(n: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -360,35 +371,40 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
     tallies are reported).  Reports are deterministic given (n, sample,
     seed).
 
-    Each chunk stacks the oracle's realizable column (all False past the
-    oracle) on its (C, k) holds table H and adds H @ H.T to the tally:
-    entry (0, 0) counts the realizable instances, (i, i) the ones row i
-    holds on and (0, i) the realizable ones among those, which give a
-    criterion's four cells.  The violations are one ``np.nonzero`` over a
-    (C+1, k) mask of broken arrows, row 0 cdz_reduced against cdz, read
-    in (instance, row) order.
+    Each chunk writes the oracle's realizable column (all zero past the
+    oracle) and then each row's holds into one (C+1, k) 0/1 table H and
+    adds H @ H.T to the tally: entry (0, 0) counts the realizable
+    instances, (i, i) the ones row i holds on and (0, i) the realizable
+    ones among those, which give a criterion's four cells.  A gated arrow
+    breaks where a row's holds differs from the realizable column: its
+    necessity where that is 1, its sufficiency where it is 0.  The
+    violations are one ``np.nonzero`` over a (C+1, k) mask of broken
+    arrows, row 0 cdz_reduced against cdz, read in (instance, row) order.
     """
     if sample is not None and sample < 1:
         raise InputError(f"sample must be >= 1, got {sample}")
     names = tuple(_criteria.CRITERIA)
     oracle_used = n <= MAX_EXHAUSTIVE_N
     # a row's gated arrows, as (C, 1) columns against the chunk's (C, k) holds
-    necessity, sufficiency = (np.array([[arrow in _criteria.CRITERIA[name].gated] for name in names])
-                              for arrow in ("necessity", "sufficiency"))
+    gated = [row.gated for row in _criteria.CRITERIA.values()]
+    necessity, sufficiency = np.array([[arrow in g for g in gated]
+                                       for arrow in ("necessity", "sufficiency")])[..., None]
     tally = np.zeros((len(names) + 1,) * 2)
     violations = []
     start = time.perf_counter()
     index = 0
     for lows, highs in _chunks(n, sample, seed):
         verdicts = _criteria.evaluate(kernel_pass(lows, highs))
-        holds = np.stack([v.holds for v in verdicts.values()])
-        realizable = np.zeros(len(lows), dtype=bool)
-        broken = np.zeros((len(names) + 1, len(lows)), dtype=bool)
+        table = np.zeros((len(names) + 1, len(lows)))
+        for row, v in zip(table[1:], verdicts.values()):
+            row[:] = v.holds
+        realizable = table[0]
+        broken = np.zeros(table.shape, dtype=bool)
         broken[0] = _criteria.cdz_inconsistent(verdicts)
         if oracle_used:
-            realizable = _box_counts(n, lows, highs) > 0
-            broken[1:] = np.where(realizable, necessity & ~holds, sufficiency & holds)
-        table = np.vstack([realizable, holds]).astype(np.float64)
+            np.greater(_box_counts(n, lows, highs), 0, out=realizable)
+            np.logical_and(table[1:] != realizable, np.where(realizable, necessity, sufficiency),
+                           out=broken[1:])
         tally += table @ table.T  # one BLAS product; float64 counts far below 2^53 are exact
         # transposed, the flags come in (instance, row) order
         for i, row in zip(*(axis.tolist() for axis in np.nonzero(broken.T))):
@@ -402,16 +418,18 @@ def cross_validate(n: int, sample: Optional[int] = None, seed: int = 0) -> Sweep
                                "witness_t": verdict.witness_t, "witness_m": verdict.witness_m})
         index += len(lows)
     elapsed = time.perf_counter() - start
-    yes, held, yes_held = tally[0, 0], tally.diagonal()[1:], tally[0, 1:]
-    # past the oracle every cell is zero
-    four = np.stack([yes_held, yes - yes_held, held - yes_held, index - yes - held + yes_held]) * oracle_used
+    counts = tally.astype(np.int64).tolist()
+    yes = counts[0][0]
+    held = [counts[i][i] for i in range(1, len(counts))]
     keys = ("oracle_yes_holds", "oracle_yes_fails", "oracle_no_holds", "oracle_no_fails")
-    cells = {name: dict(zip(keys, row)) for name, row in zip(names, four.T.astype(np.int64).tolist())}
+    # past the oracle every cell is zero
+    cells = {name: dict(zip(keys, (y, yes - y, h - y, index - yes - h + y) if oracle_used else (0,) * 4))
+             for name, h, y in zip(names, held, counts[0][1:])}
     return SweepReport(
         n=n, mode="exhaustive" if sample is None else "sample", sample_size=sample,
         seed=None if sample is None else seed, criteria=names, instance_count=index,
-        oracle_used=oracle_used, oracle_yes=int(yes) if oracle_used else None, cells=cells,
-        holds_counts=dict(zip(names, held.astype(np.int64).tolist())), violations=violations,
+        oracle_used=oracle_used, oracle_yes=yes if oracle_used else None, cells=cells,
+        holds_counts=dict(zip(names, held)), violations=violations,
         cdz_oracle_disagreements=(cells["cdz"]["oracle_yes_fails"] + cells["cdz"]["oracle_no_holds"]
                                   if oracle_used else None),
         # row 0 of the broken mask; cdz_reduced's gated arrows share its name
@@ -476,8 +494,8 @@ def implication_matrix(n: int) -> ImplicationMatrix:
     to n <= MAX_EXHAUSTIVE_N, but it refuses a larger n itself, since the
     stream's refusal points to a sample, which the matrix does not take.
 
-    Each chunk adds H @ H.T, H its (C, k) holds table, to a tally of the
-    instances two rows both hold on, so cell (x, y) is entry (x, x) less
+    Each chunk writes each row's holds into one (C, k) 0/1 table H and
+    adds H @ H.T to a tally of the instances two rows both hold on, so cell (x, y) is entry (x, x) less
     (x, y).  A cell's example is taken in the chunk where the cell first
     becomes nonzero: that chunk's first instance where x holds and y fails.
     """
@@ -491,13 +509,14 @@ def implication_matrix(n: int) -> ImplicationMatrix:
     total = 0
     for lows, highs in _chunks(n):
         total += len(lows)
-        holds = np.stack([v.holds for v in _criteria.evaluate(kernel_pass(lows, highs)).values()])
-        table = holds.astype(np.float64)
+        table = np.empty((len(names), len(lows)))
+        for row, v in zip(table, _criteria.evaluate(kernel_pass(lows, highs)).values()):
+            row[:] = v.holds
         tally += table @ table.T
         fresh = counts == 0
         counts = tally.diagonal()[:, None] - tally
         for x, y in np.argwhere(fresh & (counts > 0)).tolist():
-            i = int((holds[x] & ~holds[y]).argmax())
+            i = int((table[x] > table[y]).argmax())
             examples[(names[x], names[y])] = IntervalSequencePair(lows[i], highs[i])
     counts = counts.astype(np.int64).tolist()
     return ImplicationMatrix(criteria=names, instance_count=total, examples=examples,

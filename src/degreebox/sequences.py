@@ -62,12 +62,12 @@ class KernelPass:
         and one weighted by x + 1, over the 2k rows of the stacked (a, b),
         summed from the bottom up.
         """
-        x = np.stack((self.a, self.b))
+        x = np.array((self.a, self.b))
         _, k, n = x.shape
         t = np.arange(n + 1)
         start = np.maximum(t[1:], x + 2).reshape(2 * k, n)
         hist = _row_histogram(start, n + 2, x + 1)
-        started, offset = np.cumsum(hist.reshape(2, 2, k, n + 2)[..., :-1], axis=3)
+        started, offset = hist.reshape(2, 2, k, n + 2)[..., :-1].cumsum(axis=3)
         return t * started - offset
 
     @property
@@ -346,11 +346,11 @@ def kernel_pass(a, b) -> KernelPass:
     t = np.arange(n + 1)
     lhs = np.zeros((k, n + 1), dtype=np.int64)
     tail = np.zeros((k, n + 1), dtype=np.int64)
-    np.cumsum(a, axis=1, out=lhs[:, 1:])
-    np.cumsum(b[:, ::-1], axis=1, out=tail[:, -2::-1])
+    a.cumsum(axis=1, out=lhs[:, 1:])
+    b[:, ::-1].cumsum(axis=1, out=tail[:, -2::-1])
     hist = _row_histogram(np.minimum(t[1:], b), n + 2, b, a < b)
     # summed from the top, column c counts entries >= c: the value at t is column t + 1
-    size, total, loose = np.cumsum(hist[:, :, :0:-1], axis=2)[:, :, ::-1]
+    size, total, loose = hist[:, :, :0:-1].cumsum(axis=2)[:, :, ::-1]
     clipped = total - t * size
     eps = clipped & (loose == 0)
     rhs = tail - clipped

@@ -40,6 +40,7 @@ from degreebox.oracle import (
     _sample_cells,
     _sample_ranks,
     _unrank_rows,
+    _unrank_table,
     cross_validate,
     enumerate_instances,
     implication_matrix,
@@ -267,6 +268,24 @@ class TestInstanceSpace:
         instances = list(ref_instances(5))
         ranks = (0, 1, 777, 11627)
         assert _rows([_unrank_rows(5, ranks)]) == [instances[rank] for rank in ranks]
+
+    def test_exhaustive_stream_lists_every_multiset_once_in_rank_order(self):
+        """The stream's 230,230 rows at n = 6, read back as indices of the
+        L = 21 cells in ``_cell_bounds``'s order, never decrease along a
+        row, and their keys in base L strictly increase: every multiset of
+        6 cells appears once, in rank order.  The four tables the unranker
+        shares with every caller are read-only."""
+        n, size = 6, 21
+        lows, highs = (np.concatenate(arrays) for arrays in zip(*_chunks(n)))
+        k = n - 1 - lows
+        cells = k * (k + 1) // 2 + n - 1 - highs
+        assert np.array_equal(np.stack(_cell_bounds(n, cells)), np.stack((lows, highs)))
+        assert len(cells) == instance_space_size(n) == 230230
+        assert (np.diff(cells, axis=1) >= 0).all()
+        keys = cells @ size ** np.arange(n - 1, -1, -1)
+        assert (np.diff(keys) > 0).all()
+        tables = _unrank_table(n)
+        assert len(tables) == 4 and not any(table.flags.writeable for table in tables)
 
     def test_unrank_bisection_matches_linear_walk(self):
         """The batch unranker against the cell-by-cell walk of the reference:
